@@ -31,11 +31,9 @@ from .model import (
     StudentT,
     gh_from_ab,
     init_params,
-    load_checkpoint,
     normalize,
-    save_checkpoint,
 )
-from .optimizer import EStepCache, LikelihoodTrace, log_likelihood, run
+from .optimizer import EStepCache, log_likelihood, run
 from .priors import (
     BinStatistic,
     bessel_k_ratio,
@@ -58,7 +56,6 @@ __all__ = [
     "Gaussian",
     "GsmVariant",
     "LeptokurticGG",
-    "LikelihoodTrace",
     "MetricReport",
     "ModelParams",
     "NIG",
@@ -71,7 +68,6 @@ __all__ = [
     "bessel_k_ratio",
     "gh_from_ab",
     "init_params",
-    "load_checkpoint",
     "log_bessel_k",
     "log_likelihood",
     "log_marginal_density",
@@ -84,7 +80,6 @@ __all__ = [
     "read_wav",
     "run",
     "run_experiment",
-    "save_checkpoint",
     "separate",
     "si_sdr",
     "stft_forward",

@@ -20,24 +20,13 @@ from .harness import (
     config_hash,
     config_to_dict,
     run_experiment,
+    separate_mixture,
     synth_scene,
-    variant_from_dict,
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import (
-    GH,
-    Gaussian,
-    LeptokurticGG,
-    NIG,
-    SeparationConfig,
-    StudentT,
-)
-from .optimizer import run
+from .model import NIG, VARIANTS, SeparationConfig, variant_from_dict
 from .stft import StftConfig, stft_forward
-from . import wiener
-
-MODEL_CHOICES = ("gaussian", "t", "gg", "gh", "nig")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +77,8 @@ def _nonneg_int(name):
 
 
 def _add_model_args(sub):
-    sub.add_argument("--model", choices=MODEL_CHOICES, default="nig",
-                     help="tail model (default: nig)")
+    sub.add_argument("--model", choices=tuple(VARIANTS), default=NIG.name,
+                     help="tail model (default: %(default)s)")
     sub.add_argument("--nu", type=_positive_float("nu"), default=40.0,
                      help="t-distribution degrees of freedom (default: 40)")
     sub.add_argument("--beta", type=_beta_value, default=1.0,
@@ -116,65 +105,41 @@ def _add_run_args(sub):
                      help="variance floor (default: 1e-10)")
 
 
-def build_variant(args):
-    if args.model == "gaussian":
-        return Gaussian()
-    if args.model == "t":
-        return StudentT(nu=args.nu)
-    if args.model == "gg":
-        return LeptokurticGG(beta=args.beta)
-    if args.model == "gh":
-        return GH(gamma=args.gamma, rho=args.rho, eta=args.eta)
-    return NIG(rho=args.rho, eta=args.eta)
-
-
 def cmd_separate(args) -> int:
     buffer = read_wav(args.input)
-    n_chan = buffer.n_channels
-    if n_chan < args.sources:
-        raise ValueError(
-            f"underdetermined request: {args.sources} sources from"
-            f" {n_chan} channels"
-        )
-    if args.rank1 and args.sources != n_chan:
-        raise ValueError(
-            f"rank1 needs as many sources as channels,"
-            f" got N={args.sources}, M={n_chan}"
-        )
     cfg = SeparationConfig(
         n_sources=args.sources,
         n_bases=args.bases,
         iterations=args.iters,
-        variant=build_variant(args),
+        variant=variant_from_dict(vars(args)),
         rank1=args.rank1,
         floor=args.floor,
         seed=args.seed,
     )
     stft_cfg = StftConfig()
+    # the forward STFT stays here rather than in separate_mixture because
+    # sepbench's tracer wraps read_wav, write_wav and stft_forward as
+    # attributes of this module
+    X_FTM = stft_forward(buffer.samples, stft_cfg)
+    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg, buffer.n_frames)
+
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    X_FTM = stft_forward(buffer.samples, stft_cfg)
-    params, trace = run(X_FTM, cfg)
-    images = wiener.separate(X_FTM, params)
-    order = wiener.rank_sources_by_energy(images)
-    rendered = wiener.render_time_domain(images, stft_cfg, buffer.n_frames)
-
     outputs = []
-    for rank, n in enumerate(order, start=1):
+    for rank, source in enumerate(sources, start=1):
         path = out_dir / f"source{rank}.wav"
-        write_wav(path, AudioBuffer(samples=rendered[n][0:1],
+        write_wav(path, AudioBuffer(samples=source[0:1],
                                     sample_rate=buffer.sample_rate))
         outputs.append(str(path))
         if args.multichannel:
             mc_path = out_dir / f"source{rank}_multichannel.wav"
-            write_wav(mc_path, AudioBuffer(samples=rendered[n],
+            write_wav(mc_path, AudioBuffer(samples=source,
                                            sample_rate=buffer.sample_rate))
             outputs.append(str(mc_path))
 
     report = {
         "config": config_to_dict(cfg, stft_cfg),
-        "ll_trace": [float(v) for v in trace],
+        "ll_trace": trace,
         "outputs": outputs,
         "input": str(args.input),
     }

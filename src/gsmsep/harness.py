@@ -33,15 +33,7 @@ import numpy as np
 from . import optimizer, wiener
 from .audio_io import AudioBuffer
 from .metrics import permutation_si_sdr
-from .model import (
-    GH,
-    Gaussian,
-    GsmVariant,
-    LeptokurticGG,
-    NIG,
-    SeparationConfig,
-    StudentT,
-)
+from .model import SeparationConfig, variant_to_dict
 from .stft import StftConfig, stft_forward, stft_inverse
 
 SCENE_SAMPLE_RATE = 16000
@@ -183,37 +175,6 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
     )
 
 
-def variant_to_dict(variant: GsmVariant) -> dict:
-    if isinstance(variant, Gaussian):
-        return {"model": "gaussian"}
-    if isinstance(variant, StudentT):
-        return {"model": "t", "nu": variant.nu}
-    if isinstance(variant, LeptokurticGG):
-        return {"model": "gg", "beta": variant.beta}
-    if isinstance(variant, NIG):
-        return {"model": "nig", "rho": variant.rho, "eta": variant.eta}
-    if isinstance(variant, GH):
-        return {"model": "gh", "gamma": variant.gamma, "rho": variant.rho,
-                "eta": variant.eta}
-    raise TypeError(f"unknown variant {variant!r}")
-
-
-def variant_from_dict(payload: dict) -> GsmVariant:
-    name = payload.get("model")
-    if name == "gaussian":
-        return Gaussian()
-    if name == "t":
-        return StudentT(nu=payload["nu"])
-    if name == "gg":
-        return LeptokurticGG(beta=payload["beta"])
-    if name == "nig":
-        return NIG(rho=payload["rho"], eta=payload["eta"])
-    if name == "gh":
-        return GH(gamma=payload["gamma"], rho=payload["rho"],
-                  eta=payload["eta"])
-    raise ValueError(f"unknown model name {name!r}")
-
-
 def config_to_dict(cfg: SeparationConfig, stft_cfg: StftConfig) -> dict:
     return {
         "variant": variant_to_dict(cfg.variant),
@@ -254,9 +215,25 @@ class SeparationReport:
         return cls(**json.loads(text))
 
 
+def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
+                     stft_cfg: StftConfig, n_samples: int) -> tuple[list, list]:
+    """Optimize, Wiener-separate, rank and resynthesize one STFT mixture.
+
+    Returns one (M, n_samples) image per source, loudest first, and the
+    log-likelihood trace.
+    """
+    params, trace = optimizer.run(X_FTM, cfg)
+    images = wiener.separate(X_FTM, params)
+    # rank before rendering: the ranking's temporaries then do not stack on
+    # top of the rendered signals at the memory peak
+    order = wiener.rank_sources_by_energy(images)
+    rendered = wiener.render_time_domain(images, stft_cfg, n_samples)
+    return [rendered[n] for n in order], trace
+
+
 def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
                    stft_cfg: StftConfig) -> SeparationReport:
-    """STFT, optimize, separate, rank, resynthesize, score.
+    """STFT, separate_mixture, score.
 
     The model may carry more sources than the scene; the top scene-count
     sources by energy are scored.  Fewer model sources than references
@@ -270,19 +247,16 @@ def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
         )
     started = time.perf_counter()
     X_FTM = stft_forward(scene.mixture.samples, stft_cfg)
-    params, trace = optimizer.run(X_FTM, cfg)
-    images = wiener.separate(X_FTM, params)
-    order = wiener.rank_sources_by_energy(images)
-    n_samples = scene.mixture.n_frames
-    rendered = wiener.render_time_domain(images, stft_cfg, n_samples)
-    estimates = [rendered[n][0] for n in order[:n_refs]]
+    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg,
+                                      scene.mixture.n_frames)
+    estimates = [source[0] for source in sources[:n_refs]]
     references = [ref.samples[0] for ref in scene.references]
     metrics = permutation_si_sdr(estimates, references,
                                  mixture=scene.mixture.samples[0])
     runtime_ms = (time.perf_counter() - started) * 1e3
     return SeparationReport(
         config=config_to_dict(cfg, stft_cfg),
-        ll_trace=[float(v) for v in trace],
+        ll_trace=trace,
         per_source_metrics=list(metrics.per_source),
         mean_si_sdr=float(metrics.mean_si_sdr),
         input_si_sdr=metrics.input_si_sdr,

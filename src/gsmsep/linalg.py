@@ -2,9 +2,9 @@
 
 Every routine accepts a single (M, M) matrix or a stack (..., M, M) and
 broadcasts over the leading axes.  Factorizations are delegated to LAPACK
-through numpy.linalg (partial-pivoting LU for inverses and solves); the
-wrappers add the dimension cap, a condition estimate with a hard refusal
-threshold, and the log|A A^H| form the likelihood needs.
+through numpy.linalg (partial-pivoting LU for inverses and determinants);
+the wrappers add the dimension cap, a condition estimate with a hard
+refusal threshold, and the log|A A^H| form the likelihood needs.
 """
 
 from __future__ import annotations
@@ -60,22 +60,6 @@ def invert(A) -> np.ndarray:
     A = _as_square_stack(A)
     _refuse_ill_conditioned(A)
     return np.linalg.inv(A)
-
-
-def solve_column(A, m: int) -> np.ndarray:
-    """Solve A x = e_m for the m-th standard basis vector (0-based)."""
-    A = _as_square_stack(A)
-    dim = A.shape[-1]
-    if not 0 <= m < dim:
-        raise ValueError(f"column index {m} out of range for dimension {dim}")
-    # explicit trailing column axis: numpy otherwise reads a 2-D rhs on a
-    # stacked A as one shared matrix right-hand side
-    rhs = np.zeros(A.shape[:-1] + (1,), dtype=A.dtype)
-    rhs[..., m, 0] = 1.0
-    try:
-        return np.linalg.solve(A, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedMatrixError(f"singular system for column {m}: {exc}") from exc
 
 
 def log_abs_det_gram(A) -> np.ndarray | float:

@@ -9,12 +9,11 @@ an infinity that poisons report arithmetic.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 SI_SDR_CAP_DB = 100.0
-MAX_PERMUTATION_SOURCES = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,11 +56,13 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
 
 def permutation_si_sdr(estimates, references,
                        mixture: np.ndarray | None = None) -> MetricReport:
-    """Best assignment of estimates to references by exhaustive search.
+    """Assignment of estimates to references with the best mean SI-SDR.
 
-    Maximizes the mean SI-SDR over all N! assignments (N <= 4).  When the
-    mixture signal is supplied, input_si_sdr reports the mean SI-SDR of
-    the unprocessed mixture against each reference.
+    Solved as a linear assignment problem on the N x N score table.  An
+    estimate with no projection onto a reference scores -inf against it;
+    the assignment uses the fewest such pairs and reports their raw -inf
+    scores.  When the mixture signal is supplied, input_si_sdr reports the
+    mean SI-SDR of the unprocessed mixture against each reference.
     """
     if len(estimates) != len(references):
         raise ValueError(
@@ -71,24 +72,20 @@ def permutation_si_sdr(estimates, references,
     n = len(estimates)
     if n == 0:
         raise ValueError("no signals to score")
-    if n > MAX_PERMUTATION_SOURCES:
-        raise ValueError(
-            f"exhaustive assignment supports at most"
-            f" {MAX_PERMUTATION_SOURCES} sources, got {n}"
-        )
 
     score_table = np.empty((n, n))
     for i, est in enumerate(estimates):
         for j, ref in enumerate(references):
             score_table[i, j] = si_sdr(est, ref)
 
-    best_perm = None
-    best_mean = -np.inf
-    for perm in itertools.permutations(range(n)):
-        mean = float(np.mean([score_table[i, perm[i]] for i in range(n)]))
-        if mean > best_mean:
-            best_mean = mean
-            best_perm = perm
+    # the solver rejects -inf entries; a floor below the lowest finite score
+    # by more than n times their range ranks assignments by their count of
+    # -inf pairs first
+    finite = score_table[np.isfinite(score_table)]
+    floor = finite.min() - n * np.ptp(finite) - 1.0 if finite.size else 0.0
+    _, best_perm = linear_sum_assignment(
+        np.where(np.isneginf(score_table), floor, score_table), maximize=True)
+    best_mean = float(np.mean(score_table[np.arange(n), best_perm]))
 
     input_score = None
     if mixture is not None:

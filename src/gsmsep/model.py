@@ -15,13 +15,10 @@ GsmVariant value and gives the heavy-tailed members of the family.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
-
-from . import linalg
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +29,14 @@ from . import linalg
 class Gaussian:
     """Degenerate impulse prior (phi == 1): plain Gaussian bins."""
 
+    name: ClassVar[str] = "gaussian"
+
 
 @dataclasses.dataclass(frozen=True)
 class StudentT:
     """Inverse-gamma impulse prior with shape = scale = nu / 2."""
 
+    name: ClassVar[str] = "t"
     nu: float
 
     def __post_init__(self) -> None:
@@ -48,6 +48,7 @@ class StudentT:
 class LeptokurticGG:
     """Heavy-tailed generalized Gaussian bins, shape beta in (0, 2]."""
 
+    name: ClassVar[str] = "gg"
     beta: float
 
     def __post_init__(self) -> None:
@@ -59,6 +60,7 @@ class LeptokurticGG:
 class GH:
     """Generalized-inverse-Gaussian impulse prior GIG(gamma, rho, eta)."""
 
+    name: ClassVar[str] = "gh"
     gamma: float
     rho: float
     eta: float
@@ -77,9 +79,13 @@ class NIG:
     """Normal-inverse-Gaussian bins: the GH sub-family with gamma = -1/2.
 
     Kept as its own variant because every Bessel order in its statistics
-    is half-integer, which admits an exact recurrence fast path.
+    is half-integer, which admits an exact recurrence fast path.  The
+    index is a class constant, so it is neither a constructor argument nor
+    part of the serialized form.
     """
 
+    name: ClassVar[str] = "nig"
+    gamma: ClassVar[float] = -0.5
     rho: float
     eta: float
 
@@ -90,10 +96,28 @@ class NIG:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
     def as_gh(self) -> GH:
-        return GH(gamma=-0.5, rho=self.rho, eta=self.eta)
+        return GH(gamma=self.gamma, rho=self.rho, eta=self.eta)
 
 
 GsmVariant = Union[Gaussian, StudentT, LeptokurticGG, GH, NIG]
+
+VARIANTS = {cls.name: cls for cls in get_args(GsmVariant)}
+
+
+def variant_to_dict(variant: GsmVariant) -> dict:
+    """{"model": name, **fields}: the form used by reports and bench grids."""
+    return {"model": variant.name, **dataclasses.asdict(variant)}
+
+
+def variant_from_dict(payload: dict) -> GsmVariant:
+    """Inverse of variant_to_dict; keys other than the variant's fields are
+    ignored, and a missing field raises KeyError."""
+    name = payload.get("model")
+    if name not in VARIANTS:
+        raise ValueError(f"unknown model name {name!r}")
+    cls = VARIANTS[name]
+    return cls(**{field.name: payload[field.name]
+                  for field in dataclasses.fields(cls)})
 
 
 def gh_from_ab(gamma: float, a: float, b: float) -> GH:
@@ -200,7 +224,8 @@ def init_params(cfg: SeparationConfig, n_freq: int, n_frames: int,
     n, k, m = cfg.n_sources, cfg.n_bases, n_channels
     if cfg.rank1 and n != m:
         raise ValueError(
-            f"rank-1 spatial model requires n_sources == n_channels, got N={n}, M={m}"
+            f"rank-1 spatial model: rank1 needs as many sources as channels,"
+            f" got N={n}, M={m}"
         )
     if n > m:
         raise ValueError(f"underdetermined model not supported: N={n} > M={m}")
@@ -269,76 +294,3 @@ def compute_ytilde(params: ModelParams, floor: float,
         lambda_NFT = source_psd(params)
     y_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
     return np.maximum(y_FTM, floor)
-
-
-def reconstruct_scm(params: ModelParams, n: int, f: int) -> np.ndarray:
-    """Source n's spatial covariance at frequency f: Q_f^-1 Diag(g~_n) Q_f^-H."""
-    if not 0 <= n < params.n_sources:
-        raise ValueError(f"source index {n} out of range")
-    if not 0 <= f < params.n_freq:
-        raise ValueError(f"frequency index {f} out of range")
-    Qinv = linalg.invert(params.Q[f])
-    return (Qinv * params.Gtilde[n][None, :]) @ Qinv.conj().T
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: JSON with a shape header and row-major value lists.
-# ---------------------------------------------------------------------------
-
-_CHECKPOINT_FORMAT = "gsmsep-params"
-_CHECKPOINT_VERSION = 1
-
-
-def _complex_to_interleaved(a: np.ndarray) -> list:
-    flat = np.ascontiguousarray(a).ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tolist()
-
-
-def _interleaved_to_complex(values: list, shape: tuple) -> np.ndarray:
-    flat = np.asarray(values, dtype=np.float64)
-    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
-
-
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write params as JSON: shape header plus row-major (C-order) arrays.
-
-    Real arrays are plain value lists; the complex Q is stored with
-    interleaved [re, im, re, im, ...] entries.  Values round-trip exactly
-    (repr-based float serialization).
-    """
-    payload = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "order": "C",
-        "shapes": {
-            "W": list(params.W.shape),
-            "H": list(params.H.shape),
-            "Q": list(params.Q.shape),
-            "Gtilde": list(params.Gtilde.shape),
-        },
-        "W": params.W.ravel(order="C").tolist(),
-        "H": params.H.ravel(order="C").tolist(),
-        "Q": _complex_to_interleaved(params.Q),
-        "Gtilde": params.Gtilde.ravel(order="C").tolist(),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"not a parameter checkpoint: {path}")
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    shapes = {key: tuple(val) for key, val in payload["shapes"].items()}
-    return ModelParams(
-        W=np.asarray(payload["W"], dtype=np.float64).reshape(shapes["W"]),
-        H=np.asarray(payload["H"], dtype=np.float64).reshape(shapes["H"]),
-        Q=_interleaved_to_complex(payload["Q"], shapes["Q"]),
-        Gtilde=np.asarray(payload["Gtilde"], dtype=np.float64).reshape(shapes["Gtilde"]),
-    )

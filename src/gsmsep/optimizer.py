@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
     compute_ytilde,
     init_params,
     normalize,
-    save_checkpoint,
     source_psd,
 )
 from .priors import inv_phi_from_s, log_marginal_from_s
@@ -54,22 +53,6 @@ class EStepCache:
     y_tilde: np.ndarray
     inv_phi: np.ndarray
     z_hat: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
-class LikelihoodTrace:
-    """One marginal log-likelihood per completed iteration."""
-
-    values: Sequence[float]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
 
 
 def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
@@ -212,21 +195,17 @@ def run(
     X_FTM: np.ndarray,
     cfg: SeparationConfig,
     progress: Callable[[int, float], None] | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_path=None,
-) -> tuple[ModelParams, LikelihoodTrace]:
+) -> tuple[ModelParams, list[float]]:
     """Initialize and iterate the full update cycle cfg.iterations times.
 
-    Deterministic given cfg.seed.  `progress` receives (iteration,
-    log-likelihood) after each iteration; a checkpoint is written to
-    checkpoint_path every checkpoint_every iterations when both are set.
+    Returns the fitted parameters and one marginal log-likelihood per
+    iteration.  Deterministic given cfg.seed.  `progress` receives
+    (iteration, log-likelihood) after each iteration.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     if X_FTM.ndim != 3:
         raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
     n_freq, n_frames, n_chan = X_FTM.shape
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
 
     params = init_params(cfg, n_freq, n_frames, n_chan)
     values: list[float] = []
@@ -253,10 +232,4 @@ def run(
         values.append(ll)
         if progress is not None:
             progress(iteration, ll)
-        if (
-            checkpoint_path is not None
-            and checkpoint_every is not None
-            and (iteration + 1) % checkpoint_every == 0
-        ):
-            save_checkpoint(params, checkpoint_path)
-    return params, LikelihoodTrace(values=values)
+    return params, values

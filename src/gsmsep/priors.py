@@ -179,13 +179,13 @@ def inv_phi_from_s(s, m_dims: int, variant: GsmVariant):
         s_floored = np.maximum(s_arr, GG_S_FLOOR)
         out = half_beta * s_floored ** (half_beta - 1.0)
     elif isinstance(variant, (GH, NIG)):
-        gh = variant.as_gh() if isinstance(variant, NIG) else variant
         # degenerate parameter corners surface as non-finite output,
         # which posterior_inv_phi turns into an ArithmeticError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            c = 2.0 / (gh.rho * gh.eta)
+            c = 2.0 / (variant.rho * variant.eta)
             root = np.sqrt(1.0 + c * s_arr)
-            out = bessel_k_ratio(m_dims - gh.gamma, gh.rho * root) / (gh.eta * root)
+            out = (bessel_k_ratio(m_dims - variant.gamma, variant.rho * root)
+                   / (variant.eta * root))
     else:
         raise TypeError(f"unknown variant {variant!r}")
     return out
@@ -233,14 +233,14 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
         )
         return const - s_arr ** (0.5 * beta)
     if isinstance(variant, (GH, NIG)):
-        gh = variant.as_gh() if isinstance(variant, NIG) else variant
-        c = 2.0 / (gh.rho * gh.eta)
+        gamma, rho, eta = variant.gamma, variant.rho, variant.eta
+        c = 2.0 / (rho * eta)
         root = np.sqrt(1.0 + c * s_arr)
-        const = -m * math.log(math.pi * gh.eta) - log_bessel_k(gh.gamma, gh.rho)
+        const = -m * math.log(math.pi * eta) - log_bessel_k(gamma, rho)
         return (
             const
-            + (gh.gamma - m) * np.log(root)
-            + _log_bessel_k_array(gh.gamma - m, gh.rho * root)
+            + (gamma - m) * np.log(root)
+            + _log_bessel_k_array(gamma - m, rho * root)
         )
     raise TypeError(f"unknown variant {variant!r}")
 
@@ -263,6 +263,30 @@ def log_marginal_density(z_tilde, y_tilde, variant: GsmVariant) -> float:
 # Impulse prior densities (the variants that have one in closed form).
 # ---------------------------------------------------------------------------
 
+def _log_prior_u(u, variant: GsmVariant):
+    # Normalized log density of the impulse prior at phi = e^u, written
+    # directly in u so the quadrature window search cannot overflow exp(u).
+    with np.errstate(over="ignore"):
+        if isinstance(variant, StudentT):
+            shape = scale = 0.5 * variant.nu
+            return (
+                shape * math.log(scale)
+                - math.lgamma(shape)
+                - (shape + 1.0) * u
+                - scale * np.exp(-u)
+            )
+        if isinstance(variant, (GH, NIG)):
+            gamma, rho, eta = variant.gamma, variant.rho, variant.eta
+            return (
+                -math.log(2.0)
+                - gamma * math.log(eta)
+                - log_bessel_k(gamma, rho)
+                + (gamma - 1.0) * u
+                - 0.5 * rho * (np.exp(u) / eta + eta * np.exp(-u))
+            )
+    raise ValueError(f"variant {variant!r} has no closed-form impulse prior")
+
+
 def prior_log_pdf(phi: float, variant: GsmVariant) -> float:
     """Normalized log density of the impulse prior at phi > 0.
 
@@ -273,24 +297,7 @@ def prior_log_pdf(phi: float, variant: GsmVariant) -> float:
     """
     if phi <= 0 or not math.isfinite(phi):
         raise ValueError(f"phi must be finite and > 0, got {phi}")
-    if isinstance(variant, StudentT):
-        shape = scale = 0.5 * variant.nu
-        return (
-            shape * math.log(scale)
-            - math.lgamma(shape)
-            - (shape + 1.0) * math.log(phi)
-            - scale / phi
-        )
-    if isinstance(variant, (GH, NIG)):
-        gh = variant.as_gh() if isinstance(variant, NIG) else variant
-        return (
-            -math.log(2.0)
-            - gh.gamma * math.log(gh.eta)
-            - log_bessel_k(gh.gamma, gh.rho)
-            + (gh.gamma - 1.0) * math.log(phi)
-            - 0.5 * gh.rho * (phi / gh.eta + gh.eta / phi)
-        )
-    raise ValueError(f"variant {variant!r} has no closed-form impulse prior")
+    return float(_log_prior_u(math.log(phi), variant))
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +308,8 @@ def _compound_log_integrand(u: np.ndarray, s: float, m_dims: int,
                             variant: GsmVariant) -> np.ndarray:
     # log of p(z | phi) p(phi) dphi under phi = e^u (Jacobian e^u du),
     # dropping the z-only constant that cancels in the expectation ratio.
-    # The prior's log density is written directly in u so the window
-    # search cannot overflow exp(u).
     u = np.asarray(u, dtype=np.float64)
-    if isinstance(variant, StudentT):
-        shape = scale = 0.5 * variant.nu
-        log_prior = (
-            shape * math.log(scale)
-            - math.lgamma(shape)
-            - (shape + 1.0) * u
-            - scale * np.exp(-u)
-        )
-    elif isinstance(variant, (GH, NIG)):
-        gh = variant.as_gh() if isinstance(variant, NIG) else variant
-        with np.errstate(over="ignore"):
-            log_prior = (
-                -math.log(2.0)
-                - gh.gamma * math.log(gh.eta)
-                - log_bessel_k(gh.gamma, gh.rho)
-                + (gh.gamma - 1.0) * u
-                - 0.5 * gh.rho * (np.exp(u) / gh.eta + gh.eta * np.exp(-u))
-            )
-    else:
-        raise ValueError(f"variant {variant!r} has no closed-form impulse prior")
-    return -m_dims * u - s * np.exp(-u) + log_prior + u
+    return -m_dims * u - s * np.exp(-u) + _log_prior_u(u, variant) + u
 
 
 def quadrature_posterior_inv_phi(z_tilde, y_tilde, variant: GsmVariant) -> float:

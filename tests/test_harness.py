@@ -16,8 +16,6 @@ from gsmsep.harness import (
     config_to_dict,
     run_experiment,
     synth_scene,
-    variant_from_dict,
-    variant_to_dict,
     write_csv_summary,
 )
 from gsmsep.model import (
@@ -27,6 +25,8 @@ from gsmsep.model import (
     LeptokurticGG,
     SeparationConfig,
     StudentT,
+    variant_from_dict,
+    variant_to_dict,
 )
 from gsmsep.stft import StftConfig
 
@@ -169,18 +169,20 @@ class TestGenerators:
 
 class TestVariantSerialization:
     @pytest.mark.parametrize(
-        "variant",
+        "variant, expected",
         [
-            Gaussian(),
-            StudentT(nu=40.0),
-            LeptokurticGG(beta=1.5),
-            GH(gamma=-0.5, rho=2.0, eta=3.0),
-            NIG(rho=15.0, eta=1.0),
+            (Gaussian(), {"model": "gaussian"}),
+            (StudentT(nu=40.0), {"model": "t", "nu": 40.0}),
+            (LeptokurticGG(beta=1.5), {"model": "gg", "beta": 1.5}),
+            (GH(gamma=-0.5, rho=2.0, eta=3.0),
+             {"model": "gh", "gamma": -0.5, "rho": 2.0, "eta": 3.0}),
+            (NIG(rho=15.0, eta=1.0), {"model": "nig", "rho": 15.0, "eta": 1.0}),
         ],
         ids=["gaussian", "t", "gg", "gh", "nig"],
     )
-    def test_round_trip(self, variant):
-        assert variant_from_dict(variant_to_dict(variant)) == variant
+    def test_round_trip(self, variant, expected):
+        assert variant_to_dict(variant) == expected
+        assert variant_from_dict(expected) == variant
 
     def test_nig_and_gh_stay_distinct(self):
         nig = variant_to_dict(NIG(rho=1.0, eta=1.0))

@@ -21,7 +21,6 @@ from gsmsep.linalg import (
     condition_estimate,
     invert,
     log_abs_det_gram,
-    solve_column,
 )
 
 
@@ -84,43 +83,6 @@ class TestInvert:
         A[0, 1] = np.nan
         with pytest.raises(ValueError):
             invert(A)
-
-
-class TestSolveColumn:
-    def test_identity_returns_basis_vector(self):
-        eye = np.eye(3, dtype=np.complex128)
-        for m in range(3):
-            out = solve_column(eye, m)
-            np.testing.assert_array_equal(out, eye[m])
-
-    def test_solution_residual_stacked(self):
-        rng = np.random.default_rng(5)
-        A = random_stack(rng, (7,), 4)
-        for m in range(4):
-            x = solve_column(A, m)
-            rhs = np.zeros((7, 4), dtype=np.complex128)
-            rhs[:, m] = 1.0
-            resid = np.einsum("fij,fj->fi", A, x) - rhs
-            assert np.max(np.abs(resid)) < 1e-10
-
-    def test_single_matrix_shape(self):
-        rng = np.random.default_rng(9)
-        A = random_stack(rng, (), 3)
-        x = solve_column(A, 1)
-        assert x.shape == (3,)
-        np.testing.assert_allclose(A @ x, np.array([0, 1, 0]), atol=1e-12)
-
-    def test_column_out_of_range(self):
-        eye = np.eye(2, dtype=np.complex128)
-        with pytest.raises(ValueError):
-            solve_column(eye, 2)
-        with pytest.raises(ValueError):
-            solve_column(eye, -1)
-
-    def test_singular_system_raises(self):
-        A = np.zeros((2, 2), dtype=np.complex128)
-        with pytest.raises(IllConditionedMatrixError):
-            solve_column(A, 0)
 
 
 class TestLogAbsDetGram:

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsmsep.metrics import (
-    MAX_PERMUTATION_SOURCES,
     SI_SDR_CAP_DB,
     MetricReport,
     permutation_si_sdr,
@@ -151,13 +150,51 @@ class TestPermutationSiSdr:
         with pytest.raises(ValueError, match="no signals"):
             permutation_si_sdr([], [])
 
-    def test_too_many_sources_rejected(self):
-        signals = [np.random.default_rng(i).standard_normal(16) for i in range(5)]
-        with pytest.raises(ValueError, match="at most"):
-            permutation_si_sdr(signals, signals)
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_recovers_shuffle_beyond_four_sources(self, n):
+        rng = np.random.default_rng(12 + n)
+        references = [rng.standard_normal(512) for _ in range(n)]
+        shuffle = [int(j) for j in rng.permutation(n)]
+        estimates = [
+            references[shuffle[i]] + 0.05 * rng.standard_normal(512)
+            for i in range(n)
+        ]
+        report = permutation_si_sdr(estimates, references)
+        assert [entry["assigned_reference"] for entry in report.per_source] == shuffle
+        assert report.mean_si_sdr > 20.0
 
-    def test_max_supported_is_four(self):
-        assert MAX_PERMUTATION_SOURCES == 4
+    def test_five_sources_match_brute_force_oracle(self):
+        rng = np.random.default_rng(14)
+        references = [rng.standard_normal(128) for _ in range(5)]
+        estimates = [rng.standard_normal(128) for _ in range(5)]
+        report = permutation_si_sdr(estimates, references)
+        best = max(
+            np.mean([si_sdr(estimates[i], references[perm[i]]) for i in range(5)])
+            for perm in itertools.permutations(range(5))
+        )
+        assert report.mean_si_sdr == pytest.approx(best, abs=1e-12)
+
+    def test_silent_estimate_scores_minus_inf(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal(1000)
+        b = rng.standard_normal(1000)
+        report = permutation_si_sdr([np.zeros(1000), a + b], [a, b])
+        scores = [entry["si_sdr"] for entry in report.per_source]
+        assert scores[0] == -np.inf
+        assert scores[1] == max(si_sdr(a + b, a), si_sdr(a + b, b))
+        assert report.mean_si_sdr == -np.inf
+
+    def test_avoids_minus_inf_pairs_when_possible(self):
+        # estimate 0 is orthogonal to reference 0 and scores -200 dB against
+        # reference 1; estimate 1 scores +80 dB against reference 1 and
+        # -80 dB against reference 0.  Only [1, 0] has a finite mean, even
+        # though a -100 dB stand-in for -inf would favour [0, 1].
+        e0, e1, e2 = np.eye(3)
+        references = [e0, e1]
+        estimates = [1e-10 * e1 + e2, e1 + 1e-4 * e0]
+        report = permutation_si_sdr(estimates, references)
+        assert [entry["assigned_reference"] for entry in report.per_source] == [1, 0]
+        assert report.mean_si_sdr == pytest.approx(-140.0, abs=1e-6)
 
 
 class TestMetricReport:

@@ -5,8 +5,6 @@ over every index; normalization is checked against hand-computed pushes
 of each scale ambiguity.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,10 +22,7 @@ from gsmsep.model import (
     compute_ytilde,
     gh_from_ab,
     init_params,
-    load_checkpoint,
     normalize,
-    reconstruct_scm,
-    save_checkpoint,
     source_psd,
 )
 
@@ -354,89 +349,6 @@ class TestComputeYtilde:
             compute_ytilde(params, 1e-10, lambda_NFT=lam),
             compute_ytilde(params, 1e-10),
         )
-
-
-class TestReconstructScm:
-    def test_identity_mixing_unit_weights(self):
-        params = ModelParams(
-            W=np.ones((1, 1, 2)),
-            H=np.ones((1, 1, 2)),
-            Q=np.tile(np.eye(3, dtype=complex), (2, 1, 1)),
-            Gtilde=np.ones((1, 3)),
-        )
-        np.testing.assert_allclose(reconstruct_scm(params, 0, 0), np.eye(3), atol=1e-14)
-
-    def test_hermitian_and_psd(self):
-        rng = np.random.default_rng(9)
-        params = random_params(rng, 2, 3, 4, 5, 3)
-        for n in range(2):
-            for f in range(4):
-                scm = reconstruct_scm(params, n, f)
-                assert np.max(np.abs(scm - scm.conj().T)) <= 1e-10
-                eigvals = np.linalg.eigvalsh(scm)
-                assert np.min(eigvals) >= -1e-10
-
-    def test_diagonal_mixing_closed_form(self):
-        q = np.diag([2.0, 4.0]).astype(complex)
-        params = ModelParams(
-            W=np.ones((1, 1, 1)),
-            H=np.ones((1, 1, 1)),
-            Q=q[None],
-            Gtilde=np.array([[3.0, 5.0]]),
-        )
-        np.testing.assert_allclose(
-            reconstruct_scm(params, 0, 0),
-            np.diag([3.0 / 4.0, 5.0 / 16.0]),
-            rtol=1e-12,
-        )
-
-    def test_index_validation(self):
-        rng = np.random.default_rng(10)
-        params = random_params(rng, 2, 1, 3, 2, 2)
-        with pytest.raises(ValueError, match="source index"):
-            reconstruct_scm(params, 2, 0)
-        with pytest.raises(ValueError, match="frequency index"):
-            reconstruct_scm(params, 0, 3)
-
-
-class TestCheckpoints:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        params = random_params(rng, 2, 3, 4, 5, 3)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(params, path)
-        back = load_checkpoint(path)
-        np.testing.assert_array_equal(back.W, params.W)
-        np.testing.assert_array_equal(back.H, params.H)
-        np.testing.assert_array_equal(back.Q, params.Q)
-        np.testing.assert_array_equal(back.Gtilde, params.Gtilde)
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else", "version": 1}))
-        with pytest.raises(ValueError, match="not a parameter checkpoint"):
-            load_checkpoint(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        rng = np.random.default_rng(12)
-        params = random_params(rng, 1, 1, 2, 2, 2)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(params, path)
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
-
-    def test_file_is_plain_json(self, tmp_path):
-        rng = np.random.default_rng(13)
-        params = random_params(rng, 1, 2, 2, 3, 2)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(params, path)
-        payload = json.loads(path.read_text())
-        assert payload["order"] == "C"
-        assert payload["shapes"]["W"] == [1, 2, 2]
-        assert len(payload["Q"]) == 2 * 2 * 2 * 2  # interleaved re/im
 
 
 @given(

@@ -22,13 +22,11 @@ from gsmsep.model import (
     GH,
     compute_ytilde,
     init_params,
-    load_checkpoint,
     normalize,
     source_psd,
 )
 from gsmsep.optimizer import (
     EStepCache,
-    LikelihoodTrace,
     MONOTONE_SLACK,
     e_step,
     log_likelihood,
@@ -374,22 +372,6 @@ class TestRun:
         assert [i for i, _ in seen] == [0, 1, 2, 3]
         assert [ll for _, ll in seen] == list(trace)
 
-    def test_checkpoints_written(self, tmp_path):
-        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=4, seed=2)
-        rng = np.random.default_rng(23)
-        X = random_mixture(rng, 5, 6, 2)
-        path = tmp_path / "ckpt.json"
-        params, _ = run(X, cfg, checkpoint_every=2, checkpoint_path=path)
-        saved = load_checkpoint(path)
-        np.testing.assert_array_equal(saved.W, params.W)
-        np.testing.assert_array_equal(saved.Q, params.Q)
-
-    def test_checkpoint_every_validation(self):
-        cfg = SeparationConfig(n_sources=1, n_bases=1, iterations=1)
-        X = np.zeros((2, 2, 1), dtype=np.complex128)
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            run(X, cfg, checkpoint_every=0)
-
     def test_mixture_rank_validation(self):
         cfg = SeparationConfig(n_sources=1, n_bases=1, iterations=1)
         with pytest.raises(ValueError, match="expected"):
@@ -402,12 +384,3 @@ class TestRun:
         params, _ = run(X, cfg)
         cache = e_step(X, params, cfg.variant, cfg.floor)
         np.testing.assert_array_equal(cache.inv_phi, np.ones((5, 6)))
-
-
-class TestLikelihoodTrace:
-    def test_sequence_protocol(self):
-        trace = LikelihoodTrace(values=[1.0, 2.0, 3.0])
-        assert len(trace) == 3
-        assert trace[1] == 2.0
-        assert trace[-1] == 3.0
-        assert list(trace) == [1.0, 2.0, 3.0]
