@@ -5,10 +5,15 @@ Each iteration computes the E-step once (the posterior expectation of the
 inverse impulse variable is held fixed through the M-step), then applies
 the four parameter updates in the order W, H, G~, Q with the model
 variances y~ refreshed after every update, then normalizes and records
-the marginal log-likelihood.  Every update is an exact maximizer or a
-multiplicative step on the same minorizing bound, so the trace is
-non-decreasing up to rounding; violations beyond a 1e-8 relative slack
-are reported as warnings with their iteration index, never swallowed.
+the marginal log-likelihood.  The likelihood and the next E-step need the
+same projection z~ = |Q_f x_ft|^2, variances y~ and s at the same
+parameters, so `run` keeps the likelihood's statistics and seeds the next
+E-step with them; that E-step only adds E[1/phi] and z^.  Every update is
+an exact maximizer or a multiplicative step on the same minorizing bound,
+so the trace is non-decreasing up to rounding; violations beyond a 1e-8
+relative slack are reported as warnings with their iteration index, never
+swallowed, and a non-finite likelihood stops the run with an
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -40,6 +45,21 @@ _DEN_TINY = np.finfo(np.float64).tiny
 
 
 @dataclasses.dataclass(frozen=True)
+class Projection:
+    """Per-bin statistics at one parameter set, shared by the likelihood
+    and the E-step.
+
+    z_tilde: (F, T, M) = |q_fm^H x_ft|^2
+    y_tilde: (F, T, M) model variances, floored
+    s:       (F, T) = sum_m z_tilde / y_tilde
+    """
+
+    z_tilde: np.ndarray
+    y_tilde: np.ndarray
+    s: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
 class EStepCache:
     """Per-bin statistics shared by the M-step updates.
 
@@ -60,23 +80,34 @@ def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
     return np.matmul(X_FTM, Q_FMM.transpose(0, 2, 1))
 
 
+def _project(X_FTM: np.ndarray, params: ModelParams, floor: float) -> Projection:
+    z_tilde = np.abs(project_mixture(X_FTM, params.Q)) ** 2
+    y_tilde = compute_ytilde(params, floor)
+    return Projection(z_tilde, y_tilde, (z_tilde / y_tilde).sum(axis=2))
+
+
 def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
-           floor: float = DEFAULT_FLOOR) -> EStepCache:
+           floor: float = DEFAULT_FLOOR,
+           projection: Projection | None = None) -> EStepCache:
+    """Posterior E[1/phi] and z^ at params.
+
+    `projection`, when given, must be the one `log_likelihood` returned
+    for the same (X_FTM, params, floor); it replaces recomputing z~, y~
+    and s.
+    """
     if X_FTM.shape != (params.n_freq, params.n_frames, params.n_channels):
         raise ValueError(
             f"mixture shape {X_FTM.shape} inconsistent with params"
             f" {(params.n_freq, params.n_frames, params.n_channels)}"
         )
-    Qx_FTM = project_mixture(X_FTM, params.Q)
-    z_tilde = np.abs(Qx_FTM) ** 2
-    y_tilde = compute_ytilde(params, floor)
-    s_FT = (z_tilde / y_tilde).sum(axis=2)
-    inv_phi = np.asarray(inv_phi_from_s(s_FT, params.n_channels, variant))
+    if projection is None:
+        projection = _project(X_FTM, params, floor)
+    inv_phi = np.asarray(inv_phi_from_s(projection.s, params.n_channels, variant))
     return EStepCache(
-        z_tilde=z_tilde,
-        y_tilde=y_tilde,
+        z_tilde=projection.z_tilde,
+        y_tilde=projection.y_tilde,
         inv_phi=inv_phi,
-        z_hat=inv_phi[:, :, None] * z_tilde,
+        z_hat=inv_phi[:, :, None] * projection.z_tilde,
     )
 
 
@@ -132,11 +163,12 @@ def update_q(params: ModelParams, X_FTM: np.ndarray,
     q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, applied
     for m = 1..M in order.  The rescale factor is evaluated in compensated
     arithmetic so the unit quadratic form survives ill-conditioned V.  A
-    singular system leaves that frequency's row untouched and is reported
-    with its (f, m) index.
+    singular system or a degenerate scale leaves that row untouched; each
+    kind is reported in at most one warning per call, with its row count.
     """
     n_freq, n_frames, n_chan = X_FTM.shape
     Q_FMM = params.Q.copy()
+    kept = {"singular diagonalizer system": [], "degenerate projection scale": []}
     for m in range(n_chan):
         weight_FT = cache.inv_phi / cache.y_tilde[:, :, m]
         Xw_FTM = X_FTM * weight_FT[:, :, None]
@@ -154,41 +186,45 @@ def update_q(params: ModelParams, X_FTM: np.ndarray,
                     q_FM[f] = np.linalg.solve(QV_FMM[f], rhs_FM[f])
                 except np.linalg.LinAlgError:
                     bad_F[f] = True
-                    warnings.warn(
-                        f"singular diagonalizer system at (f={f}, m={m});"
-                        " keeping the previous row",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
         # compensated evaluation: a plain einsum loses ~eps * cond(V) here,
         # which breaks the unit quadratic form once variance floors push
         # cond(V) past ~1e6
         scale_F = np.asarray(linalg.compensated_quadratic_form(V_FMM, q_FM))
         degenerate_F = ~(np.isfinite(scale_F) & (scale_F > 0)) & ~bad_F
-        for f in np.nonzero(degenerate_F)[0]:
-            warnings.warn(
-                f"degenerate projection scale at (f={int(f)}, m={m});"
-                " keeping the previous row",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        kept["singular diagonalizer system"].extend(np.nonzero(bad_F)[0])
+        kept["degenerate projection scale"].extend(np.nonzero(degenerate_F)[0])
         keep_F = bad_F | degenerate_F
         safe_scale_F = np.where(keep_F, 1.0, scale_F)
         row_FM = (q_FM / np.sqrt(safe_scale_F)[:, None]).conj()
         Q_FMM[:, m, :] = np.where(keep_F[:, None], Q_FMM[:, m, :], row_FM)
+    for kind, rows_f in kept.items():
+        if rows_f:
+            freqs = sorted({int(f) for f in rows_f})
+            shown = ", ".join(map(str, freqs[:5])) + (", ..." if len(freqs) > 5 else "")
+            warnings.warn(
+                f"{kind} at {len(rows_f)} (f, m) rows (f = {shown});"
+                " keeping the previous rows",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return dataclasses.replace(params, Q=Q_FMM)
 
 
 def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
-                   variant: GsmVariant, floor: float = DEFAULT_FLOOR) -> float:
-    """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|."""
-    z_FTM = np.abs(project_mixture(X_FTM, params.Q)) ** 2
-    y_FTM = compute_ytilde(params, floor)
-    s_FT = (z_FTM / y_FTM).sum(axis=2)
-    bin_terms = log_marginal_from_s(s_FT, params.n_channels, variant)
-    bin_terms = bin_terms - np.log(y_FTM).sum(axis=2)
+                   variant: GsmVariant, floor: float = DEFAULT_FLOOR,
+                   *, return_projection: bool = False
+                   ) -> float | tuple[float, Projection]:
+    """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|.
+
+    With return_projection, also returns the statistics it evaluated,
+    for `e_step` at the same parameters.
+    """
+    projection = _project(X_FTM, params, floor)
+    bin_terms = log_marginal_from_s(projection.s, params.n_channels, variant)
+    bin_terms = bin_terms - np.log(projection.y_tilde).sum(axis=2)
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
-    return float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
+    value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
+    return (value, projection) if return_projection else value
 
 
 def run(
@@ -200,17 +236,24 @@ def run(
 
     Returns the fitted parameters and one marginal log-likelihood per
     iteration.  Deterministic given cfg.seed.  `progress` receives
-    (iteration, log-likelihood) after each iteration.
+    (iteration, log-likelihood) after each iteration.  A non-finite
+    mixture raises ValueError; a non-finite likelihood raises
+    ArithmeticError naming its iteration.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     if X_FTM.ndim != 3:
         raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
+    if not np.all(np.isfinite(X_FTM)):
+        raise ValueError("mixture holds non-finite values")
     n_freq, n_frames, n_chan = X_FTM.shape
 
     params = init_params(cfg, n_freq, n_frames, n_chan)
     values: list[float] = []
+    projection = None
     for iteration in range(cfg.iterations):
-        cache = e_step(X_FTM, params, cfg.variant, cfg.floor)
+        cache = e_step(X_FTM, params, cfg.variant, cfg.floor,
+                       projection=projection)
+        projection = None  # the cache holds what is still needed of it
 
         params = update_w(params, cache)
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
@@ -221,7 +264,14 @@ def run(
         params = update_q(params, X_FTM, cache)
 
         params = normalize(params)
-        ll = log_likelihood(X_FTM, params, cfg.variant, floor=cfg.floor)
+        # the cache lives until the next e_step replaces it: freeing it
+        # here, just before the likelihood allocates, made the allocator
+        # return its pages to the OS and fault them back in every iteration
+        ll, projection = log_likelihood(X_FTM, params, cfg.variant,
+                                        floor=cfg.floor, return_projection=True)
+        if not np.isfinite(ll):
+            raise ArithmeticError(
+                f"log-likelihood is {ll} at iteration {iteration}")
         if values and ll < values[-1] - MONOTONE_SLACK * abs(values[-1]):
             warnings.warn(
                 f"log-likelihood decreased beyond slack at iteration {iteration}:"

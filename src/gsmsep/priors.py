@@ -18,10 +18,14 @@ density.  The vectorized cores `inv_phi_from_s` and `log_marginal_from_s`
 do the work; the scalar operations wrap them.
 
 Modified Bessel functions of the second kind are evaluated in the log
-domain: scipy's exponentially scaled `kve` where it is finite, and an
-ascending small-argument series where `kve` overflows (tiny x with large
-order).  Ratios K_{order+1}/K_order use the exact three-term recurrence
-on half-integer orders, which covers every order the NIG variant needs.
+domain.  At a half-integer order n + 1/2, which covers every order the
+NIG variant needs, log K is the closed form of DLMF 10.49.12: a finite
+sum of n + 1 positive terms in (2x)^-1, summed by Horner's rule.  Other
+orders, and half-integer points where that sum overflows (tiny x with
+large n), use scipy's exponentially scaled `kve` where it is finite and
+an ascending small-argument series where `kve` overflows.  Ratios
+K_{order+1}/K_order use the exact three-term recurrence on half-integer
+orders.
 """
 
 from __future__ import annotations
@@ -85,11 +89,37 @@ def _log_bessel_k_small_x(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _log_bessel_k_array(order, x) -> np.ndarray:
-    nu = np.abs(np.asarray(order, dtype=np.float64))
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("x must be > 0")
+def _is_half_integer(order: float) -> bool:
+    doubled = 2.0 * order
+    return doubled == round(doubled) and round(doubled) % 2 != 0
+
+
+def _half_integer_coefficients(n: int) -> list[float]:
+    # a_k = (n + k)! / (k! (n - k)!) for k = 0..n, built exactly in integers
+    # by a_{k+1} = a_k (n + k + 1)(n - k) / (k + 1); inf once past the float
+    # range (n >= 140, far beyond any channel count).
+    coeffs, a = [], 1
+    for k in range(n + 1):
+        coeffs.append(float(a) if a.bit_length() <= 1023 else math.inf)
+        a = a * (n + k + 1) * (n - k) // (k + 1)
+    return coeffs
+
+
+def _log_bessel_k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.49.12: K_{n+1/2}(x) = sqrt(pi / (2x)) e^-x sum_k a_k (2x)^-k.
+    # Every term is positive, so the sum has no cancellation; it is
+    # non-finite only where it overflows (tiny x with large n, or an
+    # infinite coefficient), which the caller detects.
+    coeffs = _half_integer_coefficients(n)
+    u = 0.5 / x
+    total = np.full_like(x, coeffs[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in reversed(coeffs[:-1]):
+            total = total * u + a
+        return np.asarray(0.5 * np.log(0.5 * math.pi / x) - x + np.log(total))
+
+
+def _log_bessel_k_generic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     nu, x = np.broadcast_arrays(nu, x)
     with np.errstate(over="ignore"):
         kv = special.kve(nu, x)
@@ -98,6 +128,20 @@ def _log_bessel_k_array(order, x) -> np.ndarray:
     if np.any(bad):
         out = np.where(bad, _log_bessel_k_small_x(nu, x), out)
     return out
+
+
+def _log_bessel_k_array(order, x) -> np.ndarray:
+    nu = np.abs(np.asarray(order, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0):
+        raise ValueError("x must be > 0")
+    if nu.ndim == 0 and _is_half_integer(float(nu)):
+        out = _log_bessel_k_half_integer(int(round(float(nu) - 0.5)), x)
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = _log_bessel_k_generic(nu, x[bad])
+        return out
+    return _log_bessel_k_generic(nu, x)
 
 
 def log_bessel_k(order: float, x: float) -> float:
@@ -131,8 +175,7 @@ def bessel_k_ratio(order: float, x) -> float | np.ndarray:
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     order = float(order)
-    doubled = 2.0 * order
-    if doubled == round(doubled) and round(doubled) % 2 != 0:
+    if _is_half_integer(order):
         if order >= 0.5:
             out = _half_integer_ratio_up(int(round(order - 0.5)), x_arr)
         elif order == -0.5:

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gsmsep import optimizer
 from gsmsep.model import (
     Gaussian,
     LeptokurticGG,
@@ -384,3 +385,99 @@ class TestRun:
         params, _ = run(X, cfg)
         cache = e_step(X, params, cfg.variant, cfg.floor)
         np.testing.assert_array_equal(cache.inv_phi, np.ones((5, 6)))
+
+
+class TestRunGuards:
+    def test_non_finite_mixture_rejected(self):
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
+                               variant=NIG(rho=15.0, eta=1.0))
+        X = random_mixture(np.random.default_rng(25), 65, 40, 2)
+        X[3, 4, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run(X, cfg)
+
+    def test_overflowing_mixture_stops_at_first_iteration(self):
+        # finite samples whose power |x|^2 overflows to inf
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        X = 1e160 * random_mixture(np.random.default_rng(26), 9, 12, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="at iteration 0"):
+                run(X, cfg)
+
+    def test_non_finite_likelihood_names_iteration(self, monkeypatch):
+        calls = []
+        real = optimizer.log_marginal_from_s
+
+        def nan_on_third(s, m_dims, variant):
+            calls.append(None)
+            out = real(s, m_dims, variant)
+            return out * np.nan if len(calls) == 3 else out
+
+        monkeypatch.setattr(optimizer, "log_marginal_from_s", nan_on_third)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=5, seed=0)
+        X = random_mixture(np.random.default_rng(27), 9, 12, 2)
+        with pytest.raises(ArithmeticError, match="at iteration 2"):
+            run(X, cfg)
+
+
+class TestUpdateQWarnings:
+    def test_silent_channel_at_most_two_warnings_per_iteration(self):
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
+                               variant=NIG(rho=15.0, eta=1.0))
+        X = random_mixture(np.random.default_rng(28), 65, 40, 2)
+        X[:, :, 1] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(X, cfg)
+        assert 0 < len(caught) <= 2 * cfg.iterations
+        for w in caught:
+            assert "(f, m) rows" in str(w.message)
+
+
+RUN_CASES = [(v, False) for v in ALL_VARIANTS] + [(Gaussian(), True), (NIG(rho=15.0, eta=1.0), True)]
+RUN_CASE_IDS = VARIANT_IDS + ["gaussian-rank1", "nig-rank1"]
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize("variant,rank1", RUN_CASES, ids=RUN_CASE_IDS)
+    def test_run_matches_public_step_sequence(self, variant, rank1):
+        # run() reuses the likelihood's projection for the next E-step;
+        # the trace must equal, bit for bit, the loop that recomputes it
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=6, seed=5,
+                               variant=variant, rank1=rank1)
+        X = random_mixture(np.random.default_rng(29), 17, 20, 2)
+        params, trace = run(X, cfg)
+
+        expected_params = init_params(cfg, 17, 20, 2)
+        expected = []
+        for _ in range(cfg.iterations):
+            cache = e_step(X, expected_params, variant, cfg.floor)
+            expected_params = update_w(expected_params, cache)
+            cache = dataclasses.replace(
+                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+            expected_params = update_h(expected_params, cache)
+            cache = dataclasses.replace(
+                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+            expected_params = update_g(expected_params, cache, rank1=rank1)
+            cache = dataclasses.replace(
+                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+            expected_params = update_q(expected_params, X, cache)
+            expected_params = normalize(expected_params)
+            expected.append(
+                log_likelihood(X, expected_params, variant, floor=cfg.floor))
+        assert trace == expected
+        np.testing.assert_array_equal(params.Q, expected_params.Q)
+        np.testing.assert_array_equal(params.W, expected_params.W)
+
+    def test_returned_projection_seeds_identical_e_step(self):
+        params, X = make_setup(seed=30, f=5, t=7, m=2)
+        variant = NIG(rho=15.0, eta=1.0)
+        value, projection = log_likelihood(X, params, variant,
+                                           return_projection=True)
+        assert value == log_likelihood(X, params, variant)
+        seeded = e_step(X, params, variant, projection=projection)
+        fresh = e_step(X, params, variant)
+        for field in ("z_tilde", "y_tilde", "inv_phi", "z_hat"):
+            np.testing.assert_array_equal(getattr(seeded, field),
+                                          getattr(fresh, field))

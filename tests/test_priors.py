@@ -18,6 +18,7 @@ from gsmsep.model import GH, NIG, Gaussian, LeptokurticGG, StudentT, gh_from_ab
 from gsmsep.priors import (
     GG_S_FLOOR,
     BinStatistic,
+    _log_bessel_k_half_integer,
     bessel_k_ratio,
     inv_phi_from_s,
     log_bessel_k,
@@ -110,6 +111,38 @@ class TestLogBesselK:
         value = log_bessel_k(0.0, 1e4)
         expected = 0.5 * math.log(math.pi / (2.0 * 1e4)) - 1e4
         np.testing.assert_allclose(value, expected, rtol=1e-6)
+
+
+class TestHalfIntegerClosedForm:
+    """log K_{n+1/2} against 50-digit mpmath values.
+
+    The tolerance is 1e-13 relative on K plus two ulps of log K itself:
+    a float64 log K of magnitude ~1e4 cannot be closer than that to the
+    exact value, whatever the algorithm.
+    """
+
+    @staticmethod
+    def exact_log_k(order, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            return mpmath.log(mpmath.besselk(mpmath.mpf(order), mpmath.mpf(x)))
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_matches_mpmath(self, n):
+        xs = np.logspace(-6.0, 4.0, 41)
+        got = log_bessel_k(n + 0.5, xs)
+        for x, value in zip(xs, got):
+            want = self.exact_log_k(n + 0.5, x)
+            err = abs(float(math.expm1(float(value - want))))
+            assert err <= 1e-13 + 2.0 * np.spacing(abs(float(want))), (n, x, err)
+
+    def test_overflowing_sum_falls_back(self):
+        n, x = 60, 1e-6
+        assert not np.isfinite(_log_bessel_k_half_integer(n, np.array([x]))[0])
+        value = log_bessel_k(n + 0.5, x)
+        assert math.isfinite(value)
+        np.testing.assert_allclose(value, float(self.exact_log_k(n + 0.5, x)),
+                                   rtol=1e-12)
 
 
 class TestBesselRatio:
