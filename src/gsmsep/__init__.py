@@ -44,7 +44,7 @@ from .priors import (
     quadrature_posterior_inv_phi,
 )
 from .stft import StftConfig, stft_forward, stft_inverse
-from .wiener import SourceImages, rank_sources_by_energy, separate
+from .wiener import separate, source_images
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "NIG",
     "SeparationConfig",
     "SeparationReport",
-    "SourceImages",
     "StftConfig",
     "StudentT",
     "SyntheticScene",
@@ -76,12 +75,12 @@ __all__ = [
     "posterior_inv_phi",
     "prior_log_pdf",
     "quadrature_posterior_inv_phi",
-    "rank_sources_by_energy",
     "read_wav",
     "run",
     "run_experiment",
     "separate",
     "si_sdr",
+    "source_images",
     "stft_forward",
     "stft_inverse",
     "synth_scene",

@@ -176,18 +176,8 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
 
 
 def config_to_dict(cfg: SeparationConfig, stft_cfg: StftConfig) -> dict:
-    return {
-        "variant": variant_to_dict(cfg.variant),
-        "n_sources": cfg.n_sources,
-        "n_bases": cfg.n_bases,
-        "iterations": cfg.iterations,
-        "rank1": cfg.rank1,
-        "eps_init": cfg.eps_init,
-        "floor": cfg.floor,
-        "seed": cfg.seed,
-        "stft": {"n_fft": stft_cfg.n_fft, "hop": stft_cfg.hop,
-                 "window": stft_cfg.window},
-    }
+    return {**dataclasses.asdict(cfg), "variant": variant_to_dict(cfg.variant),
+            "stft": dataclasses.asdict(stft_cfg)}
 
 
 def config_hash(config: dict) -> str:
@@ -217,18 +207,13 @@ class SeparationReport:
 
 def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
                      stft_cfg: StftConfig, n_samples: int) -> tuple[list, list]:
-    """Optimize, Wiener-separate, rank and resynthesize one STFT mixture.
+    """Optimize, then Wiener-separate and resynthesize one STFT mixture.
 
     Returns one (M, n_samples) image per source, loudest first, and the
     log-likelihood trace.
     """
     params, trace = optimizer.run(X_FTM, cfg)
-    images = wiener.separate(X_FTM, params)
-    # rank before rendering: the ranking's temporaries then do not stack on
-    # top of the rendered signals at the memory peak
-    order = wiener.rank_sources_by_energy(images)
-    rendered = wiener.render_time_domain(images, stft_cfg, n_samples)
-    return [rendered[n] for n in order], trace
+    return wiener.separate(X_FTM, params, stft_cfg, n_samples), trace
 
 
 def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,

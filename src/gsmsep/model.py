@@ -78,8 +78,9 @@ class GH:
 class NIG:
     """Normal-inverse-Gaussian bins: the GH sub-family with gamma = -1/2.
 
-    Kept as its own variant because every Bessel order in its statistics
-    is half-integer, which admits an exact recurrence fast path.  The
+    Every Bessel order in its statistics is half-integer, so they take
+    the closed-form fast path; that path is chosen by the order's value,
+    not by the class, and GH with a half-integer gamma takes it too.  The
     index is a class constant, so it is neither a constructor argument nor
     part of the serialized form.
     """
@@ -94,9 +95,6 @@ class NIG:
             raise ValueError(f"rho must be finite and > 0, got {self.rho}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-
-    def as_gh(self) -> GH:
-        return GH(gamma=self.gamma, rho=self.rho, eta=self.eta)
 
 
 GsmVariant = Union[Gaussian, StudentT, LeptokurticGG, GH, NIG]
@@ -285,12 +283,9 @@ def source_psd(params: ModelParams) -> np.ndarray:
     return np.matmul(params.W.transpose(0, 2, 1), params.H)
 
 
-def compute_ytilde(params: ModelParams, floor: float,
-                   lambda_NFT: np.ndarray | None = None) -> np.ndarray:
+def compute_ytilde(params: ModelParams, floor: float) -> np.ndarray:
     """y~_FTM = sum_n lambda_nft g~_nm, floored elementwise at `floor`."""
     if floor <= 0:
         raise ValueError(f"floor must be > 0, got {floor}")
-    if lambda_NFT is None:
-        lambda_NFT = source_psd(params)
-    y_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
+    y_FTM = np.tensordot(source_psd(params), params.Gtilde, axes=([0], [0]))
     return np.maximum(y_FTM, floor)

@@ -126,7 +126,7 @@ def _log_bessel_k_generic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.where(kv > 0, np.log(np.where(kv > 0, kv, 1.0)) - x, -np.inf)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out = np.where(bad, _log_bessel_k_small_x(nu, x), out)
+        out[bad] = _log_bessel_k_small_x(nu[bad], x[bad])
     return out
 
 

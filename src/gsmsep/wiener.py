@@ -10,7 +10,7 @@ images partition the mixture exactly.
 
 from __future__ import annotations
 
-import dataclasses
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -20,29 +20,14 @@ from .optimizer import project_mixture
 from .stft import StftConfig, stft_inverse
 
 
-@dataclasses.dataclass(frozen=True)
-class SourceImages:
-    """Estimated multichannel images, shape (n_sources, F, T, M)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.ndim != 4:
-            raise ValueError(f"expected (N, F, T, M) images, got shape {data.shape}")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_sources(self) -> int:
-        return self.data.shape[0]
-
-
-def separate(X_FTM: np.ndarray, params: ModelParams) -> SourceImages:
+def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray]:
     """Conditional-mean source images x^_nft = Q_f^-1 (gain_n * Q_f x_ft).
 
+    Yields one (F, T, M) image per source in model order.
     gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Bins where
     every source variance vanishes get the uniform 1/N gain so the images
-    still partition the mixture.
+    still partition the mixture.  The shape check runs on the first
+    ``next``.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     expected = (params.n_freq, params.n_frames, params.n_channels)
@@ -52,7 +37,8 @@ def separate(X_FTM: np.ndarray, params: ModelParams) -> SourceImages:
         )
     n_sources = params.n_sources
     if n_sources == 1:
-        return SourceImages(data=X_FTM[None].copy())
+        yield X_FTM.copy()
+        return
 
     Qinv_FMM = linalg.invert(params.Q)
     Qx_FTM = project_mixture(X_FTM, params.Q)
@@ -62,32 +48,25 @@ def separate(X_FTM: np.ndarray, params: ModelParams) -> SourceImages:
     live_FTM = total_FTM > 0
     safe_total_FTM = np.where(live_FTM, total_FTM, 1.0)
 
-    images_NFTM = np.empty((n_sources,) + X_FTM.shape, dtype=np.complex128)
     for n in range(n_sources):
         num_FTM = lambda_NFT[n][:, :, None] * params.Gtilde[n][None, None, :]
         gain_FTM = np.where(live_FTM, num_FTM / safe_total_FTM, 1.0 / n_sources)
-        images_NFTM[n] = np.matmul(gain_FTM * Qx_FTM, Qinv_FMM.transpose(0, 2, 1))
-    return SourceImages(data=images_NFTM)
+        yield np.matmul(gain_FTM * Qx_FTM, Qinv_FMM.transpose(0, 2, 1))
 
 
-def rank_sources_by_energy(images: SourceImages) -> list:
-    """Source indices sorted by decreasing mean |x^|^2 over (f, t, m).
+def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
+             n_samples: int) -> list:
+    """Render every source image, loudest first.
 
-    Ties keep the lower index first.
+    Each image is inverse-STFT'd channel by channel as soon as it is built
+    and then dropped, so one (F, T, M) image is alive at a time.  Returns
+    one (M, n_samples) array per source, ordered by decreasing mean
+    |x^|^2 over (f, t, m); ties keep the lower index first.  Channel 1
+    (index 0) is the single-channel export convention.
     """
-    energy_N = np.mean(np.abs(images.data) ** 2, axis=(1, 2, 3))
-    order = np.argsort(-energy_N, kind="stable")
-    return [int(n) for n in order]
-
-
-def render_time_domain(images: SourceImages, stft_cfg: StftConfig,
-                       n_samples: int) -> list:
-    """Inverse-STFT each source's M channels independently.
-
-    Returns one (M, n_samples) array per source; channel 1 (index 0) is
-    the single-channel export convention.
-    """
-    return [
-        stft_inverse(images.data[n], stft_cfg, n_samples)
-        for n in range(images.n_sources)
-    ]
+    energies, rendered = [], []
+    for image_FTM in source_images(X_FTM, params):
+        energies.append(np.mean(np.abs(image_FTM) ** 2))
+        rendered.append(stft_inverse(image_FTM, stft_cfg, n_samples))
+    order = np.argsort(-np.array(energies), kind="stable")
+    return [rendered[n] for n in order]

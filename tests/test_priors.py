@@ -7,6 +7,7 @@ quadrature oracle and a finite-difference gradient identity.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestHalfIntegerClosedForm:
             err = abs(float(math.expm1(float(value - want))))
             assert err <= 1e-13 + 2.0 * np.spacing(abs(float(want))), (n, x, err)
 
+    @pytest.mark.parametrize("order", [150.5, 150.3])
+    def test_small_x_series_only_where_kve_overflows(self, order):
+        # at order 150.5 the closed form's coefficients leave the float
+        # range, so both orders reach kve, which overflows at x = 1e-6 only;
+        # the small-x series must not be evaluated at the other points
+        xs = np.array([1e-6, 2.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_bessel_k(order, xs)
+        for x, value in zip(xs, got):
+            want = self.exact_log_k(order, x)
+            err = abs(float(math.expm1(float(value - want))))
+            assert err <= 1e-13 + 2.0 * np.spacing(abs(float(want))), (x, err)
+
     def test_overflowing_sum_falls_back(self):
         n, x = 60, 1e-6
         assert not np.isfinite(_log_bessel_k_half_integer(n, np.array([x]))[0])
@@ -239,7 +254,7 @@ class TestPosteriorInvPhi:
 
     def test_nig_matches_gh(self):
         nig = NIG(rho=15.0, eta=1.0)
-        gh = nig.as_gh()
+        gh = GH(gamma=NIG.gamma, rho=15.0, eta=1.0)
         for s in (0.0, 1.0, 10.0):
             np.testing.assert_allclose(
                 posterior_inv_phi(BinStatistic(s, 2), nig),
