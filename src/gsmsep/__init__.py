@@ -33,7 +33,7 @@ from .model import (
     init_params,
     normalize,
 )
-from .optimizer import EStepCache, log_likelihood, run
+from .optimizer import EStepCache, iterate, log_likelihood, run
 from .priors import (
     BinStatistic,
     bessel_k_ratio,
@@ -67,6 +67,7 @@ __all__ = [
     "bessel_k_ratio",
     "gh_from_ab",
     "init_params",
+    "iterate",
     "log_bessel_k",
     "log_likelihood",
     "log_marginal_density",

@@ -37,14 +37,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(name):
+def _checked(kind, name, ok, requirement):
+    """argparse type: kind(text), rejected unless ok(value)."""
     def convert(text):
-        value = float(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be > 0, got {text}")
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} {requirement}, got {text}")
         return value
 
     return convert
+
+
+def _positive_float(name):
+    return _checked(float, name, lambda value: value > 0, "must be > 0")
 
 
 def _beta_value(text):
@@ -57,65 +62,71 @@ def _beta_value(text):
 
 
 def _positive_int(name):
-    def convert(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
-        return value
-
-    return convert
+    return _checked(int, name, lambda value: value >= 1, "must be >= 1")
 
 
 def _nonneg_int(name):
-    def convert(text):
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {text}")
-        return value
+    return _checked(int, name, lambda value: value >= 0, "must be >= 0")
 
-    return convert
+
+# `separate`'s defaults, keyed by SeparationConfig and variant field names;
+# the option definitions and the bench grid entries both read them
+DEFAULTS = {
+    "model": NIG.name, "nu": 40.0, "beta": 1.0, "gamma": -0.5, "rho": 15.0,
+    "eta": 1.0, "n_sources": 2, "n_bases": 8, "iterations": 300,
+    "rank1": False, "eps_init": 1e-2, "floor": 1e-10, "seed": 0,
+}
+
+
+def _separation_config(settings: dict) -> SeparationConfig:
+    """Keys named as in DEFAULTS; absent ones take the DEFAULTS value."""
+    settings = {**DEFAULTS, **settings}
+    return SeparationConfig(
+        n_sources=int(settings["n_sources"]),
+        n_bases=int(settings["n_bases"]),
+        iterations=int(settings["iterations"]),
+        variant=variant_from_dict(settings),
+        rank1=bool(settings["rank1"]),
+        eps_init=float(settings["eps_init"]),
+        floor=float(settings["floor"]),
+        seed=int(settings["seed"]),
+    )
 
 
 def _add_model_args(sub):
-    sub.add_argument("--model", choices=tuple(VARIANTS), default=NIG.name,
+    sub.add_argument("--model", choices=tuple(VARIANTS), default=DEFAULTS["model"],
                      help="tail model (default: %(default)s)")
-    sub.add_argument("--nu", type=_positive_float("nu"), default=40.0,
-                     help="t-distribution degrees of freedom (default: 40)")
-    sub.add_argument("--beta", type=_beta_value, default=1.0,
-                     help="generalized-Gaussian shape in (0, 2] (default: 1)")
-    sub.add_argument("--gamma", type=float, default=-0.5,
-                     help="generalized-hyperbolic index (default: -0.5)")
-    sub.add_argument("--rho", type=_positive_float("rho"), default=15.0,
-                     help="tail sharpness (default: 15)")
-    sub.add_argument("--eta", type=_positive_float("eta"), default=1.0,
-                     help="tail scale (default: 1)")
+    sub.add_argument("--nu", type=_positive_float("nu"), default=DEFAULTS["nu"],
+                     help="t-distribution degrees of freedom (default: %(default)g)")
+    sub.add_argument("--beta", type=_beta_value, default=DEFAULTS["beta"],
+                     help="generalized-Gaussian shape in (0, 2] (default: %(default)g)")
+    sub.add_argument("--gamma", type=float, default=DEFAULTS["gamma"],
+                     help="generalized-hyperbolic index (default: %(default)g)")
+    sub.add_argument("--rho", type=_positive_float("rho"), default=DEFAULTS["rho"],
+                     help="tail sharpness (default: %(default)g)")
+    sub.add_argument("--eta", type=_positive_float("eta"), default=DEFAULTS["eta"],
+                     help="tail scale (default: %(default)g)")
 
 
 def _add_run_args(sub):
-    sub.add_argument("-K", "--bases", type=_positive_int("K"), default=8,
-                     help="NMF bases per source (default: 8)")
-    sub.add_argument("-N", "--sources", type=_positive_int("N"), default=2,
-                     help="number of sources (default: 2)")
-    sub.add_argument("--iters", type=_nonneg_int("iters"), default=300,
-                     help="optimizer iterations (default: 300)")
-    sub.add_argument("--rank1", action="store_true",
+    sub.add_argument("-K", "--bases", type=_positive_int("K"), default=DEFAULTS["n_bases"],
+                     help="NMF bases per source (default: %(default)s)")
+    sub.add_argument("-N", "--sources", type=_positive_int("N"), default=DEFAULTS["n_sources"],
+                     help="number of sources (default: %(default)s)")
+    sub.add_argument("--iters", type=_nonneg_int("iters"), default=DEFAULTS["iterations"],
+                     help="optimizer iterations (default: %(default)s)")
+    sub.add_argument("--rank1", action="store_true", default=DEFAULTS["rank1"],
                      help="freeze the spatial weights at identity (needs N = M)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    sub.add_argument("--floor", type=_positive_float("floor"), default=1e-10,
-                     help="variance floor (default: 1e-10)")
+    sub.add_argument("--seed", type=int, default=DEFAULTS["seed"],
+                     help="RNG seed (default: %(default)s)")
+    sub.add_argument("--floor", type=_positive_float("floor"), default=DEFAULTS["floor"],
+                     help="variance floor (default: %(default)g)")
 
 
 def cmd_separate(args) -> int:
     buffer = read_wav(args.input)
-    cfg = SeparationConfig(
-        n_sources=args.sources,
-        n_bases=args.bases,
-        iterations=args.iters,
-        variant=variant_from_dict(vars(args)),
-        rank1=args.rank1,
-        floor=args.floor,
-        seed=args.seed,
-    )
+    cfg = _separation_config({**vars(args), "n_sources": args.sources,
+                              "n_bases": args.bases, "iterations": args.iters})
     stft_cfg = StftConfig()
     # the forward STFT stays here rather than in separate_mixture because
     # sepbench's tracer wraps read_wav, write_wav and stft_forward as
@@ -195,17 +206,7 @@ def _parse_bench_entry(entry: dict):
     if not isinstance(entry, dict):
         raise ValueError(f"grid entries must be objects, got {type(entry).__name__}")
     try:
-        variant = variant_from_dict(entry)
-        cfg = SeparationConfig(
-            n_sources=int(entry.get("n_sources", 2)),
-            n_bases=int(entry.get("n_bases", 8)),
-            iterations=int(entry.get("iterations", 300)),
-            variant=variant,
-            rank1=bool(entry.get("rank1", False)),
-            eps_init=float(entry.get("eps_init", 1e-2)),
-            floor=float(entry.get("floor", 1e-10)),
-            seed=int(entry.get("seed", 0)),
-        )
+        cfg = _separation_config(entry)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid entry {entry!r}: {exc}") from exc
     scene_args = {

@@ -1,26 +1,27 @@
 """MU-VEM loop: E-step statistics, multiplicative updates, iterative
 projection for the diagonalizers, normalization, likelihood tracking.
 
+`iterate` is the one loop; `run` initializes and collects what it yields.
 Each iteration computes the E-step once (the posterior expectation of the
 inverse impulse variable is held fixed through the M-step), then applies
 the four parameter updates in the order W, H, G~, Q with the model
 variances y~ refreshed after every update, then normalizes and records
-the marginal log-likelihood.  The likelihood and the next E-step need the
-same projection z~ = |Q_f x_ft|^2, variances y~ and s at the same
-parameters, so `run` keeps the likelihood's statistics and seeds the next
-E-step with them; that E-step only adds E[1/phi] and z^.  Every update is
-an exact maximizer or a multiplicative step on the same minorizing bound,
-so the trace is non-decreasing up to rounding; violations beyond a 1e-8
-relative slack are reported as warnings with their iteration index, never
-swallowed, and a non-finite likelihood stops the run with an
-ArithmeticError.
+the marginal log-likelihood.  The likelihood's projection z~ = |Q_f x_ft|^2,
+variances y~ and s seed the next E-step, which only adds E[1/phi] and z^.
+`iterate` is a generator, not a step function returning its state, so the
+E-step cache outlives each iteration: freeing it every iteration made the
+allocator return its pages to the OS and fault them back in.  Every update
+is an exact maximizer or a multiplicative step on the same minorizing
+bound, so the trace is non-decreasing up to rounding; violations beyond a
+1e-8 relative slack are reported as warnings with their iteration index,
+never swallowed, and a non-finite likelihood raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -174,18 +175,16 @@ def update_q(params: ModelParams, X_FTM: np.ndarray,
         Xw_FTM = X_FTM * weight_FT[:, :, None]
         V_FMM = np.matmul(Xw_FTM.transpose(0, 2, 1), X_FTM.conj()) / n_frames
         QV_FMM = np.matmul(Q_FMM, V_FMM)
-        rhs_FM = np.zeros((n_freq, n_chan), dtype=np.complex128)
-        rhs_FM[:, m] = 1.0
+        e_M1 = np.eye(n_chan, dtype=np.complex128)[:, m:m + 1]
         bad_F = np.zeros(n_freq, dtype=bool)
         try:
-            q_FM = np.linalg.solve(QV_FMM, rhs_FM[:, :, None])[:, :, 0]
+            q_FM = np.linalg.solve(QV_FMM, e_M1)[:, :, 0]
         except np.linalg.LinAlgError:
-            q_FM = np.zeros((n_freq, n_chan), dtype=np.complex128)
-            for f in range(n_freq):
-                try:
-                    q_FM[f] = np.linalg.solve(QV_FMM[f], rhs_FM[f])
-                except np.linalg.LinAlgError:
-                    bad_F[f] = True
+            # sign 0 is the exact-zero LU pivot that made solve raise; the
+            # identity stands in for those systems, whose rows are kept
+            bad_F = np.linalg.slogdet(QV_FMM)[0] == 0
+            QV_FMM[bad_F] = np.eye(n_chan)
+            q_FM = np.linalg.solve(QV_FMM, e_M1)[:, :, 0]
         # compensated evaluation: a plain einsum loses ~eps * cond(V) here,
         # which breaks the unit quadratic form once variance floors push
         # cond(V) past ~1e6
@@ -227,28 +226,15 @@ def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
     return (value, projection) if return_projection else value
 
 
-def run(
-    X_FTM: np.ndarray,
-    cfg: SeparationConfig,
-    progress: Callable[[int, float], None] | None = None,
-) -> tuple[ModelParams, list[float]]:
-    """Initialize and iterate the full update cycle cfg.iterations times.
+def iterate(X_FTM: np.ndarray, params: ModelParams,
+            cfg: SeparationConfig) -> Iterator[tuple[ModelParams, float]]:
+    """Run cfg.iterations MU-VEM iterations from params.
 
-    Returns the fitted parameters and one marginal log-likelihood per
-    iteration.  Deterministic given cfg.seed.  `progress` receives
-    (iteration, log-likelihood) after each iteration.  A non-finite
-    mixture raises ValueError; a non-finite likelihood raises
-    ArithmeticError naming its iteration.
+    Yields (params, log-likelihood) after each iteration.  A non-finite
+    likelihood raises ArithmeticError naming its iteration; a decrease
+    beyond the monotone slack is reported as a RuntimeWarning.
     """
-    X_FTM = np.asarray(X_FTM, dtype=np.complex128)
-    if X_FTM.ndim != 3:
-        raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
-    if not np.all(np.isfinite(X_FTM)):
-        raise ValueError("mixture holds non-finite values")
-    n_freq, n_frames, n_chan = X_FTM.shape
-
-    params = init_params(cfg, n_freq, n_frames, n_chan)
-    values: list[float] = []
+    previous = None
     projection = None
     for iteration in range(cfg.iterations):
         cache = e_step(X_FTM, params, cfg.variant, cfg.floor,
@@ -264,22 +250,33 @@ def run(
         params = update_q(params, X_FTM, cache)
 
         params = normalize(params)
-        # the cache lives until the next e_step replaces it: freeing it
-        # here, just before the likelihood allocates, made the allocator
-        # return its pages to the OS and fault them back in every iteration
         ll, projection = log_likelihood(X_FTM, params, cfg.variant,
                                         floor=cfg.floor, return_projection=True)
         if not np.isfinite(ll):
             raise ArithmeticError(
                 f"log-likelihood is {ll} at iteration {iteration}")
-        if values and ll < values[-1] - MONOTONE_SLACK * abs(values[-1]):
-            warnings.warn(
-                f"log-likelihood decreased beyond slack at iteration {iteration}:"
-                f" {values[-1]:.6f} -> {ll:.6f}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if previous is not None and ll < previous - MONOTONE_SLACK * abs(previous):
+            warnings.warn(f"log-likelihood decreased beyond slack at iteration"
+                          f" {iteration}: {previous:.6f} -> {ll:.6f}",
+                          RuntimeWarning, stacklevel=2)
+        previous = ll
+        yield params, ll
+
+
+def run(X_FTM: np.ndarray,
+        cfg: SeparationConfig) -> tuple[ModelParams, list[float]]:
+    """Initialize, then collect what `iterate` yields: the fitted parameters
+    and one marginal log-likelihood per iteration.  Deterministic given
+    cfg.seed.  A non-finite mixture raises ValueError.
+    """
+    X_FTM = np.asarray(X_FTM, dtype=np.complex128)
+    if X_FTM.ndim != 3:
+        raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
+    if not np.all(np.isfinite(X_FTM)):
+        raise ValueError("mixture holds non-finite values")
+
+    params = init_params(cfg, *X_FTM.shape)
+    values: list[float] = []
+    for params, ll in iterate(X_FTM, params, cfg):
         values.append(ll)
-        if progress is not None:
-            progress(iteration, ll)
     return params, values

@@ -12,7 +12,6 @@ Run with `pytest tests/test_acceptance.py -v -s`: every test prints one
 listing doubles as the acceptance record.
 """
 
-import dataclasses
 import math
 import time
 from types import SimpleNamespace
@@ -33,7 +32,6 @@ from gsmsep.model import (
     LeptokurticGG,
     SeparationConfig,
     StudentT,
-    compute_ytilde,
     init_params,
     normalize,
 )
@@ -88,12 +86,11 @@ def unit_quadratic_deviation(params, X_FTM, cache) -> float:
 
 @pytest.fixture(scope="module")
 def instrumented_runs():
-    """100 instrumented optimizer iterations per variant on two datasets.
+    """100 optimizer.run iterations per variant on two datasets.
 
-    Replicates run()'s update cycle exactly, additionally recording the
-    diagonalizer quadratic form right after each update_q call.  Shared
-    by the monotonicity, projection post-condition, and Wiener partition
-    checks.
+    optimizer.update_q is wrapped to record the diagonalizer quadratic
+    form right after each call.  Shared by the monotonicity, projection
+    post-condition, and Wiener partition checks.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -105,6 +102,7 @@ def instrumented_runs():
     assert X_scene.shape == (65, 50, 2)
     datasets["scene"] = X_scene
 
+    real_update_q = optimizer.update_q
     results = []
     for vname, variant in ALL_VARIANTS:
         for dname, X_FTM in datasets.items():
@@ -112,36 +110,20 @@ def instrumented_runs():
                 n_sources=2, n_bases=2, iterations=100, variant=variant,
                 seed=0,
             )
-            params = init_params(cfg, *X_FTM.shape)
-            trace = []
-            ip_dev = 0.0
-            for _ in range(cfg.iterations):
-                cache = optimizer.e_step(X_FTM, params, variant, cfg.floor)
-                params = optimizer.update_w(params, cache)
-                cache = dataclasses.replace(
-                    cache, y_tilde=compute_ytilde(params, cfg.floor)
-                )
-                params = optimizer.update_h(params, cache)
-                cache = dataclasses.replace(
-                    cache, y_tilde=compute_ytilde(params, cfg.floor)
-                )
-                params = optimizer.update_g(params, cache)
-                cache = dataclasses.replace(
-                    cache, y_tilde=compute_ytilde(params, cfg.floor)
-                )
-                params = optimizer.update_q(params, X_FTM, cache)
-                ip_dev = max(
-                    ip_dev, unit_quadratic_deviation(params, X_FTM, cache)
-                )
-                params = normalize(params)
-                trace.append(
-                    optimizer.log_likelihood(
-                        X_FTM, params, variant, floor=cfg.floor
-                    )
-                )
+            ip_devs = []
+
+            def recording_update_q(params, X, cache):
+                params = real_update_q(params, X, cache)
+                ip_devs.append(unit_quadratic_deviation(params, X, cache))
+                return params
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(optimizer, "update_q", recording_update_q)
+                params, trace = optimizer.run(X_FTM, cfg)
+            assert len(ip_devs) == cfg.iterations
             results.append(SimpleNamespace(
                 variant=vname, dataset=dname, X=X_FTM, params=params,
-                trace=np.asarray(trace), ip_dev=ip_dev,
+                trace=np.asarray(trace), ip_dev=max(ip_devs),
             ))
     return results, time.perf_counter() - started
 
@@ -380,7 +362,7 @@ def test_criterion_10_bessel_accuracy():
     for m_dims in range(1, 9):
         order = m_dims + 0.5
         for x in (1e-3, 0.1, 1.0, 10.0, 700.0, 1e4):
-            # the half-integer recurrence path vs the generic log path
+            # the ratio recurrence vs the half-integer closed-form log K
             got = bessel_k_ratio(order, x)
             want = math.exp(log_bessel_k(order + 1.0, x)
                             - log_bessel_k(order, x))
@@ -389,8 +371,8 @@ def test_criterion_10_bessel_accuracy():
 
     ok = worst_log <= 1e-8 and worst_ratio <= 1e-10 and elapsed < 30.0
     report_line(10, ok, f"log K vs quadrature on {checked} grid points: max"
-                        f" rel err {worst_log:.2e} (tol 1e-8); half-integer"
-                        f" recurrence vs generic: {worst_ratio:.2e}"
+                        f" rel err {worst_log:.2e} (tol 1e-8); ratio"
+                        f" recurrence vs closed-form log K: {worst_ratio:.2e}"
                         f" (tol 1e-10); {elapsed:.1f} s (limit 30)")
     assert worst_log <= 1e-8
     assert worst_ratio <= 1e-10
@@ -409,22 +391,7 @@ def test_criterion_11_per_iteration_throughput():
         )
         params = init_params(cfg, n_freq, n_frames, n_chan)
         started = time.perf_counter()
-        cache = optimizer.e_step(X_FTM, params, variant, cfg.floor)
-        params = optimizer.update_w(params, cache)
-        cache = dataclasses.replace(
-            cache, y_tilde=compute_ytilde(params, cfg.floor)
-        )
-        params = optimizer.update_h(params, cache)
-        cache = dataclasses.replace(
-            cache, y_tilde=compute_ytilde(params, cfg.floor)
-        )
-        params = optimizer.update_g(params, cache)
-        cache = dataclasses.replace(
-            cache, y_tilde=compute_ytilde(params, cfg.floor)
-        )
-        params = optimizer.update_q(params, X_FTM, cache)
-        params = normalize(params)
-        optimizer.log_likelihood(X_FTM, params, variant, floor=cfg.floor)
+        next(optimizer.iterate(X_FTM, params, cfg))
         return time.perf_counter() - started
 
     best = {}

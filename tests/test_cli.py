@@ -190,6 +190,21 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert lines[0].startswith("config_hash,")
 
+    def test_omitted_keys_take_separate_defaults(self, tmp_path):
+        # no model at all, a model without its knobs, and every key
+        # spelled out: one configuration, one row
+        bare = {"n_bases": 2, "iterations": 1, "duration_s": 1.0}
+        nig = dict(bare, model="nig")
+        spelled = dict(nig, rho=15.0, eta=1.0, n_sources=2, rank1=False,
+                       eps_init=1e-2, floor=1e-10, seed=0)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([bare, nig, spelled]))
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", str(grid_path), "--out", str(out_path)]) == 0
+        lines = out_path.read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert ",nig,2,2,1,0," in lines[1]
+
     def test_empty_grid_header_only(self, tmp_path):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text("[]")

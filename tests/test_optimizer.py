@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gsmsep import optimizer
+from gsmsep import linalg, optimizer
 from gsmsep.model import (
     Gaussian,
     LeptokurticGG,
@@ -30,6 +30,7 @@ from gsmsep.optimizer import (
     EStepCache,
     MONOTONE_SLACK,
     e_step,
+    iterate,
     log_likelihood,
     project_mixture,
     run,
@@ -228,6 +229,36 @@ class TestUpdateQ:
             out = update_q(params, X, cache)
         np.testing.assert_array_equal(out.Q, params.Q)
 
+    def test_partly_singular_batch_matches_per_frequency_oracle(self):
+        params, X = make_setup(seed=31, n=3, f=9, t=12, m=3)
+        rng = np.random.default_rng(32)
+        params.Q[:] += 0.3 * (rng.standard_normal((9, 3, 3))
+                              + 1j * rng.standard_normal((9, 3, 3)))
+        dead = [1, 4, 7]
+        X[dead] = 0.0  # V_f = 0 there: only those systems are singular
+        cache = e_step(X, params, StudentT(nu=4.0))
+        with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
+            out = update_q(params, X, cache)
+
+        Q = params.Q.copy()
+        for m in range(3):
+            weight = cache.inv_phi / cache.y_tilde[:, :, m]
+            V = np.matmul((X * weight[:, :, None]).transpose(0, 2, 1),
+                          X.conj()) / 12
+            QV = np.matmul(Q, V)
+            for f in range(9):
+                try:
+                    q = np.linalg.solve(QV[f], np.eye(3)[m])
+                except np.linalg.LinAlgError:
+                    assert f in dead
+                    continue
+                scale = linalg.compensated_quadratic_form(V[f], q)
+                Q[f, m] = (q / np.sqrt(scale)).conj()
+        np.testing.assert_array_equal(out.Q, Q)
+        np.testing.assert_array_equal(out.Q[dead], params.Q[dead])
+        live = [f for f in range(9) if f not in dead]
+        assert not np.any(out.Q[live] == params.Q[live])
+
     def test_input_params_not_mutated(self):
         params, X = make_setup(seed=11)
         Q0 = params.Q.copy()
@@ -364,14 +395,18 @@ class TestRun:
         params, _ = run(X, cfg)
         np.testing.assert_array_equal(params.Gtilde, np.eye(2))
 
-    def test_progress_callback_matches_trace(self):
-        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=4, seed=2)
+    def test_iterate_yields_run_trace(self):
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=4, seed=2,
+                               variant=NIG(rho=15.0, eta=1.0))
         rng = np.random.default_rng(22)
         X = random_mixture(rng, 5, 6, 2)
-        seen = []
-        _, trace = run(X, cfg, progress=lambda i, ll: seen.append((i, ll)))
-        assert [i for i, _ in seen] == [0, 1, 2, 3]
-        assert [ll for _, ll in seen] == list(trace)
+        params, trace = run(X, cfg)
+        steps = list(iterate(X, init_params(cfg, 5, 6, 2), cfg))
+        assert [ll for _, ll in steps] == trace
+        last = steps[-1][0]
+        for field in ("W", "H", "Q", "Gtilde"):
+            np.testing.assert_array_equal(getattr(last, field),
+                                          getattr(params, field))
 
     def test_mixture_rank_validation(self):
         cfg = SeparationConfig(n_sources=1, n_bases=1, iterations=1)
@@ -419,6 +454,25 @@ class TestRunGuards:
         X = random_mixture(np.random.default_rng(27), 9, 12, 2)
         with pytest.raises(ArithmeticError, match="at iteration 2"):
             run(X, cfg)
+
+    def test_likelihood_decrease_warns_from_optimizer(self, monkeypatch):
+        calls = []
+        real = optimizer.log_likelihood
+
+        def drop_on_third(*args, **kwargs):
+            calls.append(None)
+            value, projection = real(*args, **kwargs)
+            return (value - 1e3 if len(calls) == 3 else value), projection
+
+        monkeypatch.setattr(optimizer, "log_likelihood", drop_on_third)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=5, seed=0)
+        X = random_mixture(np.random.default_rng(27), 9, 12, 2)
+        with pytest.warns(RuntimeWarning,
+                          match="decreased beyond slack at iteration 2") as caught:
+            run(X, cfg)
+        # attributed to the optimizer, so the test suite's
+        # error::RuntimeWarning:gsmsep.optimizer filter covers it
+        assert [w.filename for w in caught] == [optimizer.__file__]
 
 
 class TestUpdateQWarnings:
