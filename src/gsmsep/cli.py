@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import multiprocessing
+import os
 import pathlib
 import sys
 
@@ -248,8 +250,18 @@ def cmd_bench(args) -> int:
         unique.append(entry)
 
     if args.workers > 1 and unique:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            reports = list(pool.map(_run_bench_entry, unique))
+        # spawned workers inherit one BLAS thread each, read when they
+        # import numpy; the caller's environment is restored afterwards
+        saved = dict(os.environ)
+        os.environ.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                reports = list(pool.map(_run_bench_entry, unique))
+        finally:
+            os.environ.clear()
+            os.environ.update(saved)
     else:
         reports = [_run_bench_entry(entry) for entry in unique]
 

@@ -89,22 +89,29 @@ def _two_prod(a, b):
     return p, err
 
 
-def _triple_prod_terms(x, y, z):
-    # x*y*z as three floats; the dropped residue is O(eps^2 |xyz|)
-    p, e = _two_prod(x, y)
-    p2, e2 = _two_prod(p, z)
-    return p2, e2, e * z
+def _dot2(pairs):
+    """Dot2: sum of x * y over the pairs as a (hi, lo) pair, by TwoProduct
+    and TwoSum, with the rounding errors of both summed into lo."""
+    hi = lo = 0.0
+    for x, y in pairs:
+        p, err = _two_prod(x, y)
+        s = hi + p
+        z = s - hi
+        lo = lo + (((hi - (s - z)) + (p - z)) + err)
+        hi = s
+    return hi, lo
 
 
 def compensated_quadratic_form(A, v) -> np.ndarray | float:
     """Re(v^H A v) per stacked matrix, immune to catastrophic cancellation.
 
-    Every scalar product is split into error-free parts and the parts are
-    accumulated with Neumaier summation, so the result stays accurate to a
-    few ulp even when the true value is ~1e-16 of the largest intermediate
-    term.  A plain einsum loses one digit per decade of that ratio, which
-    matters when A is severely ill-conditioned and v lies along its small
-    singular directions.
+    Dot2 (Ogita, Rump & Oishi, "Accurate sum and dot product", 2005) forms
+    w = A v column by column as (hi, lo) pairs, then sum_i Re(v_i) Re(w_i)
+    + Im(v_i) Im(w_i) over the hi parts, with v times the lo parts added to
+    the error term.  The error is at most eps |result| + O(n^2 eps^2) sum
+    |terms|: a few ulp even when the result is ~1e-16 of the largest term
+    (A ill-conditioned, v along its small singular directions), where a
+    plain einsum, losing one digit per decade of that ratio, keeps none.
     """
     A = np.asarray(A)
     v = np.asarray(v)
@@ -113,28 +120,15 @@ def compensated_quadratic_form(A, v) -> np.ndarray | float:
     P = np.asarray(A.real, dtype=np.float64)
     S = (np.asarray(A.imag, dtype=np.float64) if np.iscomplexobj(A)
          else np.zeros_like(P))
-    a_i = np.asarray(v.real, dtype=np.float64)[..., :, None]
-    a_j = a_i.swapaxes(-1, -2)
-    b_i = (np.asarray(v.imag, dtype=np.float64)
-           if np.iscomplexobj(v) else np.zeros(v.shape))[..., :, None]
-    b_j = b_i.swapaxes(-1, -2)
-    # Re(v^H A v) = sum_ij P_ij (a_i a_j + b_i b_j) + S_ij (b_i a_j - a_i b_j)
-    parts = (
-        _triple_prod_terms(P, a_i, a_j)
-        + _triple_prod_terms(P, b_i, b_j)
-        + _triple_prod_terms(S, b_i, a_j)
-        + _triple_prod_terms(-S, a_i, b_j)
-    )
-    terms = np.stack(np.broadcast_arrays(*parts), axis=-1)
-    flat = terms.reshape(terms.shape[:-3] + (-1,))
-
-    total = flat[..., 0].copy()
-    comp = np.zeros_like(total)
-    for k in range(1, flat.shape[-1]):
-        x = flat[..., k]
-        new = total + x
-        total_bigger = np.abs(total) >= np.abs(x)
-        comp += np.where(total_bigger, (total - new) + x, (x - new) + total)
-        total = new
-    out = total + comp
+    a = np.asarray(v.real, dtype=np.float64)
+    b = (np.asarray(v.imag, dtype=np.float64)
+         if np.iscomplexobj(v) else np.zeros(v.shape))
+    # (Re w, Im w) += (P_:j, P_:j) (a_j, b_j) + (-S_:j, S_:j) (b_j, a_j)
+    blocks = ((P, P, a, b), (-S, S, b, a))
+    w_hi, w_lo = _dot2((np.stack([C[..., :, j], D[..., :, j]], axis=-2),
+                        np.stack([x[..., j], y[..., j]], axis=-1)[..., None])
+                       for j in range(a.shape[-1]) for C, D, x, y in blocks)
+    hi, lo = _dot2((x[..., i], w_hi[..., k, i])
+                   for k, x in enumerate((a, b)) for i in range(a.shape[-1]))
+    out = hi + (lo + (a * w_lo[..., 0, :] + b * w_lo[..., 1, :]).sum(axis=-1))
     return out if out.ndim else float(out)

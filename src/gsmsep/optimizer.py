@@ -170,10 +170,11 @@ def update_q(params: ModelParams, X_FTM: np.ndarray,
     n_freq, n_frames, n_chan = X_FTM.shape
     Q_FMM = params.Q.copy()
     kept = {"singular diagonalizer system": [], "degenerate projection scale": []}
+    X_FMT = np.ascontiguousarray(X_FTM.transpose(0, 2, 1))
+    Xc_FTM = X_FTM.conj()
     for m in range(n_chan):
         weight_FT = cache.inv_phi / cache.y_tilde[:, :, m]
-        Xw_FTM = X_FTM * weight_FT[:, :, None]
-        V_FMM = np.matmul(Xw_FTM.transpose(0, 2, 1), X_FTM.conj()) / n_frames
+        V_FMM = np.matmul(X_FMT * weight_FT[:, None, :], Xc_FTM) / n_frames
         QV_FMM = np.matmul(Q_FMM, V_FMM)
         e_M1 = np.eye(n_chan, dtype=np.complex128)[:, m:m + 1]
         bad_F = np.zeros(n_freq, dtype=bool)

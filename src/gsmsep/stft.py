@@ -1,8 +1,9 @@
 """STFT analysis/synthesis used by the separation front end.
 
-Analysis zero-pads the signal by n_fft - hop on both ends so every input
-sample is covered by full windows, slides a periodic Hann window in hop
-steps, and keeps the n_fft/2 + 1 nonnegative-frequency bins.  Synthesis
+Analysis zero-pads the signal by n_fft - hop on both ends, and the end up
+to a whole number of hops, so every input sample is covered by full
+windows, slides a periodic Hann window in hop steps, and keeps the
+n_fft/2 + 1 nonnegative-frequency bins.  Synthesis
 is weighted overlap-add with the same window, dividing by the summed
 squared-window envelope; wherever that envelope underflows (possible at
 the extreme edges, or everywhere between frames when hop == n_fft) the
@@ -55,7 +56,8 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
     """Complex spectrogram of a (n_samples,) or (channels, n_samples) signal.
 
     Returns (F, T) for mono input and (F, T, M) for multichannel, with
-    F = n_fft/2 + 1.  Frame t covers padded samples [t hop, t hop + n_fft).
+    F = n_fft/2 + 1 and T = ceil(n_samples / hop) + n_fft/hop - 1.  Frame
+    t covers padded samples [t hop, t hop + n_fft).
     """
     x = np.asarray(samples, dtype=np.float64)
     mono = x.ndim == 1
@@ -68,7 +70,8 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
             f"signal of {x.shape[1]} samples is shorter than one analysis window"
             f" ({cfg.n_fft})"
         )
-    padded = np.pad(x, ((0, 0), (cfg.pad, cfg.pad)))
+    tail = -x.shape[1] % cfg.hop
+    padded = np.pad(x, ((0, 0), (cfg.pad, cfg.pad + tail)))
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=1)
     frames = frames[:, :: cfg.hop, :]
     window = periodic_hann(cfg.n_fft)

@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from gsmsep.audio_io import read_wav
+from gsmsep.audio_io import AudioBuffer, read_wav, write_wav
 from gsmsep.cli import build_parser, main
 
 
@@ -83,6 +84,28 @@ class TestSeparateCommand:
         assert code == 0
         image = read_wav(tmp_path / "source1_multichannel.wav")
         assert image.n_channels == 2
+
+    def test_off_grid_length_keeps_partition(self, scene_dir, tmp_path):
+        # 100 samples past the hop grid: the images still sum to the
+        # mixture over every sample, the tail included
+        mix = read_wav(scene_dir / "mixture.wav")
+        samples = np.concatenate([mix.samples, mix.samples[:, :100]], axis=1)
+        off_grid = tmp_path / "off_grid.wav"
+        write_wav(off_grid, AudioBuffer(samples=samples,
+                                        sample_rate=mix.sample_rate))
+        code = main([
+            "separate", str(off_grid), "--model", "t", "-N", "2", "-K", "2",
+            "--iters", "3", "--out-dir", str(tmp_path / "out"), "--multichannel",
+        ])
+        assert code == 0
+        images = [read_wav(tmp_path / "out" / f"source{n}_multichannel.wav")
+                  for n in (1, 2)]
+        assert all(image.n_frames == samples.shape[1] for image in images)
+        total = images[0].samples + images[1].samples
+        # one float32 rounding per written image and one for the mixture
+        tol = 3 * np.finfo(np.float32).eps * np.max(np.abs(samples))
+        np.testing.assert_allclose(total, read_wav(off_grid).samples,
+                                   rtol=0, atol=tol)
 
     def test_custom_report_path(self, scene_dir, tmp_path):
         report_path = tmp_path / "elsewhere.json"
@@ -223,6 +246,26 @@ class TestBenchCommand:
                      "--workers", "2"])
         assert code == 0
         assert len(out_path.read_text().strip().splitlines()) == 3
+
+    def test_workers_match_serial_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(
+            [self.GRID_ENTRY, dict(self.GRID_ENTRY, model="t", seed=1)]
+        ))
+        rows = {}
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"bench{workers}.csv"
+            assert main(["bench", str(grid_path), "--out", str(out_path),
+                         "--workers", workers]) == 0
+            # every column but the last, runtime_ms
+            rows[workers] = [line.rsplit(",", 1)[0] for line in
+                             out_path.read_text().strip().splitlines()]
+        assert len(rows["1"]) == 3
+        assert rows["2"] == rows["1"]
+        assert dict(os.environ) == environ
 
     def test_malformed_json(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.json"

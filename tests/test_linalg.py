@@ -200,6 +200,26 @@ class TestCompensatedQuadraticForm:
         assert abs(got - want) <= 1e-14 * abs(want)
         assert abs(naive - want) > 1e-8 * abs(want)
 
+    @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+    def test_ill_conditioned_hermitian_matches_exact_oracle(self, dim):
+        # Hermitian with eigenvalue spread up to 1e20 and v along the
+        # smallest eigenvector: the form is up to 1e-20 of the largest
+        # terms, so every digit it keeps comes from the compensation
+        rng = np.random.default_rng(40 + dim)
+        A, v = [], []
+        for _ in range(50):
+            spread = rng.uniform(0.0, 20.0)
+            eigvals = 10.0 ** rng.uniform(-spread, 0.0, dim)
+            eigvals[0], eigvals[-1] = 10.0 ** -spread, 1.0
+            Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            U = np.linalg.qr(Z)[0]
+            A.append((U * eigvals) @ U.conj().T)
+            v.append(U[:, 0])
+        got = compensated_quadratic_form(np.array(A), np.array(v))
+        for k in range(len(A)):
+            want = exact_quadratic_form(A[k], v[k])
+            assert abs(got[k] - want) <= 1e-12 * abs(want)
+
     def test_stacked_matches_per_matrix(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))

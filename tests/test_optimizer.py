@@ -259,6 +259,25 @@ class TestUpdateQ:
         live = [f for f in range(9) if f not in dead]
         assert not np.any(out.Q[live] == params.Q[live])
 
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_matches_unhoisted_per_row_oracle(self, m):
+        params, X = make_setup(seed=33 + m, n=m, f=7, t=20, m=m)
+        rng = np.random.default_rng(34)
+        params.Q[:] += 0.3 * (rng.standard_normal((7, m, m))
+                              + 1j * rng.standard_normal((7, m, m)))
+        cache = e_step(X, params, StudentT(nu=4.0))
+        out = update_q(params, X, cache)
+
+        Q = params.Q.copy()
+        for row in range(m):
+            weight = cache.inv_phi / cache.y_tilde[:, :, row]
+            V = np.matmul((X * weight[..., None]).transpose(0, 2, 1),
+                          X.conj()) / 20
+            q = np.linalg.solve(np.matmul(Q, V), np.eye(m)[:, row:row + 1])[..., 0]
+            scale = linalg.compensated_quadratic_form(V, q)
+            Q[:, row] = (q / np.sqrt(scale)[:, None]).conj()
+        np.testing.assert_array_equal(out.Q, Q)
+
     def test_input_params_not_mutated(self):
         params, X = make_setup(seed=11)
         Q0 = params.Q.copy()

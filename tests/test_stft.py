@@ -129,7 +129,9 @@ class TestForward:
         cfg = StftConfig(n_fft=64, hop=16)
         for n_samples in (64, 100, 256, 1000):
             spec = stft_forward(np.zeros(n_samples), cfg)
-            expected_t = (n_samples + 2 * cfg.pad - cfg.n_fft) // cfg.hop + 1
+            # off-grid lengths are padded up to the next whole hop
+            n_grid = -(-n_samples // cfg.hop) * cfg.hop
+            expected_t = (n_grid + 2 * cfg.pad - cfg.n_fft) // cfg.hop + 1
             assert spec.shape == (cfg.n_freq, expected_t)
 
     def test_multichannel_shape(self):
@@ -171,19 +173,30 @@ class TestInverse:
         np.testing.assert_allclose(back, x, atol=1e-10)
 
     def test_round_trip_misaligned_interior(self):
-        # a length off the hop grid loses its tail to the dropped partial
-        # frame; the covered interior still reconstructs exactly
+        # a length off the hop grid gets a final frame over its padded
+        # tail, so the whole signal reconstructs, tail included
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(6)
         signal = rng.standard_normal(1000)
         spec = stft_forward(signal, cfg)
         n_frames = spec.shape[1]
         covered = (n_frames - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
-        assert covered < len(signal)
-        with pytest.warns(RuntimeWarning, match="synthesis envelope underflow"):
+        assert covered == 1008
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             back = stft_inverse(spec, cfg, len(signal))
-        np.testing.assert_allclose(back[:covered], signal[:covered], atol=1e-10)
-        np.testing.assert_array_equal(back[covered:], 0.0)
+        np.testing.assert_allclose(back, signal, atol=1e-10)
+
+    def test_round_trip_every_length_near_one_window(self):
+        cfg = StftConfig()
+        rng = np.random.default_rng(7)
+        signal = rng.standard_normal(cfg.n_fft + 2 * cfg.hop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for length in range(cfg.n_fft, cfg.n_fft + 2 * cfg.hop + 1):
+                x = signal[:length]
+                back = stft_inverse(stft_forward(x, cfg), cfg, length)
+                assert np.max(np.abs(back - x)) < 1e-10, length
 
     def test_round_trip_default_config(self):
         cfg = StftConfig()
@@ -223,7 +236,8 @@ class TestInverse:
         spectral = np.sum(weights[:, None] * np.abs(spec) ** 2) / cfg.n_fft
 
         window = periodic_hann(cfg.n_fft)
-        padded = np.concatenate([np.zeros(cfg.pad), signal, np.zeros(cfg.pad)])
+        # 500 samples are padded up to 512, the next whole hop
+        padded = np.concatenate([np.zeros(cfg.pad), signal, np.zeros(cfg.pad + 12)])
         frame_energy = sum(
             np.sum((padded[t * cfg.hop : t * cfg.hop + cfg.n_fft] * window) ** 2)
             for t in range(spec.shape[1])
