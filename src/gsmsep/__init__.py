@@ -13,6 +13,7 @@ conditional mean.
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .harness import (
+    ChannelLayoutError,
     SeparationReport,
     SyntheticScene,
     run_experiment,
@@ -29,20 +30,11 @@ from .model import (
     NIG,
     SeparationConfig,
     StudentT,
-    gh_from_ab,
     init_params,
     normalize,
 )
 from .optimizer import EStepCache, iterate, log_likelihood, run
-from .priors import (
-    BinStatistic,
-    bessel_k_ratio,
-    log_bessel_k,
-    log_marginal_density,
-    posterior_inv_phi,
-    prior_log_pdf,
-    quadrature_posterior_inv_phi,
-)
+from .priors import bessel_k_ratio, log_bessel_k
 from .stft import StftConfig, stft_forward, stft_inverse
 from .wiener import separate, source_images
 
@@ -50,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer",
-    "BinStatistic",
+    "ChannelLayoutError",
     "EStepCache",
     "GH",
     "Gaussian",
@@ -65,17 +57,12 @@ __all__ = [
     "StudentT",
     "SyntheticScene",
     "bessel_k_ratio",
-    "gh_from_ab",
     "init_params",
     "iterate",
     "log_bessel_k",
     "log_likelihood",
-    "log_marginal_density",
     "normalize",
     "permutation_si_sdr",
-    "posterior_inv_phi",
-    "prior_log_pdf",
-    "quadrature_posterior_inv_phi",
     "read_wav",
     "run",
     "run_experiment",

@@ -118,18 +118,6 @@ def variant_from_dict(payload: dict) -> GsmVariant:
                   for field in dataclasses.fields(cls)})
 
 
-def gh_from_ab(gamma: float, a: float, b: float) -> GH:
-    """Build a GH variant from the alternative rate/product parameters.
-
-    (a, b) = (rho / eta, rho * eta), so rho = sqrt(a b) and
-    eta = sqrt(b / a).  The Student's t limit is gamma = -nu/2, b = nu,
-    a -> 0.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"a and b must be > 0, got a={a}, b={b}")
-    return GH(gamma=gamma, rho=math.sqrt(a * b), eta=math.sqrt(b / a))
-
-
 # ---------------------------------------------------------------------------
 # Run configuration.
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ inverse impulse variable is held fixed through the M-step), then applies
 the four parameter updates in the order W, H, G~, Q with the model
 variances y~ refreshed after every update, then normalizes and records
 the marginal log-likelihood.  The likelihood's projection z~ = |Q_f x_ft|^2,
-variances y~ and s seed the next E-step, which only adds E[1/phi] and z^.
+variances y~ and s seed the next E-step, which only adds z^ and, unless the
+likelihood's Bessel ladder already gave it (GH and NIG), E[1/phi].
 `iterate` is a generator, not a step function returning its state, so the
 E-step cache outlives each iteration: freeing it every iteration made the
 allocator return its pages to the OS and fault them back in.  Every update
@@ -27,6 +28,8 @@ import numpy as np
 
 from . import linalg
 from .model import (
+    GH,
+    NIG,
     ModelParams,
     SeparationConfig,
     GsmVariant,
@@ -53,11 +56,14 @@ class Projection:
     z_tilde: (F, T, M) = |q_fm^H x_ft|^2
     y_tilde: (F, T, M) model variances, floored
     s:       (F, T) = sum_m z_tilde / y_tilde
+    inv_phi: (F, T) posterior expectation of phi^-1, when the likelihood
+             evaluated it alongside the marginal; otherwise None
     """
 
     z_tilde: np.ndarray
     y_tilde: np.ndarray
     s: np.ndarray
+    inv_phi: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +100,7 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
 
     `projection`, when given, must be the one `log_likelihood` returned
     for the same (X_FTM, params, floor); it replaces recomputing z~, y~
-    and s.
+    and s, and E[1/phi] when it carries one.
     """
     if X_FTM.shape != (params.n_freq, params.n_frames, params.n_channels):
         raise ValueError(
@@ -103,7 +109,9 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
         )
     if projection is None:
         projection = _project(X_FTM, params, floor)
-    inv_phi = np.asarray(inv_phi_from_s(projection.s, params.n_channels, variant))
+    inv_phi = projection.inv_phi
+    if inv_phi is None:
+        inv_phi = np.asarray(inv_phi_from_s(projection.s, params.n_channels, variant))
     return EStepCache(
         z_tilde=projection.z_tilde,
         y_tilde=projection.y_tilde,
@@ -217,10 +225,16 @@ def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
     """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|.
 
     With return_projection, also returns the statistics it evaluated,
-    for `e_step` at the same parameters.
+    for `e_step` at the same parameters.  For GH and NIG those include
+    E[1/phi], which the same Bessel ladder as the marginal yields.
     """
     projection = _project(X_FTM, params, floor)
-    bin_terms = log_marginal_from_s(projection.s, params.n_channels, variant)
+    if return_projection and isinstance(variant, (GH, NIG)):
+        bin_terms, inv_phi = log_marginal_from_s(
+            projection.s, params.n_channels, variant, with_inv_phi=True)
+        projection = dataclasses.replace(projection, inv_phi=inv_phi)
+    else:
+        bin_terms = log_marginal_from_s(projection.s, params.n_channels, variant)
     bin_terms = bin_terms - np.log(projection.y_tilde).sum(axis=2)
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())

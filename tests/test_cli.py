@@ -148,6 +148,49 @@ class TestSeparateCommand:
         assert "gsmsep: error:" in captured.err
 
 
+def _layout_probe(mix, kind):
+    """Three-channel clip with one channel made uninformative."""
+    first, second = mix.samples[0], mix.samples[1]
+    third = {
+        "silent": np.zeros_like(first),
+        "duplicated": first,
+        "scaled-duplicate": -0.3 * first,
+    }[kind]
+    return np.stack([first, second, third])
+
+
+class TestChannelLayout:
+    @pytest.mark.parametrize("kind,message", [
+        ("silent", "channel 3 is silent"),
+        ("duplicated", "channel 3 is a scaled copy of channel 1"),
+        ("scaled-duplicate", "channel 3 is a scaled copy of channel 1"),
+    ])
+    def test_uninformative_channel_exits_two(self, scene_dir, tmp_path,
+                                             capsys, kind, message):
+        mix = read_wav(scene_dir / "mixture.wav")
+        probe = tmp_path / f"{kind}.wav"
+        write_wav(probe, AudioBuffer(samples=_layout_probe(mix, kind),
+                                     sample_rate=mix.sample_rate))
+        code = main([
+            "separate", str(probe), "--model", "nig", "-N", "2", "-K", "2",
+            "--iters", "2", "--out-dir", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert not (tmp_path / "out" / "source1.wav").exists()
+
+    def test_dc_only_exits_two(self, tmp_path, capsys):
+        # two constant channels at different levels: one scaled spectrum
+        samples = np.outer([0.5, -0.2], np.ones(16000))
+        probe = tmp_path / "dc.wav"
+        write_wav(probe, AudioBuffer(samples=samples, sample_rate=16000))
+        code = main(["separate", str(probe), "--iters", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "channel 2 is a scaled copy of channel 1" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_perfect_estimates_hit_cap(self, scene_dir, capsys):
         refs = [str(scene_dir / "reference1.wav"),

@@ -8,13 +8,16 @@ import pytest
 from gsmsep.harness import (
     SCENE_SAMPLE_RATE,
     _PROFILE_FLOOR,
+    ChannelLayoutError,
     SeparationReport,
     _smooth_random_steering,
     _spectral_profiles,
     _temporal_envelope,
+    check_channel_layout,
     config_hash,
     config_to_dict,
     run_experiment,
+    separate_mixture,
     synth_scene,
     write_csv_summary,
 )
@@ -331,3 +334,49 @@ class TestCsvSummary:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config_hash,")
+
+
+class TestChannelLayout:
+    @staticmethod
+    def mixture(seed=0, f=33, t=40, m=3):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+
+    def test_independent_channels_pass(self):
+        check_channel_layout(self.mixture())
+
+    def test_band_limited_copy_passes(self):
+        # channels equal below half the band only: rank deficiency at some
+        # frequencies is legitimate and must reach the optimizer
+        X = self.mixture()
+        X[:16, :, 2] = X[:16, :, 0]
+        check_channel_layout(X)
+
+    def test_silent_channel_named(self):
+        X = self.mixture()
+        X[:, :, 1] = 0.0
+        with pytest.raises(ChannelLayoutError, match="channel 2 is silent"):
+            check_channel_layout(X)
+
+    def test_complex_scaled_copy_named(self):
+        X = self.mixture()
+        X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
+        with pytest.raises(ChannelLayoutError,
+                           match="channel 3 is a scaled copy of channel 2"):
+            check_channel_layout(X)
+
+    def test_every_problem_listed(self):
+        X = self.mixture(m=4)
+        X[:, :, 1] = 0.0
+        X[:, :, 3] = X[:, :, 0]
+        with pytest.raises(ChannelLayoutError) as info:
+            check_channel_layout(X)
+        assert "channel 2 is silent" in str(info.value)
+        assert "channel 4 is a scaled copy of channel 1" in str(info.value)
+
+    def test_is_a_value_error_raised_before_the_optimizer(self):
+        X = self.mixture(m=2)
+        X[:, :, 1] = X[:, :, 0]
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
+        with pytest.raises(ValueError, match="scaled copy"):
+            separate_mixture(X, cfg, StftConfig(), 1024)

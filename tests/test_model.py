@@ -20,11 +20,12 @@ from gsmsep.model import (
     SeparationConfig,
     StudentT,
     compute_ytilde,
-    gh_from_ab,
     init_params,
     normalize,
     source_psd,
 )
+
+from oracles import gh_from_ab
 
 
 def random_params(rng, n, k, f, t, m) -> ModelParams:

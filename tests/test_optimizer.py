@@ -39,7 +39,7 @@ from gsmsep.optimizer import (
     update_q,
     update_w,
 )
-from gsmsep.priors import log_marginal_density
+from oracles import log_marginal_density
 
 ALL_VARIANTS = [
     Gaussian(),
@@ -545,12 +545,34 @@ class TestFusedLoop:
 
     def test_returned_projection_seeds_identical_e_step(self):
         params, X = make_setup(seed=30, f=5, t=7, m=2)
-        variant = NIG(rho=15.0, eta=1.0)
-        value, projection = log_likelihood(X, params, variant,
-                                           return_projection=True)
-        assert value == log_likelihood(X, params, variant)
-        seeded = e_step(X, params, variant, projection=projection)
-        fresh = e_step(X, params, variant)
-        for field in ("z_tilde", "y_tilde", "inv_phi", "z_hat"):
-            np.testing.assert_array_equal(getattr(seeded, field),
-                                          getattr(fresh, field))
+        for variant in (NIG(rho=15.0, eta=1.0), GH(gamma=-2.0, rho=3.0, eta=1.0),
+                        GH(gamma=-1.7, rho=3.0, eta=1.0)):
+            value, projection = log_likelihood(X, params, variant,
+                                               return_projection=True)
+            assert value == log_likelihood(X, params, variant)
+            # the likelihood's Bessel ladder also gave E[1/phi]
+            assert projection.inv_phi is not None
+            seeded = e_step(X, params, variant, projection=projection)
+            fresh = e_step(X, params, variant)
+            for field in ("z_tilde", "y_tilde", "inv_phi", "z_hat"):
+                np.testing.assert_array_equal(getattr(seeded, field),
+                                              getattr(fresh, field))
+
+    @pytest.mark.parametrize("variant", [GH(gamma=-2.0, rho=3.0, eta=1.0),
+                                         NIG(rho=15.0, eta=1.0)],
+                             ids=["gh", "nig"])
+    def test_one_inv_phi_evaluation_per_run(self, variant, monkeypatch):
+        # only the first E-step evaluates E[1/phi] on its own; every later
+        # one takes it from the previous likelihood's Bessel ladder
+        calls = []
+        real = optimizer.inv_phi_from_s
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "inv_phi_from_s", counted)
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=4, seed=5,
+                               variant=variant)
+        run(random_mixture(np.random.default_rng(31), 17, 20, 2), cfg)
+        assert len(calls) == 1

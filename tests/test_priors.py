@@ -6,6 +6,7 @@ posterior expectations are cross-checked against the adaptive compound
 quadrature oracle and a finite-difference gradient identity.
 """
 
+import functools
 import math
 import warnings
 
@@ -15,16 +16,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from gsmsep.model import GH, NIG, Gaussian, LeptokurticGG, StudentT, gh_from_ab
+from gsmsep.model import GH, NIG, Gaussian, LeptokurticGG, StudentT
 from gsmsep.priors import (
     GG_S_FLOOR,
-    BinStatistic,
-    _log_bessel_k_half_integer,
     bessel_k_ratio,
     inv_phi_from_s,
     log_bessel_k,
-    log_marginal_density,
     log_marginal_from_s,
+)
+from oracles import (
+    BinStatistic,
+    gh_from_ab,
+    log_marginal_density,
     posterior_inv_phi,
     prior_log_pdf,
     quadrature_posterior_inv_phi,
@@ -97,8 +100,8 @@ class TestLogBesselK:
                 np.testing.assert_allclose(value, oracle, rtol=1e-8)
 
     def test_small_argument_series_region(self):
-        # where kve overflows, the ascending series takes over; its
-        # leading term log(Gamma(nu) 2^{nu-1} x^-nu) dominates at x = 1e-6
+        # where kve at the full order overflows, the leading term
+        # log(Gamma(nu) 2^{nu-1} x^-nu) of the ascending series dominates
         order, x = 50.0, 1e-6
         leading = math.lgamma(order) + (order - 1.0) * math.log(2.0) - order * math.log(x)
         np.testing.assert_allclose(log_bessel_k(order, x), leading, rtol=1e-9)
@@ -108,7 +111,7 @@ class TestLogBesselK:
             log_bessel_k(1.0, 0.0)
 
     def test_large_argument_no_overflow(self):
-        # log K_0(1e4) ~ -1e4; the scaled kve path keeps this finite
+        # log K_0(1e4) ~ -1e4; the scaled base keeps this finite
         value = log_bessel_k(0.0, 1e4)
         expected = 0.5 * math.log(math.pi / (2.0 * 1e4)) - 1e4
         np.testing.assert_allclose(value, expected, rtol=1e-6)
@@ -139,9 +142,8 @@ class TestHalfIntegerClosedForm:
 
     @pytest.mark.parametrize("order", [150.5, 150.3])
     def test_small_x_series_only_where_kve_overflows(self, order):
-        # at order 150.5 the closed form's coefficients leave the float
-        # range, so both orders reach kve, which overflows at x = 1e-6 only;
-        # the small-x series must not be evaluated at the other points
+        # 150 rungs of the ladder, at an x where K_150 itself overflows,
+        # at a moderate x and at a large one; nothing may warn
         xs = np.array([1e-6, 2.0, 1e4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -153,11 +155,58 @@ class TestHalfIntegerClosedForm:
 
     def test_overflowing_sum_falls_back(self):
         n, x = 60, 1e-6
-        assert not np.isfinite(_log_bessel_k_half_integer(n, np.array([x]))[0])
         value = log_bessel_k(n + 0.5, x)
         assert math.isfinite(value)
         np.testing.assert_allclose(value, float(self.exact_log_k(n + 0.5, x)),
                                    rtol=1e-12)
+
+
+LADDER_GAMMAS = (-2.0, -0.5, -1.7, -2.3, 0.4, 3.0)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_log_k_shifted(gamma: float, k: int, x: float):
+    """log K_{k - gamma}(x) to 40 digits, with the order k - gamma exact."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        order = mpmath.mpf(k) - mpmath.mpf(gamma)
+        return mpmath.log(mpmath.besselk(order, mpmath.mpf(x)))
+
+
+class TestLadderAgainstMpmath:
+    """log K and K_{a+1}/K_a at the GH orders a = M - gamma and gamma - M.
+
+    M runs over 1..8 and gamma over integer, half-integer, generic and
+    positive values, so the ladder starts from each of its three bases and
+    the ratio takes both signs of the order.  log K meets the closed-form
+    tolerance above.  The ratio is within 1e-14 relative, except at
+    generic orders for x in [0.5, 2]: there scipy's `kve` at the base
+    orders in (0, 1) is itself only good to ~7e-14, which bounds the ratio
+    at 2e-13 (the quotient of two `kve` values it replaces had the same
+    error).
+    """
+
+    @pytest.mark.parametrize("gamma", LADDER_GAMMAS)
+    def test_orders_m_minus_gamma(self, gamma):
+        xs = np.logspace(-6.0, 4.0, 41)
+        generic = (2.0 * gamma) % 1.0 != 0.0
+        for m_dims in range(1, 9):
+            a = m_dims - gamma
+            log_k = log_bessel_k(a, xs)
+            np.testing.assert_array_equal(log_k, log_bessel_k(-a, xs))
+            # K_{a+1}/K_a needs order M + 1 - gamma; at -a, order M - 1 - gamma
+            for order, shifted in ((a, m_dims + 1), (-a, m_dims - 1)):
+                ratio = bessel_k_ratio(order, xs)
+                for x, lk, r in zip(xs, log_k, ratio):
+                    want = exact_log_k_shifted(gamma, m_dims, x)
+                    err = abs(float(math.expm1(float(lk - want))))
+                    assert err <= 1e-13 + 2.0 * np.spacing(abs(float(want))), \
+                        (order, x, err)
+                    want_ratio = math.exp(float(
+                        exact_log_k_shifted(gamma, shifted, x) - want))
+                    rel = abs(r - want_ratio) / want_ratio
+                    tol = 2e-13 if generic and 0.5 <= x <= 2.0 else 1e-14
+                    assert rel <= tol, (order, x, rel)
 
 
 class TestBesselRatio:
@@ -300,7 +349,7 @@ class TestPosteriorInvPhi:
 
     def test_extreme_gh_small_rate_closed_form(self):
         # tiny rho drives the ratio into its small-argument asymptote
-        # 2 (M - gamma) / x; the log-difference fallback keeps it exact
+        # 2 (M - gamma) / x; the ladder's climb keeps it exact
         variant = GH(gamma=-1.0, rho=1e-300, eta=1.0)
         out = posterior_inv_phi(BinStatistic(0.0, 1), variant)
         np.testing.assert_allclose(out, 4e300, rtol=1e-10)
@@ -353,7 +402,7 @@ class TestLogMarginal:
         ):
             def radial(r):
                 return (
-                    math.exp(log_marginal_density([r * r], [1.0], variant))
+                    math.exp(log_marginal_from_s(r * r, 1, variant))
                     * 2.0
                     * math.pi
                     * r
