@@ -27,7 +27,7 @@ from .harness import (
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import NIG, VARIANTS, SeparationConfig, variant_from_dict
+from .model import DEFAULT_FLOOR, NIG, VARIANTS, SeparationConfig, variant_from_dict
 from .stft import StftConfig, stft_forward
 
 
@@ -54,13 +54,8 @@ def _positive_float(name):
     return _checked(float, name, lambda value: value > 0, "must be > 0")
 
 
-def _beta_value(text):
-    value = float(text)
-    if not 0.0 < value <= 2.0:
-        raise argparse.ArgumentTypeError(
-            f"beta must lie in (0, 2], got {text}"
-        )
-    return value
+_beta_value = _checked(float, "beta", lambda value: 0.0 < value <= 2.0,
+                       "must lie in (0, 2]")
 
 
 def _positive_int(name):
@@ -76,7 +71,7 @@ def _nonneg_int(name):
 DEFAULTS = {
     "model": NIG.name, "nu": 40.0, "beta": 1.0, "gamma": -0.5, "rho": 15.0,
     "eta": 1.0, "n_sources": 2, "n_bases": 8, "iterations": 300,
-    "rank1": False, "eps_init": 1e-2, "floor": 1e-10, "seed": 0,
+    "rank1": False, "eps_init": 1e-2, "floor": DEFAULT_FLOOR, "seed": 0,
 }
 
 

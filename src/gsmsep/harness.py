@@ -203,13 +203,6 @@ class SeparationReport:
     runtime_ms: float
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeparationReport":
-        return cls(**json.loads(text))
-
 
 def check_channel_layout(X_FTM: np.ndarray) -> None:
     """Raise ChannelLayoutError if the clip leaves a channel without

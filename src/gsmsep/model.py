@@ -78,11 +78,12 @@ class GH:
 class NIG:
     """Normal-inverse-Gaussian bins: the GH sub-family with gamma = -1/2.
 
-    Every Bessel order in its statistics is half-integer, so they take
-    the closed-form fast path; that path is chosen by the order's value,
-    not by the class, and GH with a half-integer gamma takes it too.  The
-    index is a class constant, so it is neither a constructor argument nor
-    part of the serialized form.
+    Every Bessel order in its statistics is half-integer, so the Bessel
+    ladder starts from the elementary K_{1/2}(x) = sqrt(pi / (2x)) e^-x;
+    that start is chosen by the order's value, not by the class, and GH
+    with a half-integer gamma takes it too.  The index is a class
+    constant, so it is neither a constructor argument nor part of the
+    serialized form.
     """
 
     name: ClassVar[str] = "nig"
@@ -122,6 +123,11 @@ def variant_from_dict(payload: dict) -> GsmVariant:
 # Run configuration.
 # ---------------------------------------------------------------------------
 
+# default variance floor on y~, shared by the optimizer, the run
+# configuration and the command line
+DEFAULT_FLOOR = 1e-10
+
+
 @dataclasses.dataclass(frozen=True)
 class SeparationConfig:
     n_sources: int
@@ -130,7 +136,7 @@ class SeparationConfig:
     variant: GsmVariant = Gaussian()
     rank1: bool = False
     eps_init: float = 1e-2
-    floor: float = 1e-10
+    floor: float = DEFAULT_FLOOR
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -6,12 +6,13 @@ Each iteration computes the E-step once (the posterior expectation of the
 inverse impulse variable is held fixed through the M-step), then applies
 the four parameter updates in the order W, H, G~, Q with the model
 variances y~ refreshed after every update, then normalizes and records
-the marginal log-likelihood.  The likelihood's projection z~ = |Q_f x_ft|^2,
-variances y~ and s seed the next E-step, which only adds z^ and, unless the
-likelihood's Bessel ladder already gave it (GH and NIG), E[1/phi].
-`iterate` is a generator, not a step function returning its state, so the
-E-step cache outlives each iteration: freeing it every iteration made the
-allocator return its pages to the OS and fault them back in.  Every update
+the marginal log-likelihood.  One `log_marginal_from_s` pass gives the
+likelihood both per-bin statistics of the prior, so `log_likelihood` also
+returns the E-step cache (z~ = |Q_f x_ft|^2, y~, E[1/phi] and z^) at its
+parameters, and the next E-step takes it as it is.  `iterate` is a
+generator, not a step function returning its state, so the E-step cache
+outlives each iteration: freeing it every iteration made the allocator
+return its pages to the OS and fault them back in.  Every update
 is an exact maximizer or a multiplicative step on the same minorizing
 bound, so the trace is non-decreasing up to rounding; violations beyond a
 1e-8 relative slack are reported as warnings with their iteration index,
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    GH,
-    NIG,
+    DEFAULT_FLOOR,
     ModelParams,
     SeparationConfig,
     GsmVariant,
@@ -40,7 +40,6 @@ from .model import (
 )
 from .priors import inv_phi_from_s, log_marginal_from_s
 
-DEFAULT_FLOOR = 1e-10
 MONOTONE_SLACK = 1e-8
 
 # pure guard against 0/0 in the multiplicative ratios; small enough to
@@ -49,26 +48,9 @@ _DEN_TINY = np.finfo(np.float64).tiny
 
 
 @dataclasses.dataclass(frozen=True)
-class Projection:
-    """Per-bin statistics at one parameter set, shared by the likelihood
-    and the E-step.
-
-    z_tilde: (F, T, M) = |q_fm^H x_ft|^2
-    y_tilde: (F, T, M) model variances, floored
-    s:       (F, T) = sum_m z_tilde / y_tilde
-    inv_phi: (F, T) posterior expectation of phi^-1, when the likelihood
-             evaluated it alongside the marginal; otherwise None
-    """
-
-    z_tilde: np.ndarray
-    y_tilde: np.ndarray
-    s: np.ndarray
-    inv_phi: np.ndarray | None = None
-
-
-@dataclasses.dataclass(frozen=True)
 class EStepCache:
-    """Per-bin statistics shared by the M-step updates.
+    """Per-bin statistics at one parameter set, shared by the M-step
+    updates; `log_likelihood` returns them for the next `e_step`.
 
     z_tilde: (F, T, M) = |q_fm^H x_ft|^2
     y_tilde: (F, T, M) model variances, floored
@@ -87,37 +69,36 @@ def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
     return np.matmul(X_FTM, Q_FMM.transpose(0, 2, 1))
 
 
-def _project(X_FTM: np.ndarray, params: ModelParams, floor: float) -> Projection:
+def _project(X_FTM: np.ndarray, params: ModelParams, floor: float):
+    # (z~, y~, s) at params
     z_tilde = np.abs(project_mixture(X_FTM, params.Q)) ** 2
     y_tilde = compute_ytilde(params, floor)
-    return Projection(z_tilde, y_tilde, (z_tilde / y_tilde).sum(axis=2))
+    return z_tilde, y_tilde, (z_tilde / y_tilde).sum(axis=2)
+
+
+def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
+           inv_phi: np.ndarray) -> EStepCache:
+    return EStepCache(z_tilde, y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde)
 
 
 def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
            floor: float = DEFAULT_FLOOR,
-           projection: Projection | None = None) -> EStepCache:
+           cache: EStepCache | None = None) -> EStepCache:
     """Posterior E[1/phi] and z^ at params.
 
-    `projection`, when given, must be the one `log_likelihood` returned
-    for the same (X_FTM, params, floor); it replaces recomputing z~, y~
-    and s, and E[1/phi] when it carries one.
+    `cache`, when given, must be the one `log_likelihood` returned for the
+    same (X_FTM, params, floor); it is returned as it is.
     """
     if X_FTM.shape != (params.n_freq, params.n_frames, params.n_channels):
         raise ValueError(
             f"mixture shape {X_FTM.shape} inconsistent with params"
             f" {(params.n_freq, params.n_frames, params.n_channels)}"
         )
-    if projection is None:
-        projection = _project(X_FTM, params, floor)
-    inv_phi = projection.inv_phi
-    if inv_phi is None:
-        inv_phi = np.asarray(inv_phi_from_s(projection.s, params.n_channels, variant))
-    return EStepCache(
-        z_tilde=projection.z_tilde,
-        y_tilde=projection.y_tilde,
-        inv_phi=inv_phi,
-        z_hat=inv_phi[:, :, None] * projection.z_tilde,
-    )
+    if cache is None:
+        z_tilde, y_tilde, s = _project(X_FTM, params, floor)
+        cache = _cache(z_tilde, y_tilde,
+                       inv_phi_from_s(s, params.n_channels, variant))
+    return cache
 
 
 def _mu_ratio_parts(cache: EStepCache, Gtilde_NM: np.ndarray):
@@ -219,26 +200,21 @@ def update_q(params: ModelParams, X_FTM: np.ndarray,
 
 
 def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
-                   variant: GsmVariant, floor: float = DEFAULT_FLOOR,
-                   *, return_projection: bool = False
-                   ) -> float | tuple[float, Projection]:
-    """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|.
+                   variant: GsmVariant, floor: float = DEFAULT_FLOOR
+                   ) -> tuple[float, EStepCache]:
+    """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|,
+    and the E-step cache at the same parameters.
 
-    With return_projection, also returns the statistics it evaluated,
-    for `e_step` at the same parameters.  For GH and NIG those include
-    E[1/phi], which the same Bessel ladder as the marginal yields.
+    The cache equals, bit for bit, a fresh `e_step(X_FTM, params, variant,
+    floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
+    as the marginal.
     """
-    projection = _project(X_FTM, params, floor)
-    if return_projection and isinstance(variant, (GH, NIG)):
-        bin_terms, inv_phi = log_marginal_from_s(
-            projection.s, params.n_channels, variant, with_inv_phi=True)
-        projection = dataclasses.replace(projection, inv_phi=inv_phi)
-    else:
-        bin_terms = log_marginal_from_s(projection.s, params.n_channels, variant)
-    bin_terms = bin_terms - np.log(projection.y_tilde).sum(axis=2)
+    z_tilde, y_tilde, s = _project(X_FTM, params, floor)
+    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
+    bin_terms = bin_terms - np.log(y_tilde).sum(axis=2)
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
-    return (value, projection) if return_projection else value
+    return value, _cache(z_tilde, y_tilde, inv_phi)
 
 
 def iterate(X_FTM: np.ndarray, params: ModelParams,
@@ -250,11 +226,13 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
     beyond the monotone slack is reported as a RuntimeWarning.
     """
     previous = None
-    projection = None
+    cache = None
     for iteration in range(cfg.iterations):
-        cache = e_step(X_FTM, params, cfg.variant, cfg.floor,
-                       projection=projection)
-        projection = None  # the cache holds what is still needed of it
+        # e_step opens and log_likelihood closes every iteration, both
+        # looked up in this module's globals (as are inv_phi_from_s and
+        # log_marginal_from_s): sepbench's tracer wraps them by name and
+        # delimits iterations by these two calls
+        cache = e_step(X_FTM, params, cfg.variant, cfg.floor, cache=cache)
 
         params = update_w(params, cache)
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
@@ -265,8 +243,7 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         params = update_q(params, X_FTM, cache)
 
         params = normalize(params)
-        ll, projection = log_likelihood(X_FTM, params, cfg.variant,
-                                        floor=cfg.floor, return_projection=True)
+        ll, cache = log_likelihood(X_FTM, params, cfg.variant, cfg.floor)
         if not np.isfinite(ll):
             raise ArithmeticError(
                 f"log-likelihood is {ll} at iteration {iteration}")

@@ -14,8 +14,9 @@ phi picks the member of the family:
 Downstream code needs exactly two quantities per bin, and both depend on
 z only through s = sum_m |z_m|^2 / y~_m and the dimension M: the
 posterior expectation E[phi^-1 | z] and the fully normalized log marginal
-density.  The vectorized cores `inv_phi_from_s` and `log_marginal_from_s`
-compute them; `log_marginal_from_s(..., with_inv_phi=True)` returns both.
+density.  `log_marginal_from_s` returns both in one vectorized pass and is
+the only place that tells the variants apart; `inv_phi_from_s` is its
+second half.
 
 For GH and NIG both statistics need the modified Bessel function of the
 second kind at order M - gamma and the same argument
@@ -109,63 +110,27 @@ def bessel_k_ratio(order: float, x) -> float | np.ndarray:
     return _checked_ladder(order, x)[1]
 
 
-def _gh_statistics(s_arr: np.ndarray, m_dims: int, variant):
-    # (root, log K_{M-gamma}(x), E[phi^-1 | z]) at x = rho root with
-    # root = sqrt(1 + 2 s / (rho eta)); degenerate parameter corners
-    # surface as non-finite output
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(1.0 + 2.0 / (variant.rho * variant.eta) * s_arr)
-        log_k, ratio = _ladder(m_dims - variant.gamma, variant.rho * root)
-        return root, log_k, ratio / (variant.eta * root)
-
-
 # ---------------------------------------------------------------------------
-# Posterior expectation E[phi^-1 | z].
+# Per-bin statistics: log marginal density and E[phi^-1 | z].
 # ---------------------------------------------------------------------------
 
 def inv_phi_from_s(s, m_dims: int, variant: GsmVariant):
     """Vectorized E[phi^-1 | z] as a function of s; scalar in, scalar out."""
-    s_arr = np.asarray(s, dtype=np.float64)
-    if isinstance(variant, Gaussian):
-        out = np.ones_like(s_arr)
-    elif isinstance(variant, StudentT):
-        half_nu = 0.5 * variant.nu
-        out = (half_nu + m_dims) / (half_nu + s_arr)
-    elif isinstance(variant, LeptokurticGG):
-        half_beta = 0.5 * variant.beta
-        s_floored = np.maximum(s_arr, GG_S_FLOOR)
-        out = half_beta * s_floored ** (half_beta - 1.0)
-    elif isinstance(variant, (GH, NIG)):
-        out = _gh_statistics(s_arr, m_dims, variant)[2]
-    else:
-        raise TypeError(f"unknown variant {variant!r}")
-    return out
+    return log_marginal_from_s(s, m_dims, variant)[1]
 
 
-# ---------------------------------------------------------------------------
-# Log marginal density, fully normalized.
-# ---------------------------------------------------------------------------
+def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
+    """(log p(z) + sum_m log y~_m, E[phi^-1 | z]), vectorized over s.
 
-def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, *,
-                        with_inv_phi: bool = False):
-    """log p(z) + sum_m log y~_m, vectorized over s.
-
-    This is the part of the normalized log marginal density that depends
-    on z and y~ only through s; the caller subtracts sum_m log y~_m.  With
-    with_inv_phi, returns (log marginal, E[phi^-1 | z]); GH and NIG then
-    take both from one Bessel ladder, bit-equal to `inv_phi_from_s`.
+    The first entry is the part of the normalized log marginal density
+    that depends on z and y~ only through s; the caller subtracts
+    sum_m log y~_m.  GH and NIG take both entries from one Bessel ladder.
     """
     s_arr = np.asarray(s, dtype=np.float64)
     m = m_dims
-    if isinstance(variant, (GH, NIG)):
-        gamma, rho, eta = variant.gamma, variant.rho, variant.eta
-        root, log_k, inv_phi = _gh_statistics(s_arr, m, variant)
-        const = -m * math.log(math.pi * eta) - log_bessel_k(gamma, rho)
-        value = const + (gamma - m) * np.log(root) + log_k
-        return (value, inv_phi) if with_inv_phi else value
     if isinstance(variant, Gaussian):
-        value = -m * LOG_PI - s_arr
-    elif isinstance(variant, StudentT):
+        return -m * LOG_PI - s_arr, np.ones_like(s_arr)
+    if isinstance(variant, StudentT):
         half_nu = 0.5 * variant.nu
         const = (
             m * math.log(2.0)
@@ -173,9 +138,11 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, *,
             - m * math.log(math.pi * variant.nu)
             - math.lgamma(half_nu)
         )
-        value = const - (m + half_nu) * np.log1p(s_arr / half_nu)
-    elif isinstance(variant, LeptokurticGG):
+        return (const - (m + half_nu) * np.log1p(s_arr / half_nu),
+                (half_nu + m) / (half_nu + s_arr))
+    if isinstance(variant, LeptokurticGG):
         beta = variant.beta
+        half_beta = 0.5 * beta
         const = (
             math.log(beta)
             + math.lgamma(m)
@@ -183,7 +150,17 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, *,
             - m * LOG_PI
             - math.lgamma(2.0 * m / beta)
         )
-        value = const - s_arr ** (0.5 * beta)
-    else:
-        raise TypeError(f"unknown variant {variant!r}")
-    return (value, inv_phi_from_s(s_arr, m, variant)) if with_inv_phi else value
+        s_floored = np.maximum(s_arr, GG_S_FLOOR)
+        return (const - s_arr ** half_beta,
+                half_beta * s_floored ** (half_beta - 1.0))
+    if isinstance(variant, (GH, NIG)):
+        gamma, rho, eta = variant.gamma, variant.rho, variant.eta
+        # x = rho root with root = sqrt(1 + 2 s / (rho eta)); degenerate
+        # parameter corners surface as non-finite output
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = np.sqrt(1.0 + 2.0 / (rho * eta) * s_arr)
+            log_k, ratio = _ladder(m - gamma, rho * root)
+            inv_phi = ratio / (eta * root)
+        const = -m * math.log(math.pi * eta) - log_bessel_k(gamma, rho)
+        return const + (gamma - m) * np.log(root) + log_k, inv_phi
+    raise TypeError(f"unknown variant {variant!r}")

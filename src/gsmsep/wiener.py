@@ -43,15 +43,21 @@ def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray
     Qinv_FMM = linalg.invert(params.Q)
     Qx_FTM = project_mixture(X_FTM, params.Q)
     lambda_NFT = source_psd(params)
-    # unfloored total so the per-bin gains sum to exactly one
-    total_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
-    live_FTM = total_FTM > 0
-    safe_total_FTM = np.where(live_FTM, total_FTM, 1.0)
+    # unfloored total so the per-bin gains sum to exactly one; the dead
+    # bins' 1.0 is written in place so no second (F, T, M) array exists
+    safe_total_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
+    live_FTM = safe_total_FTM > 0
+    safe_total_FTM[~live_FTM] = 1.0
 
+    # each gain lives only inside its yielded expression, so nothing but
+    # the image itself is held across a yield
     for n in range(n_sources):
-        num_FTM = lambda_NFT[n][:, :, None] * params.Gtilde[n][None, None, :]
-        gain_FTM = np.where(live_FTM, num_FTM / safe_total_FTM, 1.0 / n_sources)
-        yield np.matmul(gain_FTM * Qx_FTM, Qinv_FMM.transpose(0, 2, 1))
+        yield np.matmul(
+            np.where(live_FTM,
+                     lambda_NFT[n][:, :, None] * params.Gtilde[n][None, None, :]
+                     / safe_total_FTM,
+                     1.0 / n_sources) * Qx_FTM,
+            Qinv_FMM.transpose(0, 2, 1))
 
 
 def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,

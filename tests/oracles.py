@@ -95,7 +95,7 @@ def log_marginal_density(z_tilde, y_tilde, variant: GsmVariant) -> float:
         value = (-m * math.log(math.pi * eta) - kve_log_k(gamma, rho)
                  + (gamma - m) * math.log(root) + kve_log_k(gamma - m, rho * root))
     else:
-        value = float(log_marginal_from_s(s, m, variant))
+        value = float(log_marginal_from_s(s, m, variant)[0])
     return value - float(np.log(y).sum())
 
 

@@ -193,7 +193,7 @@ def test_criterion_03_gh_density_normalization():
 
                 def radial(r):
                     return (
-                        math.exp(log_marginal_from_s(r * r, 1, variant))
+                        math.exp(log_marginal_from_s(r * r, 1, variant)[0])
                         * 2.0 * math.pi * r
                     )
 
@@ -324,8 +324,8 @@ def test_criterion_09_normalization_invariance():
         params = random_params(rng, n, k, f, t, m)
         X_FTM = random_mixture(rng, f, t, m)
         variant = ALL_VARIANTS[trial % len(ALL_VARIANTS)][1]
-        before = optimizer.log_likelihood(X_FTM, params, variant)
-        after = optimizer.log_likelihood(X_FTM, normalize(params), variant)
+        before = optimizer.log_likelihood(X_FTM, params, variant)[0]
+        after = optimizer.log_likelihood(X_FTM, normalize(params), variant)[0]
         worst = max(worst, abs(after - before) / abs(before))
 
     ok = worst <= 1e-9

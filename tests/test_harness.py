@@ -1,5 +1,6 @@
 """Tests for scene synthesis and the experiment harness."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from gsmsep.harness import (
     SCENE_SAMPLE_RATE,
     _PROFILE_FLOOR,
     ChannelLayoutError,
-    SeparationReport,
     _smooth_random_steering,
     _spectral_profiles,
     _temporal_envelope,
@@ -285,14 +285,9 @@ class TestReportSerialization:
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=2, seed=11)
         return run_experiment(scene, cfg, StftConfig())
 
-    def test_json_round_trip(self):
-        report = self.make_report()
-        back = SeparationReport.from_json(report.to_json())
-        assert back == report
-
     def test_json_is_plain_data(self):
         report = self.make_report()
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert set(payload) == {
             "config",
             "ll_trace",

@@ -294,7 +294,7 @@ class TestLogLikelihood:
         params.Q[:] = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal(
             (3, 2, 2)
         )
-        total = log_likelihood(X, params, variant, floor=1e-12)
+        total = log_likelihood(X, params, variant, floor=1e-12)[0]
 
         z = np.abs(project_mixture(X, params.Q)) ** 2
         y = compute_ytilde(params, 1e-12)
@@ -310,7 +310,7 @@ class TestLogLikelihood:
 
     def test_identity_q_has_zero_det_term(self):
         params, X = make_setup(seed=14, f=3, t=4, m=2)
-        total = log_likelihood(X, params, Gaussian(), floor=1e-12)
+        total = log_likelihood(X, params, Gaussian(), floor=1e-12)[0]
         z = np.abs(X) ** 2
         y = compute_ytilde(params, 1e-12)
         oracle = sum(
@@ -327,8 +327,8 @@ class TestLogLikelihood:
         params, X = make_setup(seed=15, f=4, t=5, m=2)
         c = 3.0
         scaled = dataclasses.replace(params, W=(c * c) * params.W)
-        before = log_likelihood(X, params, variant, floor=1e-30)
-        after = log_likelihood(c * X, scaled, variant, floor=1e-30)
+        before = log_likelihood(X, params, variant, floor=1e-30)[0]
+        after = log_likelihood(c * X, scaled, variant, floor=1e-30)[0]
         shift = -4 * 5 * 2 * np.log(c * c)
         np.testing.assert_allclose(after - before, shift, rtol=1e-10)
 
@@ -340,10 +340,10 @@ class TestLogLikelihood:
                 (4, 3, 3)
             ) + 2.0 * np.eye(3)
             params.W[:] *= rng.lognormal(size=params.W.shape)
-            before = log_likelihood(X, params, NIG(rho=15.0, eta=1.0), floor=1e-30)
+            before = log_likelihood(X, params, NIG(rho=15.0, eta=1.0), floor=1e-30)[0]
             after = log_likelihood(
                 X, normalize(params), NIG(rho=15.0, eta=1.0), floor=1e-30
-            )
+            )[0]
             np.testing.assert_allclose(after, before, rtol=1e-9)
 
 
@@ -359,10 +359,10 @@ class TestPerUpdateMonotonicity:
             "q": lambda p, c: update_q(p, X, c),
         }
         for name, step in steps.items():
-            before = log_likelihood(X, params, variant, floor=floor)
+            before = log_likelihood(X, params, variant, floor=floor)[0]
             cache = e_step(X, params, variant, floor=floor)
             after_params = step(params, cache)
-            after = log_likelihood(X, after_params, variant, floor=floor)
+            after = log_likelihood(X, after_params, variant, floor=floor)[0]
             slack = MONOTONE_SLACK * abs(before)
             assert after >= before - slack, f"update_{name} decreased under {variant}"
 
@@ -465,8 +465,8 @@ class TestRunGuards:
 
         def nan_on_third(s, m_dims, variant):
             calls.append(None)
-            out = real(s, m_dims, variant)
-            return out * np.nan if len(calls) == 3 else out
+            value, inv_phi = real(s, m_dims, variant)
+            return (value * np.nan if len(calls) == 3 else value), inv_phi
 
         monkeypatch.setattr(optimizer, "log_marginal_from_s", nan_on_third)
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=5, seed=0)
@@ -480,8 +480,8 @@ class TestRunGuards:
 
         def drop_on_third(*args, **kwargs):
             calls.append(None)
-            value, projection = real(*args, **kwargs)
-            return (value - 1e3 if len(calls) == 3 else value), projection
+            value, cache = real(*args, **kwargs)
+            return (value - 1e3 if len(calls) == 3 else value), cache
 
         monkeypatch.setattr(optimizer, "log_likelihood", drop_on_third)
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=5, seed=0)
@@ -515,8 +515,8 @@ RUN_CASE_IDS = VARIANT_IDS + ["gaussian-rank1", "nig-rank1"]
 class TestFusedLoop:
     @pytest.mark.parametrize("variant,rank1", RUN_CASES, ids=RUN_CASE_IDS)
     def test_run_matches_public_step_sequence(self, variant, rank1):
-        # run() reuses the likelihood's projection for the next E-step;
-        # the trace must equal, bit for bit, the loop that recomputes it
+        # run() reuses the likelihood's cache for the next E-step; the
+        # trace must equal, bit for bit, the loop that recomputes it
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=6, seed=5,
                                variant=variant, rank1=rank1)
         X = random_mixture(np.random.default_rng(29), 17, 20, 2)
@@ -538,32 +538,26 @@ class TestFusedLoop:
             expected_params = update_q(expected_params, X, cache)
             expected_params = normalize(expected_params)
             expected.append(
-                log_likelihood(X, expected_params, variant, floor=cfg.floor))
+                log_likelihood(X, expected_params, variant, floor=cfg.floor)[0])
         assert trace == expected
         np.testing.assert_array_equal(params.Q, expected_params.Q)
         np.testing.assert_array_equal(params.W, expected_params.W)
 
-    def test_returned_projection_seeds_identical_e_step(self):
+    def test_returned_cache_equals_fresh_e_step(self):
         params, X = make_setup(seed=30, f=5, t=7, m=2)
-        for variant in (NIG(rho=15.0, eta=1.0), GH(gamma=-2.0, rho=3.0, eta=1.0),
-                        GH(gamma=-1.7, rho=3.0, eta=1.0)):
-            value, projection = log_likelihood(X, params, variant,
-                                               return_projection=True)
-            assert value == log_likelihood(X, params, variant)
-            # the likelihood's Bessel ladder also gave E[1/phi]
-            assert projection.inv_phi is not None
-            seeded = e_step(X, params, variant, projection=projection)
+        for variant in ALL_VARIANTS + [GH(gamma=-1.7, rho=3.0, eta=1.0)]:
+            _, cache = log_likelihood(X, params, variant)
+            assert e_step(X, params, variant, cache=cache) is cache
             fresh = e_step(X, params, variant)
             for field in ("z_tilde", "y_tilde", "inv_phi", "z_hat"):
-                np.testing.assert_array_equal(getattr(seeded, field),
-                                              getattr(fresh, field))
+                np.testing.assert_array_equal(getattr(cache, field),
+                                              getattr(fresh, field),
+                                              err_msg=f"{field} under {variant}")
 
-    @pytest.mark.parametrize("variant", [GH(gamma=-2.0, rho=3.0, eta=1.0),
-                                         NIG(rho=15.0, eta=1.0)],
-                             ids=["gh", "nig"])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VARIANT_IDS)
     def test_one_inv_phi_evaluation_per_run(self, variant, monkeypatch):
         # only the first E-step evaluates E[1/phi] on its own; every later
-        # one takes it from the previous likelihood's Bessel ladder
+        # one takes it from the previous likelihood's log_marginal_from_s
         calls = []
         real = optimizer.inv_phi_from_s
 

@@ -402,7 +402,7 @@ class TestLogMarginal:
         ):
             def radial(r):
                 return (
-                    math.exp(log_marginal_from_s(r * r, 1, variant))
+                    math.exp(log_marginal_from_s(r * r, 1, variant)[0])
                     * 2.0
                     * math.pi
                     * r
@@ -420,7 +420,7 @@ class TestLogMarginal:
             GH(gamma=3.0, rho=2.0, eta=1.0),
             NIG(rho=15.0, eta=1.0),
         ):
-            vals = log_marginal_from_s(s_grid, 2, variant)
+            vals = log_marginal_from_s(s_grid, 2, variant)[0]
             assert np.all(np.diff(vals) < 0), f"not decreasing for {variant}"
 
     def test_input_validation(self):
