@@ -9,7 +9,11 @@ variances y~ refreshed after every update, then normalizes and records
 the marginal log-likelihood.  One `log_marginal_from_s` pass gives the
 likelihood both per-bin statistics of the prior, so `log_likelihood` also
 returns the E-step cache (z~ = |Q_f x_ft|^2, y~, E[1/phi] and z^) at its
-parameters, and the next E-step takes it as it is.  `iterate` is a
+parameters, and the next E-step takes it as it is.  The Q update's
+weighted covariances V_fm are weighted sums of the outer products
+x_ft x_ft^H, which do not change during a run: `iterate` builds their
+real statistics once (`outer_products`), and each `update_q` weighs
+them for every m with one real matrix product.  `iterate` is a
 generator, not a step function returning its state, so the E-step cache
 outlives each iteration: freeing it every iteration made the allocator
 return its pages to the OS and fault them back in.  Every update
@@ -45,6 +49,9 @@ MONOTONE_SLACK = 1e-8
 # pure guard against 0/0 in the multiplicative ratios; small enough to
 # never alter a denominator that carries information
 _DEN_TINY = np.finfo(np.float64).tiny
+
+# working-set bound of one `outer_products` block, a fraction of L2
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,25 +152,72 @@ def update_g(params: ModelParams, cache: EStepCache,
     return dataclasses.replace(params, Gtilde=G_NM)
 
 
-def update_q(params: ModelParams, X_FTM: np.ndarray,
+def outer_products(X_FTM: np.ndarray) -> np.ndarray:
+    """Real per-bin statistics of x_ft x_ft^H, shape (F, M^2, T).
+
+    Rows 0..M-1 hold |x_i|^2; then each pair i < j, in `np.triu_indices`
+    order, has two rows: Re and Im of x_i x_j^*.  They do not change
+    during a run, so `iterate` builds them once and `update_q` weighs them
+    with one real matrix product per call.  X is read in blocks of
+    frequencies whose channel-major copy and pair temporaries fit in
+    about _BLOCK_BYTES, so no transposed copy of the whole of X is made.
+    """
+    n_freq, n_frames, n_chan = X_FTM.shape
+    upper, lower = np.triu_indices(n_chan, k=1)
+    S_FPT = np.empty((n_freq, n_chan * n_chan, n_frames))
+    step = max(1, _BLOCK_BYTES // (16 * n_frames * (n_chan + 3 * len(upper))))
+    for start in range(0, n_freq, step):
+        X_BMT = X_FTM[start:start + step].transpose(0, 2, 1).copy()
+        S_BPT = S_FPT[start:start + step]
+        S_BPT[:, :n_chan] = X_BMT.real ** 2 + X_BMT.imag ** 2
+        cross_BPT = X_BMT[:, upper] * X_BMT[:, lower].conj()
+        S_BPT[:, n_chan::2] = cross_BPT.real
+        S_BPT[:, n_chan + 1::2] = cross_BPT.imag
+    return S_FPT
+
+
+def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
+    """V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm for every m.
+
+    One batched real product S @ (inv_phi / y~) gives the (F, M^2, M)
+    weighted sums of the `outer_products` rows; they are unpacked into an
+    (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit
+    (mirrored entries are exact negations), with real nonnegative
+    diagonals.
+    """
+    n_freq, n_frames, n_chan = cache.y_tilde.shape
+    weight_FTM = cache.inv_phi[:, :, None] / cache.y_tilde
+    R_FMP = (np.matmul(S_FPT, weight_FTM) / n_frames).transpose(0, 2, 1)
+    V_FMMM = np.zeros((n_freq,) + (n_chan,) * 3, dtype=np.complex128)
+    diag = np.arange(n_chan)
+    upper, lower = np.triu_indices(n_chan, k=1)
+    V_FMMM.real[..., diag, diag] = R_FMP[..., :n_chan]
+    V_FMMM.real[..., upper, lower] = R_FMP[..., n_chan::2]
+    V_FMMM.real[..., lower, upper] = R_FMP[..., n_chan::2]
+    V_FMMM.imag[..., upper, lower] = R_FMP[..., n_chan + 1::2]
+    V_FMMM.imag[..., lower, upper] = -R_FMP[..., n_chan + 1::2]
+    return V_FMMM
+
+
+def update_q(params: ModelParams, S_FPT: np.ndarray,
              cache: EStepCache) -> ModelParams:
     """Iterative projection on every row of every Q_f.
 
-    V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm, then
+    V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm comes from the
+    per-run statistics S_FPT = `outer_products(X)` through
+    `weighted_covariances`, then
     q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, applied
     for m = 1..M in order.  The rescale factor is evaluated in compensated
     arithmetic so the unit quadratic form survives ill-conditioned V.  A
     singular system or a degenerate scale leaves that row untouched; each
     kind is reported in at most one warning per call, with its row count.
     """
-    n_freq, n_frames, n_chan = X_FTM.shape
+    n_freq, n_chan = params.n_freq, params.n_channels
     Q_FMM = params.Q.copy()
     kept = {"singular diagonalizer system": [], "degenerate projection scale": []}
-    X_FMT = np.ascontiguousarray(X_FTM.transpose(0, 2, 1))
-    Xc_FTM = X_FTM.conj()
+    V_FMMM = weighted_covariances(S_FPT, cache)
     for m in range(n_chan):
-        weight_FT = cache.inv_phi / cache.y_tilde[:, :, m]
-        V_FMM = np.matmul(X_FMT * weight_FT[:, None, :], Xc_FTM) / n_frames
+        V_FMM = V_FMMM[:, m]
         QV_FMM = np.matmul(Q_FMM, V_FMM)
         e_M1 = np.eye(n_chan, dtype=np.complex128)[:, m:m + 1]
         bad_F = np.zeros(n_freq, dtype=bool)
@@ -227,6 +281,8 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
     """
     previous = None
     cache = None
+    # the statistics update_q weighs; zero iterations build none
+    S_FPT = outer_products(X_FTM) if cfg.iterations > 0 else None
     for iteration in range(cfg.iterations):
         # e_step opens and log_likelihood closes every iteration, both
         # looked up in this module's globals (as are inv_phi_from_s and
@@ -240,7 +296,7 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
         params = update_g(params, cache, rank1=cfg.rank1)
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
-        params = update_q(params, X_FTM, cache)
+        params = update_q(params, S_FPT, cache)
 
         params = normalize(params)
         ll, cache = log_likelihood(X_FTM, params, cfg.variant, cfg.floor)

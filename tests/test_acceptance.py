@@ -59,21 +59,21 @@ def random_mixture(rng, n_freq, n_frames, n_chan):
     ) / np.sqrt(2.0)
 
 
-def unit_quadratic_deviation(params, X_FTM, cache) -> float:
+def unit_quadratic_deviation(params, S, cache) -> float:
     """Worst |q_fm^H V_fm q_fm - 1| over the state update_q just used.
 
-    Evaluated with the compensated quadratic form: a plain einsum check
-    is itself only good to ~eps * cond(V), which late-iteration variance
-    floors push far past the tolerance under test.
+    V comes from `weighted_covariances` on the same statistics, which is
+    the V update_q projected against.  The check compares each update with
+    its own V: late-iteration variance floors push cond(V) to ~1e10, where
+    any V summed in another order differs from it by ~eps * cond(V).  It
+    is evaluated with the compensated quadratic form for the same reason:
+    a plain einsum check is itself only good to ~eps * cond(V).
     """
-    n_frames = X_FTM.shape[1]
+    V_FMMM = optimizer.weighted_covariances(S, cache)
     worst = 0.0
-    for m in range(X_FTM.shape[2]):
-        weight_FT = cache.inv_phi / cache.y_tilde[:, :, m]
-        Xw_FTM = X_FTM * weight_FT[:, :, None]
-        V_FMM = np.matmul(Xw_FTM.transpose(0, 2, 1), X_FTM.conj()) / n_frames
+    for m in range(params.n_channels):
         q_FM = params.Q[:, m, :].conj()
-        quad_F = np.asarray(linalg.compensated_quadratic_form(V_FMM, q_FM))
+        quad_F = np.asarray(linalg.compensated_quadratic_form(V_FMMM[:, m], q_FM))
         worst = max(worst, float(np.max(np.abs(quad_F - 1.0))))
     return worst
 
@@ -106,9 +106,9 @@ def instrumented_runs():
             )
             ip_devs = []
 
-            def recording_update_q(params, X, cache):
-                params = real_update_q(params, X, cache)
-                ip_devs.append(unit_quadratic_deviation(params, X, cache))
+            def recording_update_q(params, S, cache):
+                params = real_update_q(params, S, cache)
+                ip_devs.append(unit_quadratic_deviation(params, S, cache))
                 return params
 
             with pytest.MonkeyPatch.context() as patch:

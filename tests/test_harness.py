@@ -31,7 +31,7 @@ from gsmsep.model import (
     variant_from_dict,
     variant_to_dict,
 )
-from gsmsep.stft import StftConfig
+from gsmsep.stft import StftConfig, stft_forward
 
 
 def scene_sum(scene):
@@ -375,3 +375,51 @@ class TestChannelLayout:
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
         with pytest.raises(ValueError, match="scaled copy"):
             separate_mixture(X, cfg, StftConfig(), 1024)
+
+
+def separate_samples(samples, n_sources):
+    # 5 NIG iterations, then the outputs and their sum
+    stft_cfg = StftConfig()
+    cfg = SeparationConfig(n_sources=n_sources, n_bases=4, iterations=5,
+                           variant=NIG(rho=15.0, eta=1.0), seed=0)
+    X = stft_forward(samples, stft_cfg)
+    sources, _ = separate_mixture(X, cfg, stft_cfg, samples.shape[1])
+    return sources, sum(sources)
+
+
+class TestDegenerateInputs:
+    """Inputs at the edges of what a user can send either separate into
+    finite images that sum back to the mixture, or raise a typed error."""
+
+    @staticmethod
+    def assert_partition(samples, n_sources):
+        sources, total = separate_samples(samples, n_sources)
+        assert len(sources) == n_sources
+        for source in sources:
+            assert source.shape == samples.shape
+            assert np.all(np.isfinite(source))
+        error = np.linalg.norm(total - samples)
+        assert error <= 1e-12 * np.linalg.norm(samples)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["n_fft", "n_fft+1"])
+    def test_clip_of_about_one_window(self, extra):
+        samples = synth_scene(2, 2, 1.0, seed=3).mixture.samples
+        self.assert_partition(samples[:, :StftConfig().n_fft + extra], 2)
+
+    def test_eight_sources_eight_channels(self):
+        self.assert_partition(synth_scene(8, 8, 1.0, seed=4).mixture.samples, 8)
+
+    @pytest.mark.parametrize("n_mics", [2, 1])
+    def test_single_source(self, n_mics):
+        samples = synth_scene(1, n_mics, 1.0, seed=5).mixture.samples
+        self.assert_partition(samples, 1)
+
+    def test_full_scale_clipping(self):
+        samples = synth_scene(2, 2, 1.0, seed=6).mixture.samples
+        clipped = np.clip(50.0 * samples, -1.0, 1.0)
+        assert np.mean(np.abs(clipped) == 1.0) > 0.5
+        self.assert_partition(clipped, 2)
+
+    def test_all_zero_raises_channel_layout_error(self):
+        with pytest.raises(ChannelLayoutError, match="silent"):
+            separate_samples(np.zeros((2, 16000)), 2)

@@ -3,10 +3,13 @@
 The likelihood is checked against a per-bin Python-loop oracle, each
 update against fixed points and hand-derived scalar cases, and the
 diagonalizer projection against its unit-scale post-condition with the
-weighted covariances recomputed independently.
+weighted covariances recomputed independently; those covariances, built
+from the per-run outer-product statistics, are checked against an
+extended-precision reference.
 """
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -32,12 +35,14 @@ from gsmsep.optimizer import (
     e_step,
     iterate,
     log_likelihood,
+    outer_products,
     project_mixture,
     run,
     update_g,
     update_h,
     update_q,
     update_w,
+    weighted_covariances,
 )
 from oracles import log_marginal_density
 
@@ -190,7 +195,7 @@ class TestUpdateQ:
         X[:, 0, 0] = np.sqrt(2.0)
         X[:, 1, 1] = np.sqrt(2.0)
         cache = e_step(X, params, Gaussian())
-        out = update_q(params, X, cache)
+        out = update_q(params, outer_products(X), cache)
         np.testing.assert_allclose(out.Q, params.Q, atol=1e-14)
 
     def test_single_channel_unit_scale(self):
@@ -200,7 +205,7 @@ class TestUpdateQ:
         rng = np.random.default_rng(8)
         X = random_mixture(rng, 4, 16, 1)
         cache = e_step(X, params, Gaussian())
-        out = update_q(params, X, cache)
+        out = update_q(params, outer_products(X), cache)
         weight = cache.inv_phi / cache.y_tilde[:, :, 0]
         V_F = np.mean(weight * np.abs(X[:, :, 0]) ** 2, axis=1)
         np.testing.assert_allclose(
@@ -210,7 +215,7 @@ class TestUpdateQ:
     def test_unit_quadratic_form_postcondition(self):
         params, X = make_setup(seed=9, f=5, t=24, m=2)
         cache = e_step(X, params, StudentT(nu=4.0))
-        out = update_q(params, X, cache)
+        out = update_q(params, outer_products(X), cache)
         for m in range(params.n_channels):
             weight = cache.inv_phi / cache.y_tilde[:, :, m]
             V = (
@@ -226,7 +231,7 @@ class TestUpdateQ:
         X[:] = 0.0  # V collapses, every system is singular
         cache = e_step(X, params, Gaussian())
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
-            out = update_q(params, X, cache)
+            out = update_q(params, outer_products(X), cache)
         np.testing.assert_array_equal(out.Q, params.Q)
 
     def test_partly_singular_batch_matches_per_frequency_oracle(self):
@@ -238,13 +243,12 @@ class TestUpdateQ:
         X[dead] = 0.0  # V_f = 0 there: only those systems are singular
         cache = e_step(X, params, StudentT(nu=4.0))
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
-            out = update_q(params, X, cache)
+            out = update_q(params, outer_products(X), cache)
 
         Q = params.Q.copy()
+        V_FMMM = weighted_covariances(outer_products(X), cache)
         for m in range(3):
-            weight = cache.inv_phi / cache.y_tilde[:, :, m]
-            V = np.matmul((X * weight[:, :, None]).transpose(0, 2, 1),
-                          X.conj()) / 12
+            V = V_FMMM[:, m]
             QV = np.matmul(Q, V)
             for f in range(9):
                 try:
@@ -266,13 +270,12 @@ class TestUpdateQ:
         params.Q[:] += 0.3 * (rng.standard_normal((7, m, m))
                               + 1j * rng.standard_normal((7, m, m)))
         cache = e_step(X, params, StudentT(nu=4.0))
-        out = update_q(params, X, cache)
+        out = update_q(params, outer_products(X), cache)
 
         Q = params.Q.copy()
+        V_FMMM = weighted_covariances(outer_products(X), cache)
         for row in range(m):
-            weight = cache.inv_phi / cache.y_tilde[:, :, row]
-            V = np.matmul((X * weight[..., None]).transpose(0, 2, 1),
-                          X.conj()) / 20
+            V = V_FMMM[:, row]
             q = np.linalg.solve(np.matmul(Q, V), np.eye(m)[:, row:row + 1])[..., 0]
             scale = linalg.compensated_quadratic_form(V, q)
             Q[:, row] = (q / np.sqrt(scale)[:, None]).conj()
@@ -282,8 +285,62 @@ class TestUpdateQ:
         params, X = make_setup(seed=11)
         Q0 = params.Q.copy()
         cache = e_step(X, params, Gaussian())
-        update_q(params, X, cache)
+        update_q(params, outer_products(X), cache)
         np.testing.assert_array_equal(params.Q, Q0)
+
+
+def longdouble_covariances(X, cache):
+    # V[f, m, i, j] = (1/T) sum_t w_ftm x_fti conj(x_ftj) in extended
+    # precision, and the same sum over w |x_i| |x_j| for the error bound
+    re = X.real.astype(np.longdouble)
+    im = X.imag.astype(np.longdouble)
+    w = (cache.inv_phi.astype(np.longdouble)[:, :, None]
+         / cache.y_tilde.astype(np.longdouble))
+    n_frames = X.shape[1]
+    real = (np.einsum("ftm,fti,ftj->fmij", w, re, re)
+            + np.einsum("ftm,fti,ftj->fmij", w, im, im)) / n_frames
+    imag = (np.einsum("ftm,fti,ftj->fmij", w, im, re)
+            - np.einsum("ftm,fti,ftj->fmij", w, re, im)) / n_frames
+    mag = np.abs(X).astype(np.longdouble)
+    scale = np.einsum("ftm,fti,ftj->fmij", w, mag, mag) / n_frames
+    return real, imag, scale
+
+
+class TestOuterProducts:
+    @pytest.mark.parametrize("t", [1, 8, 200])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_weighted_covariances_match_longdouble(self, m, t):
+        params, X = make_setup(seed=40 + m, n=m, f=5, t=t, m=m)
+        X *= np.logspace(-3, 3, m)  # channels of very different power
+        cache = e_step(X, params, StudentT(nu=4.0))
+        S = outer_products(X)
+        assert S.shape == (5, m * m, t)
+        assert np.all(S[:, :m] >= 0)
+
+        V = weighted_covariances(S, cache)
+        assert V.shape == (5, m, m, m)
+        np.testing.assert_array_equal(V, V.conj().swapaxes(-1, -2))
+        diagonal = V[..., np.arange(m), np.arange(m)]
+        assert np.all(diagonal.imag == 0)
+        assert np.all(diagonal.real >= 0)
+
+        real, imag, scale = longdouble_covariances(X, cache)
+        bound = (t + 3) * np.finfo(np.float64).eps * scale
+        error = np.hypot(V.real - real, V.imag - imag)
+        assert np.all(error <= bound)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_row_layout(self, m):
+        # |x_i|^2 first, then (Re, Im) of x_i conj(x_j) for i < j; none
+        # of the latter for a single channel
+        X = random_mixture(np.random.default_rng(42), 3, 5, m)
+        S = outer_products(X)
+        rows = [X[:, :, i].real ** 2 + X[:, :, i].imag ** 2 for i in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            cross = X[:, :, i] * X[:, :, j].conj()
+            rows += [cross.real, cross.imag]
+        np.testing.assert_allclose(S, np.stack(rows, axis=1),
+                                   rtol=1e-15, atol=1e-15)
 
 
 class TestLogLikelihood:
@@ -356,7 +413,7 @@ class TestPerUpdateMonotonicity:
             "w": lambda p, c: update_w(p, c),
             "h": lambda p, c: update_h(p, c),
             "g": lambda p, c: update_g(p, c),
-            "q": lambda p, c: update_q(p, X, c),
+            "q": lambda p, c: update_q(p, outer_products(X), c),
         }
         for name, step in steps.items():
             before = log_likelihood(X, params, variant, floor=floor)[0]
@@ -535,7 +592,7 @@ class TestFusedLoop:
             expected_params = update_g(expected_params, cache, rank1=rank1)
             cache = dataclasses.replace(
                 cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
-            expected_params = update_q(expected_params, X, cache)
+            expected_params = update_q(expected_params, outer_products(X), cache)
             expected_params = normalize(expected_params)
             expected.append(
                 log_likelihood(X, expected_params, variant, floor=cfg.floor)[0])
@@ -553,6 +610,23 @@ class TestFusedLoop:
                 np.testing.assert_array_equal(getattr(cache, field),
                                               getattr(fresh, field),
                                               err_msg=f"{field} under {variant}")
+
+    @pytest.mark.parametrize("iterations,builds", [(0, 0), (3, 1)])
+    def test_statistics_built_once_per_run(self, iterations, builds,
+                                           monkeypatch):
+        calls = []
+        real = optimizer.outer_products
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "outer_products", counted)
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=iterations,
+                               seed=5)
+        _, trace = run(random_mixture(np.random.default_rng(43), 9, 10, 2), cfg)
+        assert len(trace) == iterations
+        assert len(calls) == builds
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VARIANT_IDS)
     def test_one_inv_phi_evaluation_per_run(self, variant, monkeypatch):
