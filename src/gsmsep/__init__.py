@@ -13,7 +13,6 @@ conditional mean.
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .harness import (
-    ChannelLayoutError,
     SeparationReport,
     SyntheticScene,
     run_experiment,
@@ -33,7 +32,7 @@ from .model import (
     init_params,
     normalize,
 )
-from .optimizer import EStepCache, iterate, log_likelihood, run
+from .optimizer import ChannelLayoutError, EStepCache, iterate, log_likelihood, run
 from .priors import bessel_k_ratio, log_bessel_k
 from .stft import StftConfig, stft_forward, stft_inverse
 from .wiener import separate, source_images

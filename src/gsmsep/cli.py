@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import pathlib
@@ -51,7 +52,11 @@ def _checked(kind, name, ok, requirement):
 
 
 def _positive_float(name):
-    return _checked(float, name, lambda value: value > 0, "must be > 0")
+    return _checked(float, name, lambda v: math.isfinite(v) and v > 0, "must be > 0 and finite")
+
+
+def _finite_float(name):
+    return _checked(float, name, math.isfinite, "must be finite")
 
 
 _beta_value = _checked(float, "beta", lambda value: 0.0 < value <= 2.0,
@@ -97,7 +102,7 @@ def _add_model_args(sub):
                      help="t-distribution degrees of freedom (default: %(default)g)")
     sub.add_argument("--beta", type=_beta_value, default=DEFAULTS["beta"],
                      help="generalized-Gaussian shape in (0, 2] (default: %(default)g)")
-    sub.add_argument("--gamma", type=float, default=DEFAULTS["gamma"],
+    sub.add_argument("--gamma", type=_finite_float("gamma"), default=DEFAULTS["gamma"],
                      help="generalized-hyperbolic index (default: %(default)g)")
     sub.add_argument("--rho", type=_positive_float("rho"), default=DEFAULTS["rho"],
                      help="tail sharpness (default: %(default)g)")
@@ -114,7 +119,7 @@ def _add_run_args(sub):
                      help="optimizer iterations (default: %(default)s)")
     sub.add_argument("--rank1", action="store_true", default=DEFAULTS["rank1"],
                      help="freeze the spatial weights at identity (needs N = M)")
-    sub.add_argument("--seed", type=int, default=DEFAULTS["seed"],
+    sub.add_argument("--seed", type=_nonneg_int("seed"), default=DEFAULTS["seed"],
                      help="RNG seed (default: %(default)s)")
     sub.add_argument("--floor", type=_positive_float("floor"), default=DEFAULTS["floor"],
                      help="variance floor (default: %(default)g)")
@@ -288,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("-M", "--mics", type=_positive_int("M"), default=2)
     synth.add_argument("--duration", type=_positive_float("duration"),
                        default=3.0, help="seconds (default: 3)")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--noise-snr-db", type=float, default=None)
+    synth.add_argument("--seed", type=_nonneg_int("seed"), default=0)
+    synth.add_argument("--noise-snr-db", type=_finite_float("noise-snr-db"), default=None)
     synth.add_argument("--out-dir", default=".", help="output directory")
     synth.set_defaults(func=cmd_synth)
 

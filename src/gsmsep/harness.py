@@ -42,12 +42,6 @@ _PROFILE_SLOPE = 6.0
 _PROFILE_MARGIN = 0.1
 _POWER_FLOOR = 1e-4
 _STEERING_COMPONENTS = 3
-# |G_ij|^2 >= (1 - tol) G_ii G_jj: equality in Cauchy-Schwarz up to rounding
-_COPY_TOL = 1e-10
-
-
-class ChannelLayoutError(ValueError):
-    """A mixture channel is silent, or a scaled copy of another channel."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,40 +198,14 @@ class SeparationReport:
     seed: int
 
 
-def check_channel_layout(X_FTM: np.ndarray) -> None:
-    """Raise ChannelLayoutError if the clip leaves a channel without
-    information of its own.
-
-    With the whole-clip channel Gram G = sum_ft x_ft x_ft^H, channel i is
-    silent when G_ii = 0, and channels i and j are scaled copies of each
-    other when |G_ij|^2 reaches G_ii G_jj (Cauchy-Schwarz holds with
-    equality).  Either makes every Q_f singular.  Rank deficiency at only
-    some frequencies (band-limited audio) passes.  Channels are numbered
-    from 1 in the message.
-    """
-    gram = np.zeros((X_FTM.shape[2],) * 2, dtype=np.complex128)
-    for X_TM in X_FTM:  # one bin at a time keeps the conjugate copy small
-        gram += X_TM.T @ X_TM.conj()
-    power = gram.diagonal().real
-    problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
-    for i, j in zip(*np.triu_indices(len(power), k=1)):
-        if power[i] > 0 and power[j] > 0 and \
-                abs(gram[i, j]) ** 2 >= (1.0 - _COPY_TOL) * power[i] * power[j]:
-            problems.append(f"channel {j + 1} is a scaled copy of channel {i + 1}")
-    if problems:
-        raise ChannelLayoutError("mixture channel layout: " + "; ".join(problems))
-
-
 def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
                      stft_cfg: StftConfig, n_samples: int) -> tuple[list, list]:
-    """Check the channel layout, optimize, then Wiener-separate and
-    resynthesize one STFT mixture.
+    """Optimize, then Wiener-separate and resynthesize one STFT mixture.
 
     Returns one (M, n_samples) image per source, loudest first, and the
     log-likelihood trace.  A silent or duplicated channel raises
-    ChannelLayoutError.
+    optimizer.ChannelLayoutError before the first iteration.
     """
-    check_channel_layout(X_FTM)
     params, trace = optimizer.run(X_FTM, cfg)
     return wiener.separate(X_FTM, params, stft_cfg, n_samples), trace
 

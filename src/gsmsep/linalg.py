@@ -19,7 +19,8 @@ class IllConditionedMatrixError(np.linalg.LinAlgError):
     """Matrix is singular or too ill-conditioned to invert reliably."""
 
 
-def _as_square_stack(A) -> np.ndarray:
+def as_square_stack(A) -> np.ndarray:
+    """A as an array of finite square matrices of at most MAX_DIM rows."""
     A = np.asarray(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {A.shape}")
@@ -34,7 +35,7 @@ def _as_square_stack(A) -> np.ndarray:
 
 def condition_estimate(A) -> np.ndarray | float:
     """2-norm condition number per matrix; +inf where exactly singular."""
-    A = _as_square_stack(A)
+    A = as_square_stack(A)
     sv = np.linalg.svd(A, compute_uv=False)
     smax = sv[..., 0]
     smin = sv[..., -1]
@@ -57,14 +58,14 @@ def _refuse_ill_conditioned(A: np.ndarray) -> None:
 
 def invert(A) -> np.ndarray:
     """Inverse of each matrix; refuses condition estimates >= 1e12."""
-    A = _as_square_stack(A)
+    A = as_square_stack(A)
     _refuse_ill_conditioned(A)
     return np.linalg.inv(A)
 
 
 def log_abs_det_gram(A) -> np.ndarray | float:
     """log|A A^H| per matrix, from the LU of A itself (= 2 log|det A|)."""
-    A = _as_square_stack(A)
+    A = as_square_stack(A)
     sign, logdet = np.linalg.slogdet(A)
     if np.any(sign == 0):
         raise IllConditionedMatrixError("singular matrix: |A A^H| underflows to zero")

@@ -150,6 +150,8 @@ class SeparationConfig:
             raise ValueError(f"eps_init must be >= 0, got {self.eps_init}")
         if not (math.isfinite(self.floor) and self.floor > 0):
             raise ValueError(f"floor must be > 0, got {self.floor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class DegenerateParameterError(ValueError):

@@ -8,12 +8,12 @@ the four parameter updates in the order W, H, G~, Q with the model
 variances y~ refreshed after every update, then normalizes and records
 the marginal log-likelihood.  One `log_marginal_from_s` pass gives the
 likelihood both per-bin statistics of the prior, so `log_likelihood` also
-returns the E-step cache (z~ = |Q_f x_ft|^2, y~, E[1/phi] and z^) at its
-parameters, and the next E-step takes it as it is.  The Q update's
-weighted covariances V_fm are weighted sums of the outer products
-x_ft x_ft^H, which do not change during a run: `iterate` builds their
-real statistics once (`outer_products`), and each `update_q` weighs
-them for every m with one real matrix product.  `iterate` is a
+returns the E-step cache (y~, E[1/phi] and z^) at its parameters, and the
+next E-step takes it as it is.  The Q update's weighted covariances V_fm
+are weighted sums of the outer products x_ft x_ft^H, which do not change
+during a run: `iterate` builds their real statistics once, checks the
+channel layout from them, and each `update_q` weighs them for every m
+with one real matrix product.  `iterate` is a
 generator, not a step function returning its state, so the E-step cache
 outlives each iteration: freeing it every iteration made the allocator
 return its pages to the OS and fault them back in.  Every update
@@ -53,19 +53,24 @@ _DEN_TINY = np.finfo(np.float64).tiny
 # working-set bound of one `outer_products` block, a fraction of L2
 _BLOCK_BYTES = 1 << 19
 
+# |G_ij|^2 >= (1 - tol) G_ii G_jj: equality in Cauchy-Schwarz up to rounding
+_COPY_TOL = 1e-10
+
+
+class ChannelLayoutError(ValueError):
+    """A mixture channel is silent, or a scaled copy of another channel."""
+
 
 @dataclasses.dataclass(frozen=True)
 class EStepCache:
     """Per-bin statistics at one parameter set, shared by the M-step
     updates; `log_likelihood` returns them for the next `e_step`.
 
-    z_tilde: (F, T, M) = |q_fm^H x_ft|^2
     y_tilde: (F, T, M) model variances, floored
     inv_phi: (F, T) posterior expectation of phi^-1
-    z_hat:   (F, T, M) = inv_phi * z_tilde
+    z_hat:   (F, T, M) = inv_phi |q_fm^H x_ft|^2
     """
 
-    z_tilde: np.ndarray
     y_tilde: np.ndarray
     inv_phi: np.ndarray
     z_hat: np.ndarray
@@ -85,7 +90,7 @@ def _project(X_FTM: np.ndarray, params: ModelParams, floor: float):
 
 def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
            inv_phi: np.ndarray) -> EStepCache:
-    return EStepCache(z_tilde, y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde)
+    return EStepCache(y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde)
 
 
 def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
@@ -176,27 +181,48 @@ def outer_products(X_FTM: np.ndarray) -> np.ndarray:
     return S_FPT
 
 
+def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
+    # (..., M^2) `outer_products` rows -> (..., M, M), mirrored exactly
+    n_chan = round(R_P.shape[-1] ** 0.5)
+    A_MM = np.zeros(R_P.shape[:-1] + (n_chan, n_chan), dtype=np.complex128)
+    diag = np.arange(n_chan)
+    upper, lower = np.triu_indices(n_chan, k=1)
+    A_MM.real[..., diag, diag] = R_P[..., :n_chan]
+    A_MM.real[..., upper, lower] = A_MM.real[..., lower, upper] = R_P[..., n_chan::2]
+    A_MM.imag[..., upper, lower] = R_P[..., n_chan + 1::2]
+    A_MM.imag[..., lower, upper] = -R_P[..., n_chan + 1::2]
+    return A_MM
+
+
+def check_channel_layout(S_FPT: np.ndarray) -> None:
+    """Raise ChannelLayoutError, naming channels from 1, if one is silent
+    (G_ii = 0) or a scaled copy of another (|G_ij|^2 reaches G_ii G_jj):
+    either makes every Q_f singular.  G = sum_ft x_ft x_ft^H is the sum of
+    S_FPT = `outer_products(X)` over f and t, so per-bin degeneracy passes."""
+    gram = _unpack_hermitian(S_FPT.sum(axis=(0, 2)))
+    power = gram.diagonal().real
+    problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
+    for i, j in zip(*np.triu_indices(len(power), k=1)):
+        # divided before squaring: extreme powers must not under/overflow into a copy
+        if power[i] > 0 and power[j] > 0 and \
+                (abs(gram[i, j]) / np.sqrt(power[i])) ** 2 >= (1.0 - _COPY_TOL) * power[j]:
+            problems.append(f"channel {j + 1} is a scaled copy of channel {i + 1}")
+    if problems:
+        raise ChannelLayoutError("mixture channel layout: " + "; ".join(problems))
+
+
 def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
     """V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm for every m.
 
     One batched real product S @ (inv_phi / y~) gives the (F, M^2, M)
     weighted sums of the `outer_products` rows; they are unpacked into an
-    (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit
-    (mirrored entries are exact negations), with real nonnegative
-    diagonals.
+    (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit,
+    with real nonnegative diagonals.
     """
-    n_freq, n_frames, n_chan = cache.y_tilde.shape
+    n_frames = cache.y_tilde.shape[1]
     weight_FTM = cache.inv_phi[:, :, None] / cache.y_tilde
     R_FMP = (np.matmul(S_FPT, weight_FTM) / n_frames).transpose(0, 2, 1)
-    V_FMMM = np.zeros((n_freq,) + (n_chan,) * 3, dtype=np.complex128)
-    diag = np.arange(n_chan)
-    upper, lower = np.triu_indices(n_chan, k=1)
-    V_FMMM.real[..., diag, diag] = R_FMP[..., :n_chan]
-    V_FMMM.real[..., upper, lower] = R_FMP[..., n_chan::2]
-    V_FMMM.real[..., lower, upper] = R_FMP[..., n_chan::2]
-    V_FMMM.imag[..., upper, lower] = R_FMP[..., n_chan + 1::2]
-    V_FMMM.imag[..., lower, upper] = -R_FMP[..., n_chan + 1::2]
-    return V_FMMM
+    return _unpack_hermitian(R_FMP)
 
 
 def update_q(params: ModelParams, S_FPT: np.ndarray,
@@ -275,14 +301,17 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
             cfg: SeparationConfig) -> Iterator[tuple[ModelParams, float]]:
     """Run cfg.iterations MU-VEM iterations from params.
 
-    Yields (params, log-likelihood) after each iteration.  A non-finite
-    likelihood raises ArithmeticError naming its iteration; a decrease
-    beyond the monotone slack is reported as a RuntimeWarning.
+    Yields (params, log-likelihood) after each iteration.  Before the
+    first, more than linalg.MAX_DIM channels raise ValueError and
+    `check_channel_layout` runs; zero iterations solve no Q and check
+    nothing.  A non-finite likelihood raises ArithmeticError naming its
+    iteration; a decrease beyond the monotone slack warns.
     """
-    previous = None
-    cache = None
-    # the statistics update_q weighs; zero iterations build none
-    S_FPT = outer_products(X_FTM) if cfg.iterations > 0 else None
+    previous = cache = S_FPT = None
+    if cfg.iterations > 0:
+        linalg.as_square_stack(params.Q)  # the channel cap, before any work
+        S_FPT = outer_products(X_FTM)  # update_q's statistics, the guard's Gram
+        check_channel_layout(S_FPT)
     for iteration in range(cfg.iterations):
         # e_step opens and log_likelihood closes every iteration, both
         # looked up in this module's globals (as are inv_phi_from_s and
@@ -315,7 +344,8 @@ def run(X_FTM: np.ndarray,
         cfg: SeparationConfig) -> tuple[ModelParams, list[float]]:
     """Initialize, then collect what `iterate` yields: the fitted parameters
     and one marginal log-likelihood per iteration.  Deterministic given
-    cfg.seed.  A non-finite mixture raises ValueError.
+    cfg.seed.  A non-finite mixture raises ValueError; `iterate` guards
+    the channel layout.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     if X_FTM.ndim != 3:

@@ -337,6 +337,16 @@ class TestBenchCommand:
         assert code == 2
         assert "malformed grid entry" in captured.err
 
+    def test_negative_seed_entry_is_malformed(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([{"seed": -1}]))
+        code = main(["bench", str(grid_path), "--out",
+                     str(tmp_path / "b.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "malformed grid entry" in captured.err
+        assert "seed must be >= 0" in captured.err
+
 
 class TestUsageErrors:
     def test_bad_beta_exits_one(self, capsys):
@@ -367,6 +377,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert exc_info.value.code == 1
         assert "rho must be > 0" in captured.err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["separate", "in.wav", "--rho", "inf"], "rho"),
+        (["separate", "in.wav", "--floor", "inf"], "floor"),
+        (["separate", "in.wav", "--model", "t", "--nu", "inf"], "nu"),
+        (["separate", "in.wav", "--model", "gh", "--gamma", "nan"], "gamma"),
+        (["separate", "in.wav", "--seed", "-1"], "seed"),
+        (["synth", "--duration", "inf"], "duration"),
+        (["synth", "--noise-snr-db", "nan"], "noise-snr-db"),
+        (["synth", "--seed", "-1"], "seed"),
+    ], ids=["rho-inf", "floor-inf", "nu-inf", "gamma-nan", "separate-seed-neg",
+            "duration-inf", "snr-nan", "synth-seed-neg"])
+    def test_non_finite_or_negative_knob_exits_one(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 1
+        assert f"error: argument --{option}: {option} must be" in captured.err
 
 
 class TestParserDefaults:

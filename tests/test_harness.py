@@ -6,14 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from gsmsep import optimizer
+from gsmsep.audio_io import AudioBuffer
 from gsmsep.harness import (
     SCENE_SAMPLE_RATE,
     _PROFILE_FLOOR,
-    ChannelLayoutError,
     _smooth_random_steering,
     _spectral_profiles,
     _temporal_envelope,
-    check_channel_layout,
     config_hash,
     config_to_dict,
     run_experiment,
@@ -31,6 +31,7 @@ from gsmsep.model import (
     variant_from_dict,
     variant_to_dict,
 )
+from gsmsep.optimizer import ChannelLayoutError, outer_products
 from gsmsep.stft import StftConfig, stft_forward
 
 
@@ -338,34 +339,34 @@ class TestChannelLayout:
         return rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
 
     def test_independent_channels_pass(self):
-        check_channel_layout(self.mixture())
+        optimizer.check_channel_layout(outer_products(self.mixture()))
 
     def test_band_limited_copy_passes(self):
         # channels equal below half the band only: rank deficiency at some
         # frequencies is legitimate and must reach the optimizer
         X = self.mixture()
         X[:16, :, 2] = X[:16, :, 0]
-        check_channel_layout(X)
+        optimizer.check_channel_layout(outer_products(X))
 
     def test_silent_channel_named(self):
         X = self.mixture()
         X[:, :, 1] = 0.0
         with pytest.raises(ChannelLayoutError, match="channel 2 is silent"):
-            check_channel_layout(X)
+            optimizer.check_channel_layout(outer_products(X))
 
     def test_complex_scaled_copy_named(self):
         X = self.mixture()
         X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
         with pytest.raises(ChannelLayoutError,
                            match="channel 3 is a scaled copy of channel 2"):
-            check_channel_layout(X)
+            optimizer.check_channel_layout(outer_products(X))
 
     def test_every_problem_listed(self):
         X = self.mixture(m=4)
         X[:, :, 1] = 0.0
         X[:, :, 3] = X[:, :, 0]
         with pytest.raises(ChannelLayoutError) as info:
-            check_channel_layout(X)
+            optimizer.check_channel_layout(outer_products(X))
         assert "channel 2 is silent" in str(info.value)
         assert "channel 4 is a scaled copy of channel 1" in str(info.value)
 
@@ -375,6 +376,38 @@ class TestChannelLayout:
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
         with pytest.raises(ValueError, match="scaled copy"):
             separate_mixture(X, cfg, StftConfig(), 1024)
+
+    def test_run_experiment_raises(self):
+        scene = synth_scene(2, 2, 1.0, seed=7)
+        samples = scene.mixture.samples.copy()
+        samples[1] = 0.0
+        silent = dataclasses.replace(scene, mixture=AudioBuffer(
+            samples=samples, sample_rate=scene.mixture.sample_rate))
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
+        with pytest.raises(ChannelLayoutError, match="channel 2 is silent"):
+            run_experiment(silent, cfg, StftConfig())
+
+    @pytest.mark.parametrize("kind", ["silent", "scaled", "all-zero"])
+    def test_zero_iterations_check_nothing_and_partition(self, kind, monkeypatch):
+        # no Q is solved, so the initial Wiener output stands on any layout
+        samples = synth_scene(2, 2, 1.0, seed=8).mixture.samples.copy()
+        if kind == "silent":
+            samples[1] = 0.0
+        elif kind == "scaled":
+            samples[1] = -0.5 * samples[0]
+        else:
+            samples[:] = 0.0
+        calls = []
+        monkeypatch.setattr(optimizer, "outer_products",
+                            lambda X: calls.append(None))
+        stft_cfg = StftConfig()
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=0)
+        sources, trace = separate_mixture(stft_forward(samples, stft_cfg), cfg,
+                                          stft_cfg, samples.shape[1])
+        assert (calls, trace) == ([], [])
+        assert all(np.all(np.isfinite(source)) for source in sources)
+        error = np.linalg.norm(sum(sources) - samples)
+        assert error <= 1e-12 * np.linalg.norm(samples)
 
 
 def separate_samples(samples, n_sources):

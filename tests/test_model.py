@@ -97,6 +97,8 @@ class TestSeparationConfig:
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, eps_init=-0.1)
         with pytest.raises(ValueError):
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, floor=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SeparationConfig(n_sources=2, n_bases=4, iterations=1, seed=-1)
 
     def test_defaults(self):
         cfg = SeparationConfig(n_sources=2, n_bases=8, iterations=10)

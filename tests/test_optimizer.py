@@ -84,22 +84,25 @@ class TestEStep:
         params, X = make_setup()
         cache = e_step(X, params, Gaussian())
         np.testing.assert_array_equal(cache.inv_phi, np.ones((6, 8)))
-        np.testing.assert_array_equal(cache.z_hat, cache.z_tilde)
+        np.testing.assert_array_equal(
+            cache.z_hat, np.abs(project_mixture(X, params.Q)) ** 2)
 
     def test_identity_q_gives_magnitudes(self):
+        # Gaussian: E[1/phi] = 1, so z^ is the projected power itself
         params, X = make_setup()
         cache = e_step(X, params, Gaussian())
-        np.testing.assert_allclose(cache.z_tilde, np.abs(X) ** 2, rtol=1e-14)
+        np.testing.assert_allclose(cache.z_hat, np.abs(X) ** 2, rtol=1e-14)
 
     def test_s_matches_naive_loop(self):
         params, X = make_setup(seed=3)
         variant = StudentT(nu=5.0)
         cache = e_step(X, params, variant)
+        z_tilde = np.abs(project_mixture(X, params.Q)) ** 2
         half_nu = 2.5
         for f in range(params.n_freq):
             for t in range(params.n_frames):
                 s = sum(
-                    cache.z_tilde[f, t, m] / cache.y_tilde[f, t, m]
+                    z_tilde[f, t, m] / cache.y_tilde[f, t, m]
                     for m in range(params.n_channels)
                 )
                 expected = (half_nu + params.n_channels) / (half_nu + s)
@@ -108,8 +111,9 @@ class TestEStep:
     def test_z_hat_weighting(self):
         params, X = make_setup(seed=4)
         cache = e_step(X, params, StudentT(nu=3.0))
+        z_tilde = np.abs(project_mixture(X, params.Q)) ** 2
         np.testing.assert_allclose(
-            cache.z_hat, cache.inv_phi[:, :, None] * cache.z_tilde, rtol=1e-14
+            cache.z_hat, cache.inv_phi[:, :, None] * z_tilde, rtol=1e-14
         )
 
     def test_shape_mismatch(self):
@@ -161,7 +165,6 @@ class TestMultiplicativeUpdates:
         y = w * h * g
         z_hat = 12.0
         cache = EStepCache(
-            z_tilde=np.full((1, 1, 1), z_hat),
             y_tilde=np.full((1, 1, 1), y),
             inv_phi=np.ones((1, 1)),
             z_hat=np.full((1, 1, 1), z_hat),
@@ -551,12 +554,88 @@ class TestRunGuards:
         assert [w.filename for w in caught] == [optimizer.__file__]
 
 
+def counter(monkeypatch, name):
+    # calls of optimizer.<name>, counted through the module attribute
+    calls = []
+    real = getattr(optimizer, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, name, counted)
+    return calls
+
+
+def bad_layout(kind):
+    # 3-channel mixture with one whole-clip layout fault, and the message
+    X = random_mixture(np.random.default_rng(44), 17, 20, 3)
+    if kind == "silent":
+        X[:, :, 1] = 0.0
+        return X, "channel 2 is silent"
+    if kind == "duplicate":
+        X[:, :, 2] = X[:, :, 0]
+        return X, "channel 3 is a scaled copy of channel 1"
+    if kind == "scaled":
+        X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
+        return X, "channel 3 is a scaled copy of channel 2"
+    return np.zeros_like(X), "channel 1 is silent; channel 2 is silent; channel 3"
+
+
+LAYOUTS = ["silent", "duplicate", "scaled", "all-zero"]
+
+
+class TestChannelGuard:
+    @pytest.mark.parametrize("kind", LAYOUTS)
+    @pytest.mark.parametrize("entry", ["run", "iterate"])
+    def test_refused_before_the_first_e_step(self, kind, entry, monkeypatch):
+        calls = counter(monkeypatch, "e_step")
+        X, message = bad_layout(kind)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
+                               variant=NIG(rho=15.0, eta=1.0))
+        with pytest.raises(optimizer.ChannelLayoutError, match=message):
+            if entry == "run":
+                run(X, cfg)
+            else:
+                next(iterate(X, init_params(cfg, *X.shape), cfg))
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scale_is_not_a_copy(self, scale):
+        # |G_12|^2 and G_11 G_22 both under- or overflow at these scales
+        X = scale * random_mixture(np.random.default_rng(47), 9, 12, 2)
+        optimizer.check_channel_layout(outer_products(X))
+
+    def test_channel_silent_in_half_the_bins_reaches_the_optimizer(self, monkeypatch):
+        calls = counter(monkeypatch, "e_step")
+        X = random_mixture(np.random.default_rng(45), 17, 20, 2)
+        X[:9, :, 1] = 0.0
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, trace = run(X, cfg)
+        assert len(calls) == 3
+        assert np.all(np.isfinite(trace))
+
+    def test_above_the_channel_cap_fails_before_any_work(self, monkeypatch):
+        built = counter(monkeypatch, "outer_products")
+        solved = counter(monkeypatch, "update_q")
+        m = linalg.MAX_DIM + 1
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1, seed=0)
+        with pytest.raises(ValueError, match=f"matrix dimension {m} exceeds"
+                                             f" the supported maximum {m - 1}"):
+            run(random_mixture(np.random.default_rng(46), 5, 6, m), cfg)
+        assert (len(built), len(solved)) == (0, 0)
+
+
 class TestUpdateQWarnings:
     def test_silent_channel_at_most_two_warnings_per_iteration(self):
+        # a channel silent over the whole clip is refused before the first
+        # iteration; silent in bins 0-32 only, it reaches update_q
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
                                variant=NIG(rho=15.0, eta=1.0))
         X = random_mixture(np.random.default_rng(28), 65, 40, 2)
-        X[:, :, 1] = 0.0
+        X[:33, :, 1] = 0.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run(X, cfg)
@@ -606,7 +685,7 @@ class TestFusedLoop:
             _, cache = log_likelihood(X, params, variant)
             assert e_step(X, params, variant, cache=cache) is cache
             fresh = e_step(X, params, variant)
-            for field in ("z_tilde", "y_tilde", "inv_phi", "z_hat"):
+            for field in ("y_tilde", "inv_phi", "z_hat"):
                 np.testing.assert_array_equal(getattr(cache, field),
                                               getattr(fresh, field),
                                               err_msg=f"{field} under {variant}")
@@ -614,14 +693,7 @@ class TestFusedLoop:
     @pytest.mark.parametrize("iterations,builds", [(0, 0), (3, 1)])
     def test_statistics_built_once_per_run(self, iterations, builds,
                                            monkeypatch):
-        calls = []
-        real = optimizer.outer_products
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "outer_products", counted)
+        calls = counter(monkeypatch, "outer_products")
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=iterations,
                                seed=5)
         _, trace = run(random_mixture(np.random.default_rng(43), 9, 10, 2), cfg)
@@ -632,14 +704,7 @@ class TestFusedLoop:
     def test_one_inv_phi_evaluation_per_run(self, variant, monkeypatch):
         # only the first E-step evaluates E[1/phi] on its own; every later
         # one takes it from the previous likelihood's log_marginal_from_s
-        calls = []
-        real = optimizer.inv_phi_from_s
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "inv_phi_from_s", counted)
+        calls = counter(monkeypatch, "inv_phi_from_s")
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=4, seed=5,
                                variant=variant)
         run(random_mixture(np.random.default_rng(31), 17, 20, 2), cfg)
