@@ -28,7 +28,7 @@ from .harness import (
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import DEFAULT_FLOOR, NIG, VARIANTS, SeparationConfig, variant_from_dict
+from .model import NIG, VARIANTS, SeparationConfig, variant_from_dict
 from .stft import StftConfig, stft_forward
 
 
@@ -76,7 +76,7 @@ def _nonneg_int(name):
 DEFAULTS = {
     "model": NIG.name, "nu": 40.0, "beta": 1.0, "gamma": -0.5, "rho": 15.0,
     "eta": 1.0, "n_sources": 2, "n_bases": 8, "iterations": 300,
-    "rank1": False, "eps_init": 1e-2, "floor": DEFAULT_FLOOR, "seed": 0,
+    "rank1": False, "eps_init": 1e-2, "seed": 0,
 }
 
 
@@ -90,7 +90,6 @@ def _separation_config(settings: dict) -> SeparationConfig:
         variant=variant_from_dict(settings),
         rank1=bool(settings["rank1"]),
         eps_init=float(settings["eps_init"]),
-        floor=float(settings["floor"]),
         seed=int(settings["seed"]),
     )
 
@@ -121,8 +120,6 @@ def _add_run_args(sub):
                      help="freeze the spatial weights at identity (needs N = M)")
     sub.add_argument("--seed", type=_nonneg_int("seed"), default=DEFAULTS["seed"],
                      help="RNG seed (default: %(default)s)")
-    sub.add_argument("--floor", type=_positive_float("floor"), default=DEFAULTS["floor"],
-                     help="variance floor (default: %(default)g)")
 
 
 def cmd_separate(args) -> int:
@@ -207,6 +204,10 @@ def cmd_evaluate(args) -> int:
 def _parse_bench_entry(entry: dict):
     if not isinstance(entry, dict):
         raise ValueError(f"grid entries must be objects, got {type(entry).__name__}")
+    unknown = sorted(set(entry) - set(DEFAULTS)
+                     - {"n_mics", "duration_s", "scene_seed", "noise_snr_db"})
+    if unknown:
+        raise ValueError(f"malformed grid entry {entry!r}: unknown keys {unknown}")
     try:
         cfg = _separation_config(entry)
     except (KeyError, TypeError, ValueError) as exc:
@@ -223,31 +224,22 @@ def _parse_bench_entry(entry: dict):
 
 def _run_bench_entry(entry: dict) -> SeparationReport:
     cfg, scene_args = _parse_bench_entry(entry)
-    scene = synth_scene(**scene_args)
-    return run_experiment(scene, cfg, StftConfig())
+    return run_experiment(synth_scene(**scene_args), cfg, StftConfig())
 
 
 def cmd_bench(args) -> int:
-    text = pathlib.Path(args.grid).read_text()
     try:
-        grid = json.loads(text)
+        grid = json.loads(pathlib.Path(args.grid).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed grid spec {args.grid}: {exc}") from exc
     if not isinstance(grid, list):
         raise ValueError("grid spec must be a JSON list of config objects")
 
-    stft_cfg = StftConfig()
-    unique = []
-    seen = set()
+    unique = {}  # first entry per hash of its run and scene settings
     for entry in grid:
         cfg, scene_args = _parse_bench_entry(entry)
-        effective = {"scene": {k: scene_args[k] for k in sorted(scene_args)},
-                     **config_to_dict(cfg, stft_cfg)}
-        key = config_hash(effective)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(entry)
+        effective = {"scene": scene_args, **config_to_dict(cfg, StftConfig())}
+        unique.setdefault(config_hash(effective), entry)
 
     if args.workers > 1 and unique:
         # spawned workers inherit one BLAS thread each, read when they
@@ -258,15 +250,15 @@ def cmd_bench(args) -> int:
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                reports = list(pool.map(_run_bench_entry, unique))
+                reports = list(pool.map(_run_bench_entry, unique.values()))
         finally:
             os.environ.clear()
             os.environ.update(saved)
     else:
-        reports = [_run_bench_entry(entry) for entry in unique]
+        reports = [_run_bench_entry(entry) for entry in unique.values()]
 
     out_path = pathlib.Path(args.out)
-    write_csv_summary(reports, out_path)
+    write_csv_summary(zip(unique, reports), out_path)
     print(out_path)
     return 0
 

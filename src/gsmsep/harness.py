@@ -244,8 +244,8 @@ def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
     )
 
 
-def write_csv_summary(reports, path) -> None:
-    """One row per report: config hash, headline knobs, scores, runtime."""
+def write_csv_summary(rows, path) -> None:
+    """One row per (config hash, report): hash, headline knobs, scores, runtime."""
     import csv
 
     fields = ["config_hash", "model", "n_sources", "n_bases", "iterations",
@@ -253,9 +253,9 @@ def write_csv_summary(reports, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(fields)
-        for report in reports:
+        for key, report in rows:
             writer.writerow([
-                config_hash(report.config),
+                key,
                 report.config["variant"]["model"],
                 report.config["n_sources"],
                 report.config["n_bases"],

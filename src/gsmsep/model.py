@@ -123,9 +123,14 @@ def variant_from_dict(payload: dict) -> GsmVariant:
 # Run configuration.
 # ---------------------------------------------------------------------------
 
-# default variance floor on y~, shared by the optimizer, the run
-# configuration and the command line
-DEFAULT_FLOOR = 1e-10
+def power_scale(total: float, n_values: int) -> float:
+    """total / n_values rounded to the nearest power of two: a run on 2^k X
+    is then the run on X with every power scaled by 4^k, bit for bit."""
+    mean = total / n_values
+    if not math.isfinite(mean):
+        raise ValueError(f"mixture power overflows float64 (mean bin power {mean})")
+    mantissa, exponent = math.frexp(mean)
+    return math.ldexp(round(2.0 * mantissa), exponent - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,7 +141,6 @@ class SeparationConfig:
     variant: GsmVariant = Gaussian()
     rank1: bool = False
     eps_init: float = 1e-2
-    floor: float = DEFAULT_FLOOR
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -148,8 +152,6 @@ class SeparationConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not (math.isfinite(self.eps_init) and self.eps_init >= 0):
             raise ValueError(f"eps_init must be >= 0, got {self.eps_init}")
-        if not (math.isfinite(self.floor) and self.floor > 0):
-            raise ValueError(f"floor must be > 0, got {self.floor}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -205,17 +207,16 @@ class ModelParams:
         return self.Gtilde.shape[1]
 
 
-def init_params(cfg: SeparationConfig, n_freq: int, n_frames: int,
-                n_channels: int) -> ModelParams:
-    """Seeded starting point for the optimizer.
+def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
+    """Seeded starting point for the optimizer on the (F, T, M) mixture.
 
     W and H are |standard normal| draws from numpy's PCG64 generator
-    seeded with cfg.seed (W is drawn first, then H).  Q_f starts at the
-    identity.  Gtilde row n has weight 1 at the channels m with
-    m mod N == n and cfg.eps_init elsewhere; under the rank-1 constraint
-    (N == M) it is frozen to the exact identity instead.
+    seeded with cfg.seed (W first, times the mixture's `power_scale`, then
+    H).  Q_f starts at the identity.  Gtilde row n has weight 1 at the
+    channels m with m mod N == n and cfg.eps_init elsewhere; under the
+    rank-1 constraint (N == M) it is frozen to the exact identity instead.
     """
-    n, k, m = cfg.n_sources, cfg.n_bases, n_channels
+    n, k, (n_freq, n_frames, m) = cfg.n_sources, cfg.n_bases, X_FTM.shape
     if cfg.rank1 and n != m:
         raise ValueError(
             f"rank-1 spatial model: rank1 needs as many sources as channels,"
@@ -223,8 +224,10 @@ def init_params(cfg: SeparationConfig, n_freq: int, n_frames: int,
         )
     if n > m:
         raise ValueError(f"underdetermined model not supported: N={n} > M={m}")
+    total = np.einsum("ftm,ftm->", X_FTM.real, X_FTM.real) \
+        + np.einsum("ftm,ftm->", X_FTM.imag, X_FTM.imag)  # no (F, T, M) temporary
     rng = np.random.default_rng(cfg.seed)
-    W_NKF = np.abs(rng.standard_normal((n, k, n_freq)))
+    W_NKF = power_scale(total, X_FTM.size) * np.abs(rng.standard_normal((n, k, n_freq)))
     H_NKT = np.abs(rng.standard_normal((n, k, n_frames)))
     Q_FMM = np.tile(np.eye(m, dtype=np.complex128), (n_freq, 1, 1))
     eps = 0.0 if cfg.rank1 else cfg.eps_init

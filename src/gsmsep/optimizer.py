@@ -33,18 +33,21 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    DEFAULT_FLOOR,
     ModelParams,
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
     init_params,
     normalize,
+    power_scale,
     source_psd,
 )
 from .priors import inv_phi_from_s, log_marginal_from_s
 
 MONOTONE_SLACK = 1e-8
+
+# variance floor on y~; `iterate` scales it by the mixture's power_scale
+DEFAULT_FLOOR = 1e-10
 
 # pure guard against 0/0 in the multiplicative ratios; small enough to
 # never alter a denominator that carries information
@@ -194,13 +197,15 @@ def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
     return A_MM
 
 
-def check_channel_layout(S_FPT: np.ndarray) -> None:
+def check_channel_layout(S_FPT: np.ndarray) -> float:
     """Raise ChannelLayoutError, naming channels from 1, if one is silent
     (G_ii = 0) or a scaled copy of another (|G_ij|^2 reaches G_ii G_jj):
     either makes every Q_f singular.  G = sum_ft x_ft x_ft^H is the sum of
-    S_FPT = `outer_products(X)` over f and t, so per-bin degeneracy passes."""
+    S_FPT = `outer_products(X)` over f and t, so per-bin degeneracy passes.
+    Returns the `power_scale` of trace G, which refuses an overflow."""
     gram = _unpack_hermitian(S_FPT.sum(axis=(0, 2)))
     power = gram.diagonal().real
+    scale = power_scale(power.sum(), S_FPT.shape[0] * S_FPT.shape[2] * len(power))
     problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
     for i, j in zip(*np.triu_indices(len(power), k=1)):
         # divided before squaring: extreme powers must not under/overflow into a copy
@@ -209,6 +214,7 @@ def check_channel_layout(S_FPT: np.ndarray) -> None:
             problems.append(f"channel {j + 1} is a scaled copy of channel {i + 1}")
     if problems:
         raise ChannelLayoutError("mixture channel layout: " + "; ".join(problems))
+    return scale
 
 
 def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
@@ -304,31 +310,33 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
     Yields (params, log-likelihood) after each iteration.  Before the
     first, more than linalg.MAX_DIM channels raise ValueError and
     `check_channel_layout` runs; zero iterations solve no Q and check
-    nothing.  A non-finite likelihood raises ArithmeticError naming its
-    iteration; a decrease beyond the monotone slack warns.
+    nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
+    `power_scale`.  A non-finite likelihood raises ArithmeticError naming
+    its iteration; a decrease beyond the monotone slack warns.
     """
     previous = cache = S_FPT = None
     if cfg.iterations > 0:
         linalg.as_square_stack(params.Q)  # the channel cap, before any work
-        S_FPT = outer_products(X_FTM)  # update_q's statistics, the guard's Gram
-        check_channel_layout(S_FPT)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses overflow
+            S_FPT = outer_products(X_FTM)  # update_q's statistics, the guard's Gram
+            floor = DEFAULT_FLOOR * check_channel_layout(S_FPT)
     for iteration in range(cfg.iterations):
         # e_step opens and log_likelihood closes every iteration, both
         # looked up in this module's globals (as are inv_phi_from_s and
         # log_marginal_from_s): sepbench's tracer wraps them by name and
         # delimits iterations by these two calls
-        cache = e_step(X_FTM, params, cfg.variant, cfg.floor, cache=cache)
+        cache = e_step(X_FTM, params, cfg.variant, floor, cache=cache)
 
         params = update_w(params, cache)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
+        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
         params = update_h(params, cache)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
+        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
         params = update_g(params, cache, rank1=cfg.rank1)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, cfg.floor))
+        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
         params = update_q(params, S_FPT, cache)
 
         params = normalize(params)
-        ll, cache = log_likelihood(X_FTM, params, cfg.variant, cfg.floor)
+        ll, cache = log_likelihood(X_FTM, params, cfg.variant, floor)
         if not np.isfinite(ll):
             raise ArithmeticError(
                 f"log-likelihood is {ll} at iteration {iteration}")
@@ -353,7 +361,7 @@ def run(X_FTM: np.ndarray,
     if not np.all(np.isfinite(X_FTM)):
         raise ValueError("mixture holds non-finite values")
 
-    params = init_params(cfg, *X_FTM.shape)
+    params = init_params(cfg, X_FTM)
     values: list[float] = []
     for params, ll in iterate(X_FTM, params, cfg):
         values.append(ll)

@@ -24,7 +24,6 @@ _ENVELOPE_TINY = 1e-12
 class StftConfig:
     n_fft: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self) -> None:
         if self.n_fft < 2 or self.n_fft % 2 != 0:
@@ -35,8 +34,6 @@ class StftConfig:
             raise ValueError(
                 f"hop {self.hop} must divide n_fft {self.n_fft}"
             )
-        if self.window != "hann":
-            raise ValueError(f"only the hann window is supported, got {self.window!r}")
 
     @property
     def n_freq(self) -> int:

@@ -383,7 +383,7 @@ def test_criterion_11_per_iteration_throughput():
             n_sources=n_sources, n_bases=n_bases, iterations=1,
             variant=variant, seed=0,
         )
-        params = init_params(cfg, n_freq, n_frames, n_chan)
+        params = init_params(cfg, X_FTM)
         started = time.perf_counter()
         next(optimizer.iterate(X_FTM, params, cfg))
         return time.perf_counter() - started

@@ -85,6 +85,23 @@ class TestSeparateCommand:
         image = read_wav(tmp_path / "source1_multichannel.wav")
         assert image.n_channels == 2
 
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_power_of_two_gain_scales_the_outputs_exactly(self, k, scene_dir, tmp_path):
+        # the run's floor and starting W follow the mixture's level, so a
+        # 2^k gain passes through to every written sample bit for bit
+        mix = read_wav(scene_dir / "mixture.wav")
+        scaled = tmp_path / "scaled.wav"
+        write_wav(scaled, AudioBuffer(samples=2.0 ** k * mix.samples,
+                                      sample_rate=mix.sample_rate))
+        for path, out in ((scene_dir / "mixture.wav", "native"), (scaled, "scaled")):
+            assert main(["separate", str(path), "-N", "2", "-K", "2", "--iters", "3",
+                         "--out-dir", str(tmp_path / out), "--multichannel"]) == 0
+        for name in ("source1.wav", "source2_multichannel.wav"):
+            native = read_wav(tmp_path / "native" / name).samples
+            np.testing.assert_array_equal(
+                read_wav(tmp_path / "scaled" / name).samples, 2.0 ** k * native)
+            assert np.any(native != 0)
+
     def test_off_grid_length_keeps_partition(self, scene_dir, tmp_path):
         # 100 samples past the hop grid: the images still sum to the
         # mixture over every sample, the tail included
@@ -262,7 +279,7 @@ class TestBenchCommand:
         bare = {"n_bases": 2, "iterations": 1, "duration_s": 1.0}
         nig = dict(bare, model="nig")
         spelled = dict(nig, rho=15.0, eta=1.0, n_sources=2, rank1=False,
-                       eps_init=1e-2, floor=1e-10, seed=0)
+                       eps_init=1e-2, seed=0)
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps([bare, nig, spelled]))
         out_path = tmp_path / "bench.csv"
@@ -270,6 +287,18 @@ class TestBenchCommand:
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert ",nig,2,2,1,0," in lines[1]
+
+    def test_csv_hash_is_the_dedup_key(self, tmp_path):
+        # entries differing only in the scene both run, under distinct
+        # hashes; an exact duplicate still collapses
+        first = dict(self.GRID_ENTRY, scene_seed=0)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([first, dict(first, scene_seed=1), first]))
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", str(grid_path), "--out", str(out_path)]) == 0
+        rows = out_path.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].split(",")[0] != rows[1].split(",")[0]
 
     def test_empty_grid_header_only(self, tmp_path):
         grid_path = tmp_path / "grid.json"
@@ -347,8 +376,29 @@ class TestBenchCommand:
         assert "malformed grid entry" in captured.err
         assert "seed must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("key", ["iteration", "floor"])
+    def test_unknown_key_is_malformed(self, key, tmp_path, capsys):
+        # a typo, or a setting that no longer exists, is not ignored
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([dict(self.GRID_ENTRY, **{key: 50})]))
+        code = main(["bench", str(grid_path), "--out",
+                     str(tmp_path / "b.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "malformed grid entry" in captured.err
+        assert f"unknown keys ['{key}']" in captured.err
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestUsageErrors:
+    def test_floor_option_is_gone(self, capsys):
+        # the variance floor follows the mixture's level; nothing sets it
+        with pytest.raises(SystemExit) as exc_info:
+            main(["separate", "in.wav", "--floor", "1e-12"])
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments: --floor" in captured.err
+
     def test_bad_beta_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["separate", "in.wav", "--model", "gg", "--beta", "2.5"])
@@ -380,14 +430,13 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,option", [
         (["separate", "in.wav", "--rho", "inf"], "rho"),
-        (["separate", "in.wav", "--floor", "inf"], "floor"),
         (["separate", "in.wav", "--model", "t", "--nu", "inf"], "nu"),
         (["separate", "in.wav", "--model", "gh", "--gamma", "nan"], "gamma"),
         (["separate", "in.wav", "--seed", "-1"], "seed"),
         (["synth", "--duration", "inf"], "duration"),
         (["synth", "--noise-snr-db", "nan"], "noise-snr-db"),
         (["synth", "--seed", "-1"], "seed"),
-    ], ids=["rho-inf", "floor-inf", "nu-inf", "gamma-nan", "separate-seed-neg",
+    ], ids=["rho-inf", "nu-inf", "gamma-nan", "separate-seed-neg",
             "duration-inf", "snr-nan", "synth-seed-neg"])
     def test_non_finite_or_negative_knob_exits_one(self, argv, option, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -411,7 +460,6 @@ class TestParserDefaults:
         assert args.iters == 300
         assert args.rank1 is False
         assert args.seed == 0
-        assert args.floor == 1e-10
         assert args.out_dir == "."
         assert args.report is None
         assert args.multichannel is False

@@ -312,7 +312,7 @@ class TestCsvSummary:
             for s in (0, 1)
         ]
         path = tmp_path / "summary.csv"
-        write_csv_summary(reports, path)
+        write_csv_summary([("0123456789ab", reports[0]), ("ba9876543210", reports[1])], path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0] == (
@@ -320,7 +320,7 @@ class TestCsvSummary:
             "mean_si_sdr,input_si_sdr,runtime_ms"
         )
         first = lines[1].split(",")
-        assert first[0] == config_hash(reports[0].config)
+        assert first[0] == "0123456789ab"
         assert first[1] == "gaussian"
         assert first[5] == "0"
 

@@ -22,10 +22,16 @@ from gsmsep.model import (
     compute_ytilde,
     init_params,
     normalize,
+    power_scale,
     source_psd,
 )
 
 from oracles import gh_from_ab
+
+
+def unit_mixture(f, t, m):
+    # mean bin power 1, so init_params draws W at unit scale
+    return np.ones((f, t, m), dtype=np.complex128)
 
 
 def random_params(rng, n, k, f, t, m) -> ModelParams:
@@ -95,8 +101,9 @@ class TestSeparationConfig:
             SeparationConfig(n_sources=2, n_bases=4, iterations=-1)
         with pytest.raises(ValueError):
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, eps_init=-0.1)
-        with pytest.raises(ValueError):
-            SeparationConfig(n_sources=2, n_bases=4, iterations=1, floor=0.0)
+        with pytest.raises(TypeError, match="floor"):
+            # the floor follows the mixture's level; it is not a setting
+            SeparationConfig(n_sources=2, n_bases=4, iterations=1, floor=1e-10)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, seed=-1)
 
@@ -105,19 +112,18 @@ class TestSeparationConfig:
         assert cfg.variant == Gaussian()
         assert cfg.rank1 is False
         assert cfg.eps_init == 1e-2
-        assert cfg.floor == 1e-10
         assert cfg.seed == 0
 
 
 class TestInitParams:
     def test_rank1_gtilde_is_identity(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, rank1=True)
-        params = init_params(cfg, n_freq=5, n_frames=7, n_channels=2)
+        params = init_params(cfg, unit_mixture(5, 7, 2))
         np.testing.assert_array_equal(params.Gtilde, np.eye(2))
 
     def test_gtilde_cyclic_pattern(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, eps_init=0.01)
-        params = init_params(cfg, n_freq=5, n_frames=7, n_channels=4)
+        params = init_params(cfg, unit_mixture(5, 7, 4))
         np.testing.assert_array_equal(
             params.Gtilde,
             [[1.0, 0.01, 1.0, 0.01], [0.01, 1.0, 0.01, 1.0]],
@@ -125,39 +131,70 @@ class TestInitParams:
 
     def test_q_starts_at_identity(self):
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1)
-        params = init_params(cfg, n_freq=4, n_frames=6, n_channels=3)
+        params = init_params(cfg, unit_mixture(4, 6, 3))
         np.testing.assert_array_equal(
             params.Q, np.tile(np.eye(3, dtype=np.complex128), (4, 1, 1))
         )
 
     def test_same_seed_identical(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, seed=42)
-        a = init_params(cfg, 5, 7, 2)
-        b = init_params(cfg, 5, 7, 2)
+        a = init_params(cfg, unit_mixture(5, 7, 2))
+        b = init_params(cfg, unit_mixture(5, 7, 2))
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.H, b.H)
 
     def test_different_seeds_differ(self):
         make = lambda seed: init_params(
-            SeparationConfig(n_sources=2, n_bases=3, iterations=1, seed=seed), 5, 7, 2
+            SeparationConfig(n_sources=2, n_bases=3, iterations=1, seed=seed),
+            unit_mixture(5, 7, 2),
         )
         assert not np.array_equal(make(0).W, make(1).W)
 
     def test_wh_nonnegative(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1)
-        params = init_params(cfg, 16, 20, 2)
+        params = init_params(cfg, unit_mixture(16, 20, 2))
         assert np.all(params.W >= 0)
         assert np.all(params.H >= 0)
+
+    @pytest.mark.parametrize("k", [-100, -1, 1, 100])
+    def test_w_follows_the_mixture_level(self, k):
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, seed=4)
+        X = np.random.default_rng(4).standard_normal((5, 7, 2)) * (1 + 1j)
+        base = init_params(cfg, X)
+        scaled = init_params(cfg, 2.0 ** k * X)
+        np.testing.assert_array_equal(scaled.W, 4.0 ** k * base.W)
+        np.testing.assert_array_equal(scaled.H, base.H)
+        unit = init_params(cfg, unit_mixture(5, 7, 2))
+        np.testing.assert_array_equal(
+            base.W, power_scale(np.sum(np.abs(X) ** 2), X.size) * unit.W)
 
     def test_rank1_requires_square(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, rank1=True)
         with pytest.raises(ValueError, match="rank-1"):
-            init_params(cfg, 5, 7, 4)
+            init_params(cfg, unit_mixture(5, 7, 4))
 
     def test_underdetermined_rejected(self):
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1)
         with pytest.raises(ValueError, match="underdetermined"):
-            init_params(cfg, 5, 7, 2)
+            init_params(cfg, unit_mixture(5, 7, 2))
+
+
+class TestPowerScale:
+    @pytest.mark.parametrize("mean,expected", [
+        (1.0, 1.0), (2.0, 2.0), (0.7, 0.5), (0.76, 1.0), (5.9, 4.0), (6.1, 8.0),
+        (3e-70, 2.0 ** -231), (0.0, 0.0),
+    ])
+    def test_nearest_power_of_two(self, mean, expected):
+        assert power_scale(12 * mean, 12) == expected
+
+    @pytest.mark.parametrize("k", [-500, -7, 0, 7, 500])
+    def test_exact_under_powers_of_two(self, k):
+        assert power_scale(4.0 ** k * 10.0, 5) == 4.0 ** k * 2.0
+
+    @pytest.mark.parametrize("total", [np.inf, np.nan])
+    def test_overflow_refused(self, total):
+        with pytest.raises(ValueError, match="mixture power overflows float64"):
+            power_scale(total, 4)
 
 
 class TestModelParams:
@@ -307,7 +344,7 @@ class TestComputeYtilde:
 
     def test_rank1_identity_gives_psd_per_channel(self):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, rank1=True)
-        params = init_params(cfg, 4, 5, 2)
+        params = init_params(cfg, unit_mixture(4, 5, 2))
         lam = source_psd(params)
         y = compute_ytilde(params, 1e-30)
         for m in range(2):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gsmsep import linalg, optimizer
+from gsmsep.harness import synth_scene
 from gsmsep.model import (
     Gaussian,
     LeptokurticGG,
@@ -27,9 +28,11 @@ from gsmsep.model import (
     compute_ytilde,
     init_params,
     normalize,
+    power_scale,
     source_psd,
 )
 from gsmsep.optimizer import (
+    DEFAULT_FLOOR,
     EStepCache,
     MONOTONE_SLACK,
     e_step,
@@ -44,6 +47,7 @@ from gsmsep.optimizer import (
     update_w,
     weighted_covariances,
 )
+from gsmsep.stft import StftConfig, stft_forward
 from oracles import log_marginal_density
 
 ALL_VARIANTS = [
@@ -62,10 +66,8 @@ def random_mixture(rng, f, t, m):
 
 def make_setup(seed=0, n=2, k=2, f=6, t=8, m=2, eps=0.01):
     cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=1, eps_init=eps, seed=seed)
-    params = init_params(cfg, f, t, m)
-    rng = np.random.default_rng(seed + 1000)
-    X = random_mixture(rng, f, t, m)
-    return params, X
+    X = random_mixture(np.random.default_rng(seed + 1000), f, t, m)
+    return init_params(cfg, X), X
 
 
 class TestProjectMixture:
@@ -191,12 +193,12 @@ class TestUpdateQ:
         # white data with unit model variance: V_fm = I, so the
         # projection returns the basis vectors and Q stays identity
         cfg = SeparationConfig(n_sources=2, n_bases=1, iterations=1, rank1=True)
-        params = init_params(cfg, n_freq=3, n_frames=2, n_channels=2)
-        params.W[:] = 1.0
-        params.H[:] = 1.0
         X = np.zeros((3, 2, 2), dtype=np.complex128)
         X[:, 0, 0] = np.sqrt(2.0)
         X[:, 1, 1] = np.sqrt(2.0)
+        params = init_params(cfg, X)
+        params.W[:] = 1.0
+        params.H[:] = 1.0
         cache = e_step(X, params, Gaussian())
         out = update_q(params, outer_products(X), cache)
         np.testing.assert_allclose(out.Q, params.Q, atol=1e-14)
@@ -204,9 +206,8 @@ class TestUpdateQ:
     def test_single_channel_unit_scale(self):
         # M = 1: the rescale forces |q|^2 V = 1 exactly
         cfg = SeparationConfig(n_sources=1, n_bases=2, iterations=1)
-        params = init_params(cfg, n_freq=4, n_frames=16, n_channels=1)
-        rng = np.random.default_rng(8)
-        X = random_mixture(rng, 4, 16, 1)
+        X = random_mixture(np.random.default_rng(8), 4, 16, 1)
+        params = init_params(cfg, X)
         cache = e_step(X, params, Gaussian())
         out = update_q(params, outer_products(X), cache)
         weight = cache.inv_phi / cache.y_tilde[:, :, 0]
@@ -435,7 +436,7 @@ class TestRun:
         params, trace = run(X, cfg)
         assert len(trace) == 0
         assert list(trace) == []
-        init = init_params(cfg, 5, 6, 2)
+        init = init_params(cfg, X)
         np.testing.assert_array_equal(params.W, init.W)
         np.testing.assert_array_equal(params.H, init.H)
         np.testing.assert_array_equal(params.Q, init.Q)
@@ -480,7 +481,7 @@ class TestRun:
         rng = np.random.default_rng(22)
         X = random_mixture(rng, 5, 6, 2)
         params, trace = run(X, cfg)
-        steps = list(iterate(X, init_params(cfg, 5, 6, 2), cfg))
+        steps = list(iterate(X, init_params(cfg, X), cfg))
         assert [ll for _, ll in steps] == trace
         last = steps[-1][0]
         for field in ("W", "H", "Q", "Gtilde"):
@@ -497,7 +498,7 @@ class TestRun:
         rng = np.random.default_rng(24)
         X = random_mixture(rng, 5, 6, 2)
         params, _ = run(X, cfg)
-        cache = e_step(X, params, cfg.variant, cfg.floor)
+        cache = e_step(X, params, cfg.variant)
         np.testing.assert_array_equal(cache.inv_phi, np.ones((5, 6)))
 
 
@@ -510,14 +511,31 @@ class TestRunGuards:
         with pytest.raises(ValueError, match="non-finite"):
             run(X, cfg)
 
-    def test_overflowing_mixture_stops_at_first_iteration(self):
-        # finite samples whose power |x|^2 overflows to inf
+    def test_overflowing_mixture_stops_at_first_iteration(self, monkeypatch):
+        # finite samples whose power |x|^2 overflows to inf: refused before
+        # any work, with no warning
+        e_steps = counter(monkeypatch, "e_step")
+        solves = counter(monkeypatch, "update_q")
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
         X = 1e160 * random_mixture(np.random.default_rng(26), 9, 12, 2)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ArithmeticError, match="at iteration 0"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mixture power overflows float64"):
                 run(X, cfg)
+        assert (len(e_steps), len(solves)) == (0, 0)
+
+    def test_guard_refuses_overflow_from_given_params(self, monkeypatch):
+        # iterate from parameters fitted elsewhere: the channel guard, not
+        # init_params, refuses the overflowing Gram
+        e_steps = counter(monkeypatch, "e_step")
+        solves = counter(monkeypatch, "update_q")
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        X = random_mixture(np.random.default_rng(26), 9, 12, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mixture power overflows float64"):
+                next(iterate(1e160 * X, init_params(cfg, X), cfg))
+        assert (len(e_steps), len(solves)) == (0, 0)
 
     def test_non_finite_likelihood_names_iteration(self, monkeypatch):
         calls = []
@@ -597,7 +615,7 @@ class TestChannelGuard:
             if entry == "run":
                 run(X, cfg)
             else:
-                next(iterate(X, init_params(cfg, *X.shape), cfg))
+                next(iterate(X, init_params(cfg, X), cfg))
         assert len(calls) == 0
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
@@ -644,6 +662,31 @@ class TestUpdateQWarnings:
             assert "(f, m) rows" in str(w.message)
 
 
+class TestLevelInvariance:
+    @pytest.fixture(scope="class")
+    def scene_stft(self):
+        scene = synth_scene(2, 2, 1.0, seed=0)
+        return stft_forward(scene.mixture.samples, StftConfig())
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VARIANT_IDS)
+    def test_power_of_two_gain_moves_into_h(self, variant, scene_stft):
+        # the floor and the starting W follow the mixture's power scale, so
+        # 2^k X is fitted exactly as X: every power, so H, scales by 4^k
+        # and the trace shifts by the Jacobian -2k MFT log 2
+        cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=8, seed=0,
+                               variant=variant)
+        base, base_trace = run(scene_stft, cfg)
+        for k in (-100, -20, 20, 100):
+            params, trace = run(2.0 ** k * scene_stft, cfg)
+            for field in ("W", "Q", "Gtilde"):
+                np.testing.assert_array_equal(getattr(params, field),
+                                              getattr(base, field), err_msg=f"{field}, k={k}")
+            np.testing.assert_array_equal(params.H, 4.0 ** k * base.H)
+            shift = 2 * k * scene_stft.size * np.log(2.0)
+            np.testing.assert_allclose(trace, np.array(base_trace) - shift,
+                                       rtol=1e-12, atol=0)
+
+
 RUN_CASES = [(v, False) for v in ALL_VARIANTS] + [(Gaussian(), True), (NIG(rho=15.0, eta=1.0), True)]
 RUN_CASE_IDS = VARIANT_IDS + ["gaussian-rank1", "nig-rank1"]
 
@@ -658,23 +701,24 @@ class TestFusedLoop:
         X = random_mixture(np.random.default_rng(29), 17, 20, 2)
         params, trace = run(X, cfg)
 
-        expected_params = init_params(cfg, 17, 20, 2)
+        expected_params = init_params(cfg, X)
+        floor = DEFAULT_FLOOR * power_scale(np.sum(np.abs(X) ** 2), X.size)
         expected = []
         for _ in range(cfg.iterations):
-            cache = e_step(X, expected_params, variant, cfg.floor)
+            cache = e_step(X, expected_params, variant, floor)
             expected_params = update_w(expected_params, cache)
             cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+                cache, y_tilde=compute_ytilde(expected_params, floor))
             expected_params = update_h(expected_params, cache)
             cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+                cache, y_tilde=compute_ytilde(expected_params, floor))
             expected_params = update_g(expected_params, cache, rank1=rank1)
             cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, cfg.floor))
+                cache, y_tilde=compute_ytilde(expected_params, floor))
             expected_params = update_q(expected_params, outer_products(X), cache)
             expected_params = normalize(expected_params)
             expected.append(
-                log_likelihood(X, expected_params, variant, floor=cfg.floor)[0])
+                log_likelihood(X, expected_params, variant, floor=floor)[0])
         assert trace == expected
         np.testing.assert_array_equal(params.Q, expected_params.Q)
         np.testing.assert_array_equal(params.W, expected_params.W)

@@ -55,10 +55,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="divide"):
             StftConfig(n_fft=64, hop=24)
 
-    def test_window_name(self):
-        with pytest.raises(ValueError, match="hann"):
-            StftConfig(window="hamming")
-
 
 class TestWindow:
     def test_midpoint_is_one(self):

@@ -14,14 +14,15 @@ CFG = StftConfig(n_fft=64, hop=16)
 
 def random_setup(seed=0, n=2, k=2, f=5, t=7, m=2):
     cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=1, seed=seed)
-    params = init_params(cfg, f, t, m)
     rng = np.random.default_rng(seed + 500)
-    params.Q[:] = (
+    Q = (
         rng.standard_normal((f, m, m))
         + 1j * rng.standard_normal((f, m, m))
         + 2.0 * m * np.eye(m)
     )
     X = rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+    params = init_params(cfg, X)
+    params.Q[:] = Q
     return params, X
 
 
