@@ -80,17 +80,37 @@ DEFAULTS = {
 }
 
 
+# bench grid keys that describe the scene, not the run, and their types
+SCENE_KEYS = {"n_mics": int, "duration_s": float, "scene_seed": int,
+              "noise_snr_db": float}
+
+
+def _typed(name: str, value, kind: type):
+    """value as `kind`, refusing what only a coercion would make one: a
+    bench grid is JSON, so 2.7 iterations or "false" for rank1 is an error,
+    while 3.0 iterations and an integer rho are taken."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _separation_config(settings: dict) -> SeparationConfig:
-    """Keys named as in DEFAULTS; absent ones take the DEFAULTS value."""
-    settings = {**DEFAULTS, **settings}
+    """Keys named as in DEFAULTS, each of its DEFAULTS value's type; absent
+    ones take the DEFAULTS value, and other keys are ignored."""
+    settings = {**DEFAULTS, **{name: _typed(name, value, type(DEFAULTS[name]))
+                               for name, value in settings.items() if name in DEFAULTS}}
     return SeparationConfig(
-        n_sources=int(settings["n_sources"]),
-        n_bases=int(settings["n_bases"]),
-        iterations=int(settings["iterations"]),
+        n_sources=settings["n_sources"],
+        n_bases=settings["n_bases"],
+        iterations=settings["iterations"],
         variant=variant_from_dict(settings),
-        rank1=bool(settings["rank1"]),
-        eps_init=float(settings["eps_init"]),
-        seed=int(settings["seed"]),
+        rank1=settings["rank1"],
+        eps_init=settings["eps_init"],
+        seed=settings["seed"],
     )
 
 
@@ -131,7 +151,8 @@ def cmd_separate(args) -> int:
     # sepbench's tracer wraps read_wav, write_wav and stft_forward as
     # attributes of this module
     X_FTM = stft_forward(buffer.samples, stft_cfg)
-    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg, buffer.n_frames)
+    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg, buffer.n_frames,
+                                      all_channels=args.multichannel)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,20 +225,22 @@ def cmd_evaluate(args) -> int:
 def _parse_bench_entry(entry: dict):
     if not isinstance(entry, dict):
         raise ValueError(f"grid entries must be objects, got {type(entry).__name__}")
-    unknown = sorted(set(entry) - set(DEFAULTS)
-                     - {"n_mics", "duration_s", "scene_seed", "noise_snr_db"})
+    unknown = sorted(set(entry) - set(DEFAULTS) - set(SCENE_KEYS))
     if unknown:
         raise ValueError(f"malformed grid entry {entry!r}: unknown keys {unknown}")
     try:
         cfg = _separation_config(entry)
+        scene = {name: _typed(name, entry[name], kind)
+                 for name, kind in SCENE_KEYS.items()
+                 if entry.get(name) is not None}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid entry {entry!r}: {exc}") from exc
     scene_args = {
         "n_sources": cfg.n_sources,
-        "n_mics": int(entry.get("n_mics", cfg.n_sources)),
-        "duration_s": float(entry.get("duration_s", 3.0)),
-        "seed": int(entry.get("scene_seed", cfg.seed)),
-        "noise_snr_db": entry.get("noise_snr_db"),
+        "n_mics": scene.get("n_mics", cfg.n_sources),
+        "duration_s": scene.get("duration_s", 3.0),
+        "seed": scene.get("scene_seed", cfg.seed),
+        "noise_snr_db": scene.get("noise_snr_db"),
     }
     return cfg, scene_args
 

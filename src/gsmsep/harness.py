@@ -199,15 +199,18 @@ class SeparationReport:
 
 
 def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
-                     stft_cfg: StftConfig, n_samples: int) -> tuple[list, list]:
+                     stft_cfg: StftConfig, n_samples: int,
+                     all_channels: bool = True) -> tuple[list, list]:
     """Optimize, then Wiener-separate and resynthesize one STFT mixture.
 
     Returns one (M, n_samples) image per source, loudest first, and the
-    log-likelihood trace.  A silent or duplicated channel raises
-    optimizer.ChannelLayoutError before the first iteration.
+    log-likelihood trace; without `all_channels` each image holds channel
+    1 only, (1, n_samples), and the order is the same.  A silent or
+    duplicated channel raises optimizer.ChannelLayoutError before the
+    first iteration.
     """
     params, trace = optimizer.run(X_FTM, cfg)
-    return wiener.separate(X_FTM, params, stft_cfg, n_samples), trace
+    return wiener.separate(X_FTM, params, stft_cfg, n_samples, all_channels), trace
 
 
 def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
@@ -227,7 +230,7 @@ def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
     started = time.perf_counter()
     X_FTM = stft_forward(scene.mixture.samples, stft_cfg)
     sources, trace = separate_mixture(X_FTM, cfg, stft_cfg,
-                                      scene.mixture.n_frames)
+                                      scene.mixture.n_frames, all_channels=False)
     estimates = [source[0] for source in sources[:n_refs]]
     references = [ref.samples[0] for ref in scene.references]
     metrics = permutation_si_sdr(estimates, references,

@@ -13,7 +13,13 @@ next E-step takes it as it is.  The Q update's weighted covariances V_fm
 are weighted sums of the outer products x_ft x_ft^H, which do not change
 during a run: `iterate` builds their real statistics once, checks the
 channel layout from them, and each `update_q` weighs them for every m
-with one real matrix product.  `iterate` is a
+with one real matrix product.  Every other per-bin stage (y~, the W, H
+and G~ updates, and the likelihood's projection, |Q x|^2, s and
+sum_m log y~) loops over `freq_blocks`, so its temporaries stay in
+cache.  The sums over f in the H and G~ updates accumulate across
+blocks; the likelihood sums its per-bin (F, T) terms once, and the only
+(F, T, M) arrays a stage holds whole are the cache's y~ and z^.
+`iterate` is a
 generator, not a step function returning its state, so the E-step cache
 outlives each iteration: freeing it every iteration made the allocator
 return its pages to the OS and fault them back in.  Every update
@@ -37,6 +43,7 @@ from .model import (
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
+    freq_blocks,
     init_params,
     normalize,
     power_scale,
@@ -52,9 +59,6 @@ DEFAULT_FLOOR = 1e-10
 # pure guard against 0/0 in the multiplicative ratios; small enough to
 # never alter a denominator that carries information
 _DEN_TINY = np.finfo(np.float64).tiny
-
-# working-set bound of one `outer_products` block, a fraction of L2
-_BLOCK_BYTES = 1 << 19
 
 # |G_ij|^2 >= (1 - tol) G_ii G_jj: equality in Cauchy-Schwarz up to rounding
 _COPY_TOL = 1e-10
@@ -85,15 +89,34 @@ def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
 
 
 def _project(X_FTM: np.ndarray, params: ModelParams, floor: float):
-    # (z~, y~, s) at params
-    z_tilde = np.abs(project_mixture(X_FTM, params.Q)) ** 2
+    # (z~, y~, s, sum_m log y~) at params; Q x and the per-bin sums are
+    # formed one frequency block at a time
+    n_freq, n_frames, n_chan = X_FTM.shape
     y_tilde = compute_ytilde(params, floor)
-    return z_tilde, y_tilde, (z_tilde / y_tilde).sum(axis=2)
+    z_tilde = np.empty(X_FTM.shape)
+    s_FT = np.empty((n_freq, n_frames))
+    log_y_FT = np.empty((n_freq, n_frames))
+    for block in freq_blocks(n_freq, 40 * n_frames * n_chan):
+        z_tilde[block] = np.abs(project_mixture(X_FTM[block], params.Q[block])) ** 2
+        s_FT[block] = _sum_channels(z_tilde[block] / y_tilde[block])
+        log_y_FT[block] = _sum_channels(np.log(y_tilde[block]))
+    return z_tilde, y_tilde, s_FT, log_y_FT
+
+
+def _sum_channels(A_BTM: np.ndarray) -> np.ndarray:
+    # sum over m, added in channel order: what `sum(axis=2)` does below 8
+    # channels, bit for bit, without its per-bin reduction overhead
+    total_BT = A_BTM[:, :, 0].copy()
+    for m in range(1, A_BTM.shape[2]):
+        total_BT += A_BTM[:, :, m]
+    return total_BT
 
 
 def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
            inv_phi: np.ndarray) -> EStepCache:
-    return EStepCache(y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde)
+    # z^ is formed in z~'s memory, which nothing else holds
+    z_tilde *= inv_phi[:, :, None]
+    return EStepCache(y_tilde, inv_phi, z_tilde)
 
 
 def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
@@ -110,35 +133,47 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
             f" {(params.n_freq, params.n_frames, params.n_channels)}"
         )
     if cache is None:
-        z_tilde, y_tilde, s = _project(X_FTM, params, floor)
+        z_tilde, y_tilde, s, _ = _project(X_FTM, params, floor)
         cache = _cache(z_tilde, y_tilde,
                        inv_phi_from_s(s, params.n_channels, variant))
     return cache
 
 
-def _mu_ratio_parts(cache: EStepCache, Gtilde_NM: np.ndarray):
-    # tmp1 weights carry y~^-2 z^, tmp2 carry y~^-1, contracted over m.
-    P_FTM = cache.z_hat / (cache.y_tilde * cache.y_tilde)
-    R_FTM = 1.0 / cache.y_tilde
-    tmp1_NFT = np.tensordot(Gtilde_NM, P_FTM, axes=([1], [2]))
-    tmp2_NFT = np.tensordot(Gtilde_NM, R_FTM, axes=([1], [2]))
-    return tmp1_NFT, tmp2_NFT
+def _mu_blocks(params: ModelParams, cache: EStepCache):
+    # per frequency block of the W, H and G~ updates: y~^-2 z^ and y~^-1
+    per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
+    for block in freq_blocks(params.n_freq, per_freq):
+        y_BTM = cache.y_tilde[block]
+        yield block, cache.z_hat[block] / (y_BTM * y_BTM), 1.0 / y_BTM
+
+
+def _mu_ratio_parts(params: ModelParams, cache: EStepCache):
+    # per frequency block: tmp1 weights carry y~^-2 z^, tmp2 carry y~^-1,
+    # contracted over m with G~
+    for block, P_BTM, R_BTM in _mu_blocks(params, cache):
+        yield (block,
+               np.tensordot(params.Gtilde, P_BTM, axes=([1], [2])),
+               np.tensordot(params.Gtilde, R_BTM, axes=([1], [2])))
 
 
 def update_w(params: ModelParams, cache: EStepCache) -> ModelParams:
     """w <- w sqrt(sum_tm h g~ y~^-2 z^ / sum_tm h g~ y~^-1)."""
-    tmp1_NFT, tmp2_NFT = _mu_ratio_parts(cache, params.Gtilde)
-    numerator = np.matmul(params.H, tmp1_NFT.transpose(0, 2, 1))
-    denominator = np.matmul(params.H, tmp2_NFT.transpose(0, 2, 1))
-    W_NKF = params.W * np.sqrt(numerator / np.maximum(denominator, _DEN_TINY))
+    W_NKF = np.empty_like(params.W)
+    for block, tmp1_NBT, tmp2_NBT in _mu_ratio_parts(params, cache):
+        numerator = np.matmul(params.H, tmp1_NBT.transpose(0, 2, 1))
+        denominator = np.matmul(params.H, tmp2_NBT.transpose(0, 2, 1))
+        W_NKF[:, :, block] = params.W[:, :, block] * np.sqrt(
+            numerator / np.maximum(denominator, _DEN_TINY))
     return dataclasses.replace(params, W=W_NKF)
 
 
 def update_h(params: ModelParams, cache: EStepCache) -> ModelParams:
     """h <- h sqrt(sum_fm w g~ y~^-2 z^ / sum_fm w g~ y~^-1)."""
-    tmp1_NFT, tmp2_NFT = _mu_ratio_parts(cache, params.Gtilde)
-    numerator = np.matmul(params.W, tmp1_NFT)
-    denominator = np.matmul(params.W, tmp2_NFT)
+    numerator = np.zeros_like(params.H)
+    denominator = np.zeros_like(params.H)
+    for block, tmp1_NBT, tmp2_NBT in _mu_ratio_parts(params, cache):
+        numerator += np.matmul(params.W[:, :, block], tmp1_NBT)
+        denominator += np.matmul(params.W[:, :, block], tmp2_NBT)
     H_NKT = params.H * np.sqrt(numerator / np.maximum(denominator, _DEN_TINY))
     return dataclasses.replace(params, H=H_NKT)
 
@@ -151,11 +186,12 @@ def update_g(params: ModelParams, cache: EStepCache,
     """
     if rank1:
         return params
-    lambda_NFT = source_psd(params)
-    P_FTM = cache.z_hat / (cache.y_tilde * cache.y_tilde)
-    R_FTM = 1.0 / cache.y_tilde
-    numerator = np.tensordot(lambda_NFT, P_FTM, axes=([1, 2], [0, 1]))
-    denominator = np.tensordot(lambda_NFT, R_FTM, axes=([1, 2], [0, 1]))
+    numerator = np.zeros_like(params.Gtilde)
+    denominator = np.zeros_like(params.Gtilde)
+    for block, P_BTM, R_BTM in _mu_blocks(params, cache):
+        lambda_NBT = source_psd(params, block)
+        numerator += np.tensordot(lambda_NBT, P_BTM, axes=([1, 2], [0, 1]))
+        denominator += np.tensordot(lambda_NBT, R_BTM, axes=([1, 2], [0, 1]))
     G_NM = params.Gtilde * np.sqrt(numerator / np.maximum(denominator, _DEN_TINY))
     return dataclasses.replace(params, Gtilde=G_NM)
 
@@ -166,17 +202,16 @@ def outer_products(X_FTM: np.ndarray) -> np.ndarray:
     Rows 0..M-1 hold |x_i|^2; then each pair i < j, in `np.triu_indices`
     order, has two rows: Re and Im of x_i x_j^*.  They do not change
     during a run, so `iterate` builds them once and `update_q` weighs them
-    with one real matrix product per call.  X is read in blocks of
-    frequencies whose channel-major copy and pair temporaries fit in
-    about _BLOCK_BYTES, so no transposed copy of the whole of X is made.
+    with one real matrix product per call.  X is read in `freq_blocks`
+    whose channel-major copy and pair temporaries fit in cache, so no
+    transposed copy of the whole of X is made.
     """
     n_freq, n_frames, n_chan = X_FTM.shape
     upper, lower = np.triu_indices(n_chan, k=1)
     S_FPT = np.empty((n_freq, n_chan * n_chan, n_frames))
-    step = max(1, _BLOCK_BYTES // (16 * n_frames * (n_chan + 3 * len(upper))))
-    for start in range(0, n_freq, step):
-        X_BMT = X_FTM[start:start + step].transpose(0, 2, 1).copy()
-        S_BPT = S_FPT[start:start + step]
+    for block in freq_blocks(n_freq, 16 * n_frames * (n_chan + 3 * len(upper))):
+        X_BMT = X_FTM[block].transpose(0, 2, 1).copy()
+        S_BPT = S_FPT[block]
         S_BPT[:, :n_chan] = X_BMT.real ** 2 + X_BMT.imag ** 2
         cross_BPT = X_BMT[:, upper] * X_BMT[:, lower].conj()
         S_BPT[:, n_chan::2] = cross_BPT.real
@@ -295,9 +330,9 @@ def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
     as the marginal.
     """
-    z_tilde, y_tilde, s = _project(X_FTM, params, floor)
+    z_tilde, y_tilde, s, log_y = _project(X_FTM, params, floor)
     bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
-    bin_terms = bin_terms - np.log(y_tilde).sum(axis=2)
+    bin_terms = bin_terms - log_y
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
     return value, _cache(z_tilde, y_tilde, inv_phi)

@@ -61,18 +61,21 @@ def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray
 
 
 def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
-             n_samples: int) -> list:
+             n_samples: int, all_channels: bool = True) -> list:
     """Render every source image, loudest first.
 
-    Each image is inverse-STFT'd channel by channel as soon as it is built
-    and then dropped, so one (F, T, M) image is alive at a time.  Returns
-    one (M, n_samples) array per source, ordered by decreasing mean
-    |x^|^2 over (f, t, m); ties keep the lower index first.  Channel 1
-    (index 0) is the single-channel export convention.
+    Each image is inverse-STFT'd as soon as it is built and then dropped,
+    so one (F, T, M) image is alive at a time.  Returns one
+    (M, n_samples) array per source, or (1, n_samples) holding channel 1
+    alone when not `all_channels`, ordered by decreasing mean |x^|^2 over
+    (f, t, m) of the whole image either way; ties keep the lower index
+    first.  Channel 1 (index 0) is the single-channel export convention.
     """
+    rendered_channels = slice(None) if all_channels else slice(0, 1)
     energies, rendered = [], []
     for image_FTM in source_images(X_FTM, params):
         energies.append(np.mean(np.abs(image_FTM) ** 2))
-        rendered.append(stft_inverse(image_FTM, stft_cfg, n_samples))
+        rendered.append(stft_inverse(image_FTM[:, :, rendered_channels],
+                                     stft_cfg, n_samples))
     order = np.argsort(-np.array(energies), kind="stable")
     return [rendered[n] for n in order]

@@ -11,7 +11,11 @@ the production path is never checked against itself.
   (z~_m, y~_m) pairs;
 - `posterior_inv_phi` and `BinStatistic`: a validated scalar view of the
   production `inv_phi_from_s`;
-- `gh_from_ab`: GH from the alternative (a, b) parameters.
+- `gh_from_ab`: GH from the alternative (a, b) parameters;
+- `whole_ytilde`, `whole_update_w`, `whole_update_h`, `whole_update_g` and
+  `whole_likelihood`: the per-bin stages on whole (F, T, M) arrays, one
+  product over every frequency, as the frequency-blocked stages compute
+  them block by block.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from gsmsep.model import GH, NIG, GsmVariant, StudentT
+from gsmsep import linalg
+from gsmsep.model import GH, NIG, GsmVariant, ModelParams, StudentT
 from gsmsep.priors import inv_phi_from_s, log_marginal_from_s
 
 
@@ -214,3 +219,61 @@ def quadrature_posterior_inv_phi(z_tilde, y_tilde, variant: GsmVariant) -> float
             f"quadrature missed the 1e-8 relative target, achieved {achieved:.2e}"
         )
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# Per-bin stages on whole arrays.
+# ---------------------------------------------------------------------------
+
+def _whole_psd(params: ModelParams) -> np.ndarray:
+    return np.matmul(params.W.transpose(0, 2, 1), params.H)
+
+
+def whole_ytilde(params: ModelParams, floor: float) -> np.ndarray:
+    """y~_FTM = max(sum_n lambda_nft g~_nm, floor) in one contraction."""
+    return np.maximum(np.tensordot(_whole_psd(params), params.Gtilde,
+                                   axes=([0], [0])), floor)
+
+
+def _whole_ratio_parts(params: ModelParams, y_FTM, z_hat_FTM):
+    P_FTM = z_hat_FTM / (y_FTM * y_FTM)
+    R_FTM = 1.0 / y_FTM
+    return (np.tensordot(params.Gtilde, P_FTM, axes=([1], [2])),
+            np.tensordot(params.Gtilde, R_FTM, axes=([1], [2])), P_FTM, R_FTM)
+
+
+def whole_update_w(params: ModelParams, y_FTM, z_hat_FTM) -> np.ndarray:
+    """The multiplicative W update: sums over (t, m) for every f at once."""
+    tmp1_NFT, tmp2_NFT, _, _ = _whole_ratio_parts(params, y_FTM, z_hat_FTM)
+    numerator = np.matmul(params.H, tmp1_NFT.transpose(0, 2, 1))
+    denominator = np.matmul(params.H, tmp2_NFT.transpose(0, 2, 1))
+    return params.W * np.sqrt(numerator / denominator)
+
+
+def whole_update_h(params: ModelParams, y_FTM, z_hat_FTM) -> np.ndarray:
+    """The multiplicative H update: one sum over (f, m)."""
+    tmp1_NFT, tmp2_NFT, _, _ = _whole_ratio_parts(params, y_FTM, z_hat_FTM)
+    return params.H * np.sqrt(np.matmul(params.W, tmp1_NFT)
+                              / np.matmul(params.W, tmp2_NFT))
+
+
+def whole_update_g(params: ModelParams, y_FTM, z_hat_FTM) -> np.ndarray:
+    """The multiplicative G~ update: one sum over (f, t)."""
+    _, _, P_FTM, R_FTM = _whole_ratio_parts(params, y_FTM, z_hat_FTM)
+    lambda_NFT = _whole_psd(params)
+    numerator = np.tensordot(lambda_NFT, P_FTM, axes=([1, 2], [0, 1]))
+    denominator = np.tensordot(lambda_NFT, R_FTM, axes=([1, 2], [0, 1]))
+    return params.Gtilde * np.sqrt(numerator / denominator)
+
+
+def whole_likelihood(X_FTM, params: ModelParams, variant: GsmVariant,
+                     floor: float):
+    """(log-likelihood, y~, E[1/phi], z^) from whole-array Q x and sums over m."""
+    z_tilde = np.abs(np.matmul(X_FTM, params.Q.transpose(0, 2, 1))) ** 2
+    y_tilde = whole_ytilde(params, floor)
+    s = (z_tilde / y_tilde).sum(axis=2)
+    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
+    bin_terms = bin_terms - np.log(y_tilde).sum(axis=2)
+    det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
+    value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
+    return value, y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde

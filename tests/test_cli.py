@@ -85,6 +85,17 @@ class TestSeparateCommand:
         image = read_wav(tmp_path / "source1_multichannel.wav")
         assert image.n_channels == 2
 
+    def test_channel_one_files_match_the_multichannel_run(self, scene_dir, tmp_path):
+        # the default run inverse-transforms channel 1 alone, and writes
+        # the same bytes in the same order as a --multichannel run
+        for out, extra in (("mono", []), ("multi", ["--multichannel"])):
+            assert main(["separate", str(scene_dir / "mixture.wav"), "-N", "2",
+                         "-K", "2", "--iters", "3", "--out-dir",
+                         str(tmp_path / out), *extra]) == 0
+        for name in ("source1.wav", "source2.wav"):
+            assert (tmp_path / "mono" / name).read_bytes() \
+                == (tmp_path / "multi" / name).read_bytes()
+
     @pytest.mark.parametrize("k", [-40, 40])
     def test_power_of_two_gain_scales_the_outputs_exactly(self, k, scene_dir, tmp_path):
         # the run's floor and starting W follow the mixture's level, so a
@@ -375,6 +386,40 @@ class TestBenchCommand:
         assert code == 2
         assert "malformed grid entry" in captured.err
         assert "seed must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("iterations", 2.7, "iterations must be int, got 2.7"),
+        ("rank1", "false", "rank1 must be bool, got 'false'"),
+        ("n_mics", 2.9, "n_mics must be int, got 2.9"),
+        ("seed", True, "seed must be int, got True"),
+        ("rho", "15", "rho must be float, got '15'"),
+        ("duration_s", "1.0", "duration_s must be float, got '1.0'"),
+    ])
+    def test_mistyped_value_is_malformed(self, key, value, message, tmp_path, capsys):
+        # JSON values are not coerced: 2.7 iterations would run 2, and
+        # "false" would switch rank1 on
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([dict(self.GRID_ENTRY, **{key: value})]))
+        code = main(["bench", str(grid_path), "--out",
+                     str(tmp_path / "b.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "malformed grid entry" in captured.err
+        assert message in captured.err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_integral_numbers_are_taken(self, tmp_path):
+        # 1.0 iterations, 2.0 microphones and an integer eps_init are the
+        # configuration they spell, under the same hash
+        spelled = dict(self.GRID_ENTRY, iterations=1.0, n_mics=2.0, eps_init=0)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([dict(self.GRID_ENTRY, n_mics=2, eps_init=0.0),
+                                         spelled]))
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", str(grid_path), "--out", str(out_path)]) == 0
+        lines = out_path.read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert ",gaussian,2,2,1,0," in lines[1]
 
     @pytest.mark.parametrize("key", ["iteration", "floor"])
     def test_unknown_key_is_malformed(self, key, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsmsep import model
 from gsmsep.model import (
     GH,
     NIG,
@@ -20,6 +21,7 @@ from gsmsep.model import (
     SeparationConfig,
     StudentT,
     compute_ytilde,
+    freq_blocks,
     init_params,
     normalize,
     power_scale,
@@ -328,6 +330,26 @@ class TestSourcePsd:
                         params.W[n, k, f] * params.H[n, k, t] for k in range(3)
                     )
                     assert lam[n, f, t] == pytest.approx(expected, rel=1e-12)
+
+
+class TestFreqBlocks:
+    @pytest.mark.parametrize("n_freq,per_freq,budget", [
+        (1, 8, 1 << 20),  # one frequency
+        (5, 8, 1 << 20),  # fewer frequencies than one block holds
+        (513, 100, 700),  # 7 per block: 73 full blocks and one of 2
+        (12, 250, 1000),  # a whole number of blocks of 4
+        (10, 3000, 1000),  # one frequency outgrows the budget
+    ])
+    def test_every_frequency_once_in_order(self, n_freq, per_freq, budget,
+                                           monkeypatch):
+        monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
+        blocks = list(freq_blocks(n_freq, per_freq))
+        step = max(1, budget // per_freq)
+        covered = np.concatenate([np.arange(n_freq)[block] for block in blocks])
+        np.testing.assert_array_equal(covered, np.arange(n_freq))
+        sizes = [block.stop - block.start for block in blocks]
+        assert all(size == step for size in sizes[:-1])
+        assert 1 <= sizes[-1] <= step
 
 
 class TestComputeYtilde:

@@ -15,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gsmsep import linalg, optimizer
+import oracles
+from gsmsep import linalg, model, optimizer
 from gsmsep.harness import synth_scene
 from gsmsep.model import (
     Gaussian,
@@ -68,6 +69,59 @@ def make_setup(seed=0, n=2, k=2, f=6, t=8, m=2, eps=0.01):
     cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=1, eps_init=eps, seed=seed)
     X = random_mixture(np.random.default_rng(seed + 1000), f, t, m)
     return init_params(cfg, X), X
+
+
+class TestBlockedStages:
+    """Each per-bin stage, run over frequency blocks, against the same
+    stage on whole arrays.  Only the order of the sums over f (and of the
+    BLAS products) differs, so they agree to a few ulp."""
+
+    CASES = [  # (n, m, f, t, rank1)
+        (1, 1, 7, 5, False),
+        (1, 3, 13, 9, False),
+        (2, 3, 13, 9, False),
+        (3, 3, 11, 6, True),
+        (2, 2, 1, 4, False),
+    ]
+
+    @pytest.mark.parametrize("n,m,f,t,rank1", CASES)
+    @pytest.mark.parametrize("m_step_freqs", [0, 3, 1 << 20],
+                             ids=["one-frequency", "three", "one-block"])
+    def test_matches_whole_array_stages(self, n, m, f, t, rank1, m_step_freqs,
+                                        monkeypatch):
+        # budget 0 makes every block one frequency; 3 M-step frequencies
+        # leave uneven last blocks at f = 13 and 11
+        monkeypatch.setattr(model, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
+        rng = np.random.default_rng(100 * n + m)
+        X = random_mixture(rng, f, t, m)
+        cfg = SeparationConfig(n_sources=n, n_bases=2, iterations=1,
+                               rank1=rank1, seed=n + m)
+        params = init_params(cfg, X)
+        params.Q[:] += 0.3 * random_mixture(rng, f, m, m)
+        variant, floor = StudentT(nu=4.0), 1e-3
+
+        ll, cache = log_likelihood(X, params, variant, floor)
+        value, y_tilde, inv_phi, z_hat = oracles.whole_likelihood(
+            X, params, variant, floor)
+        assert ll == pytest.approx(value, rel=1e-13)
+        for got, want in ((cache.y_tilde, y_tilde), (cache.inv_phi, inv_phi),
+                          (cache.z_hat, z_hat),
+                          (compute_ytilde(params, floor), y_tilde)):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        fresh = e_step(X, params, variant, floor)
+        np.testing.assert_array_equal(fresh.z_hat, cache.z_hat)
+        np.testing.assert_array_equal(fresh.inv_phi, cache.inv_phi)
+
+        np.testing.assert_allclose(
+            update_w(params, cache).W,
+            oracles.whole_update_w(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+        np.testing.assert_allclose(
+            update_h(params, cache).H,
+            oracles.whole_update_h(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+        np.testing.assert_allclose(
+            update_g(params, cache).Gtilde,
+            oracles.whole_update_g(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+        assert update_g(params, cache, rank1=True) is params
 
 
 class TestProjectMixture:

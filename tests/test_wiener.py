@@ -138,6 +138,21 @@ class TestRanking:
         _, expected = oracle_renders(X, params, 256)
         np.testing.assert_array_equal(separate(X, params, CFG, 256), expected)
 
+    def test_channel_one_alone(self, monkeypatch):
+        # without all_channels only channel 1 is inverse-transformed; the
+        # order is still that of the energies over every channel
+        params, X, _ = spectral_setup(seed=13, n=3, m=3)
+        params.W[2] *= 1e2
+        order, expected = oracle_renders(X, params, 256)
+        assert order[0] == 2
+        widths = []
+        inverse = wiener.stft_inverse
+        monkeypatch.setattr(wiener, "stft_inverse", lambda spec, cfg, length: (
+            widths.append(spec.shape[2]), inverse(spec, cfg, length))[1])
+        rendered = separate(X, params, CFG, 256, all_channels=False)
+        assert widths == [1, 1, 1]
+        np.testing.assert_array_equal(rendered, [image[0:1] for image in expected])
+
 
 class TestRenderTimeDomain:
     def test_round_trip_of_images(self):
