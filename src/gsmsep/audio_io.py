@@ -1,9 +1,10 @@
 """Minimal RIFF/WAVE reader and writer for the codecs this toolkit needs.
 
-Little-endian linear PCM-16, PCM-24, and IEEE float-32 only.  Integer
-samples are scaled by 2^(bits-1), so full scale maps onto [-1, 1).  Files
-are interleaved on disk; buffers are channel-major in memory.  There is
-no resampling: rate mismatches are the caller's problem to detect via
+Reads little-endian linear PCM-16, PCM-24 and IEEE float-32, the input
+WAVs the toolkit takes; writes float-32 only.  Integer samples are
+scaled by 2^(bits-1), so full scale maps onto [-1, 1).  Files are
+interleaved on disk; buffers are channel-major in memory.  There is no
+resampling: rate mismatches are the caller's problem to detect via
 AudioBuffer.sample_rate.
 """
 
@@ -140,30 +141,14 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate=int(sample_rate))
 
 
-def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
-    """Write a buffer as float32 (bit-exact round trip) or pcm16.
-
-    pcm16 clamps to [-1, 1 - 2^-15] before quantizing, so the round-trip
-    error is at most 2^-15 per sample.
-    """
-    if encoding not in ("float32", "pcm16"):
-        raise ValueError(f"encoding must be 'float32' or 'pcm16', got {encoding!r}")
+def write_wav(path, buffer: AudioBuffer) -> None:
+    """Write a buffer as IEEE float-32; float32-representable samples read
+    back bit-exact."""
     samples = np.asarray(buffer.samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise ValueError("cannot write non-finite samples")
-    n_channels, _ = samples.shape
-    interleaved = samples.T
-
-    if encoding == "pcm16":
-        audio_format, bits = 1, 16
-        clipped = np.clip(interleaved, -1.0, 1.0 - 2.0**-15)
-        data = np.round(clipped * 32768.0).astype("<i2").tobytes()
-    else:
-        audio_format, bits = 3, 32
-        data = interleaved.astype("<f4").tobytes()
-
-    block_align = n_channels * bits // 8
-    byte_rate = buffer.sample_rate * block_align
+    data = samples.T.astype("<f4").tobytes()
+    block_align = 4 * samples.shape[0]
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -171,12 +156,12 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
         b"WAVE",
         b"fmt ",
         16,
-        audio_format,
-        n_channels,
+        3,  # IEEE float
+        samples.shape[0],
         buffer.sample_rate,
-        byte_rate,
+        buffer.sample_rate * block_align,
         block_align,
-        bits,
+        32,
         b"data",
         len(data),
     )

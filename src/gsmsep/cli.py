@@ -9,10 +9,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import sys
@@ -76,7 +74,7 @@ def _nonneg_int(name):
 DEFAULTS = {
     "model": NIG.name, "nu": 40.0, "beta": 1.0, "gamma": -0.5, "rho": 15.0,
     "eta": 1.0, "n_sources": 2, "n_bases": 8, "iterations": 300,
-    "rank1": False, "eps_init": 1e-2, "seed": 0,
+    "rank1": False, "seed": 0,
 }
 
 
@@ -109,7 +107,6 @@ def _separation_config(settings: dict) -> SeparationConfig:
         iterations=settings["iterations"],
         variant=variant_from_dict(settings),
         rank1=settings["rank1"],
-        eps_init=settings["eps_init"],
         seed=settings["seed"],
     )
 
@@ -245,8 +242,8 @@ def _parse_bench_entry(entry: dict):
     return cfg, scene_args
 
 
-def _run_bench_entry(entry: dict) -> SeparationReport:
-    cfg, scene_args = _parse_bench_entry(entry)
+def _run_bench_entry(parsed: tuple) -> SeparationReport:
+    cfg, scene_args = parsed
     return run_experiment(synth_scene(**scene_args), cfg, StftConfig())
 
 
@@ -258,13 +255,16 @@ def cmd_bench(args) -> int:
     if not isinstance(grid, list):
         raise ValueError("grid spec must be a JSON list of config objects")
 
-    unique = {}  # first entry per hash of its run and scene settings
+    unique = {}  # first parsed (cfg, scene_args) per hash of the two
     for entry in grid:
         cfg, scene_args = _parse_bench_entry(entry)
         effective = {"scene": scene_args, **config_to_dict(cfg, StftConfig())}
-        unique.setdefault(config_hash(effective), entry)
+        unique.setdefault(config_hash(effective), (cfg, scene_args))
 
     if args.workers > 1 and unique:
+        import concurrent.futures
+        import multiprocessing
+
         # spawned workers inherit one BLAS thread each, read when they
         # import numpy; the caller's environment is restored afterwards
         saved = dict(os.environ)
@@ -278,7 +278,7 @@ def cmd_bench(args) -> int:
             os.environ.clear()
             os.environ.update(saved)
     else:
-        reports = [_run_bench_entry(entry) for entry in unique.values()]
+        reports = [_run_bench_entry(parsed) for parsed in unique.values()]
 
     out_path = pathlib.Path(args.out)
     write_csv_summary(zip(unique, reports), out_path)

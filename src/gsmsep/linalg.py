@@ -33,7 +33,7 @@ def as_square_stack(A) -> np.ndarray:
     return A
 
 
-def condition_estimate(A) -> np.ndarray | float:
+def condition_estimate(A) -> np.ndarray:
     """2-norm condition number per matrix; +inf where exactly singular."""
     A = as_square_stack(A)
     sv = np.linalg.svd(A, compute_uv=False)
@@ -41,7 +41,7 @@ def condition_estimate(A) -> np.ndarray | float:
     smin = sv[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
-    return cond if cond.ndim else float(cond)
+    return cond
 
 
 def _refuse_ill_conditioned(A: np.ndarray) -> None:
@@ -49,7 +49,7 @@ def _refuse_ill_conditioned(A: np.ndarray) -> None:
     worst = float(np.max(cond))
     if not worst < COND_LIMIT:
         flat = int(np.argmax(cond))
-        index = np.unravel_index(flat, cond.shape) if cond.ndim else ()
+        index = np.unravel_index(flat, cond.shape)
         raise IllConditionedMatrixError(
             f"condition estimate {worst:.3e} exceeds {COND_LIMIT:.0e}"
             f" at stack index {index}"
@@ -63,14 +63,13 @@ def invert(A) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-def log_abs_det_gram(A) -> np.ndarray | float:
+def log_abs_det_gram(A) -> np.ndarray:
     """log|A A^H| per matrix, from the LU of A itself (= 2 log|det A|)."""
     A = as_square_stack(A)
     sign, logdet = np.linalg.slogdet(A)
     if np.any(sign == 0):
         raise IllConditionedMatrixError("singular matrix: |A A^H| underflows to zero")
-    out = 2.0 * logdet
-    return out if np.ndim(out) else float(out)
+    return 2.0 * logdet
 
 
 # 2**27 + 1; Dekker's constant for splitting a float64 into two 26-bit halves
@@ -103,7 +102,7 @@ def _dot2(pairs):
     return hi, lo
 
 
-def compensated_quadratic_form(A, v) -> np.ndarray | float:
+def compensated_quadratic_form(A, v) -> np.ndarray:
     """Re(v^H A v) per stacked matrix, immune to catastrophic cancellation.
 
     Dot2 (Ogita, Rump & Oishi, "Accurate sum and dot product", 2005) forms
@@ -119,11 +118,9 @@ def compensated_quadratic_form(A, v) -> np.ndarray | float:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or v.shape[-1:] != A.shape[-1:]:
         raise ValueError(f"shape mismatch: matrices {A.shape}, vectors {v.shape}")
     P = np.asarray(A.real, dtype=np.float64)
-    S = (np.asarray(A.imag, dtype=np.float64) if np.iscomplexobj(A)
-         else np.zeros_like(P))
+    S = np.asarray(A.imag, dtype=np.float64)
     a = np.asarray(v.real, dtype=np.float64)
-    b = (np.asarray(v.imag, dtype=np.float64)
-         if np.iscomplexobj(v) else np.zeros(v.shape))
+    b = np.asarray(v.imag, dtype=np.float64)
     # (Re w, Im w) += (P_:j, P_:j) (a_j, b_j) + (-S_:j, S_:j) (b_j, a_j)
     blocks = ((P, P, a, b), (-S, S, b, a))
     w_hi, w_lo = _dot2((np.stack([C[..., :, j], D[..., :, j]], axis=-2),
@@ -131,5 +128,4 @@ def compensated_quadratic_form(A, v) -> np.ndarray | float:
                        for j in range(a.shape[-1]) for C, D, x, y in blocks)
     hi, lo = _dot2((x[..., i], w_hi[..., k, i])
                    for k, x in enumerate((a, b)) for i in range(a.shape[-1]))
-    out = hi + (lo + (a * w_lo[..., 0, :] + b * w_lo[..., 1, :]).sum(axis=-1))
-    return out if out.ndim else float(out)
+    return hi + (lo + (a * w_lo[..., 0, :] + b * w_lo[..., 1, :]).sum(axis=-1))

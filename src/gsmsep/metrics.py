@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 SI_SDR_CAP_DB = 100.0
 
@@ -64,6 +63,8 @@ def permutation_si_sdr(estimates, references,
     scores.  When the mixture signal is supplied, input_si_sdr reports the
     mean SI-SDR of the unprocessed mixture against each reference.
     """
+    from scipy.optimize import linear_sum_assignment  # only scoring needs scipy
+
     if len(estimates) != len(references):
         raise ValueError(
             f"count mismatch: {len(estimates)} estimates,"

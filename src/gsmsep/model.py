@@ -24,6 +24,9 @@ import numpy as np
 # half of the 2 MiB per-core L2 it was tuned on
 _BLOCK_BYTES = 1 << 20
 
+# starting G~ weight of a source at the channels it is not assigned to
+GTILDE_INIT_OFF = 1e-2
+
 
 # ---------------------------------------------------------------------------
 # Bin-density variants (the impulse prior selects the family member).
@@ -129,10 +132,13 @@ def variant_from_dict(payload: dict) -> GsmVariant:
 
 def power_scale(total: float, n_values: int) -> float:
     """total / n_values rounded to the nearest power of two: a run on 2^k X
-    is then the run on X with every power scaled by 4^k, bit for bit."""
+    is then the run on X with every power scaled by 4^k, bit for bit.  A
+    NaN or infinite mean, from non-finite bins or an overflowing sum, is
+    refused here, before any work."""
     mean = total / n_values
     if not math.isfinite(mean):
-        raise ValueError(f"mixture power overflows float64 (mean bin power {mean})")
+        raise ValueError("non-finite mixture, or mixture power overflows float64"
+                         f" (mean bin power {mean})")
     mantissa, exponent = math.frexp(mean)
     return math.ldexp(round(2.0 * mantissa), exponent - 1)
 
@@ -144,7 +150,6 @@ class SeparationConfig:
     iterations: int
     variant: GsmVariant = Gaussian()
     rank1: bool = False
-    eps_init: float = 1e-2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -154,8 +159,6 @@ class SeparationConfig:
             raise ValueError(f"n_bases must be >= 1, got {self.n_bases}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not (math.isfinite(self.eps_init) and self.eps_init >= 0):
-            raise ValueError(f"eps_init must be >= 0, got {self.eps_init}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -217,7 +220,7 @@ def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
     W and H are |standard normal| draws from numpy's PCG64 generator
     seeded with cfg.seed (W first, times the mixture's `power_scale`, then
     H).  Q_f starts at the identity.  Gtilde row n has weight 1 at the
-    channels m with m mod N == n and cfg.eps_init elsewhere; under the
+    channels m with m mod N == n and GTILDE_INIT_OFF elsewhere; under the
     rank-1 constraint (N == M) it is frozen to the exact identity instead.
     """
     n, k, (n_freq, n_frames, m) = cfg.n_sources, cfg.n_bases, X_FTM.shape
@@ -234,8 +237,7 @@ def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
     W_NKF = power_scale(total, X_FTM.size) * np.abs(rng.standard_normal((n, k, n_freq)))
     H_NKT = np.abs(rng.standard_normal((n, k, n_frames)))
     Q_FMM = np.tile(np.eye(m, dtype=np.complex128), (n_freq, 1, 1))
-    eps = 0.0 if cfg.rank1 else cfg.eps_init
-    G_NM = np.full((n, m), eps)
+    G_NM = np.full((n, m), 0.0 if cfg.rank1 else GTILDE_INIT_OFF)
     for col in range(m):
         G_NM[col % n, col] = 1.0
     return ModelParams(W=W_NKF, H=H_NKT, Q=Q_FMM, Gtilde=G_NM)

@@ -120,9 +120,9 @@ def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
 
 
 def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
-           floor: float = DEFAULT_FLOOR,
-           cache: EStepCache | None = None) -> EStepCache:
-    """Posterior E[1/phi] and z^ at params.
+           floor: float, cache: EStepCache | None = None) -> EStepCache:
+    """Posterior E[1/phi] and z^ at params, with y~ floored at `floor`
+    (a run's is DEFAULT_FLOOR times the mixture's `power_scale`).
 
     `cache`, when given, must be the one `log_likelihood` returned for the
     same (X_FTM, params, floor); it is returned as it is.
@@ -299,7 +299,7 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
         # compensated evaluation: a plain einsum loses ~eps * cond(V) here,
         # which breaks the unit quadratic form once variance floors push
         # cond(V) past ~1e6
-        scale_F = np.asarray(linalg.compensated_quadratic_form(V_FMM, q_FM))
+        scale_F = linalg.compensated_quadratic_form(V_FMM, q_FM)
         degenerate_F = ~(np.isfinite(scale_F) & (scale_F > 0)) & ~bad_F
         kept["singular diagonalizer system"].extend(np.nonzero(bad_F)[0])
         kept["degenerate projection scale"].extend(np.nonzero(degenerate_F)[0])
@@ -321,10 +321,10 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
 
 
 def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
-                   variant: GsmVariant, floor: float = DEFAULT_FLOOR
-                   ) -> tuple[float, EStepCache]:
+                   variant: GsmVariant, floor: float) -> tuple[float, EStepCache]:
     """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|,
-    and the E-step cache at the same parameters.
+    and the E-step cache at the same parameters, with y~ floored at
+    `floor` as in `e_step`.
 
     The cache equals, bit for bit, a fresh `e_step(X_FTM, params, variant,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
@@ -333,7 +333,7 @@ def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
     z_tilde, y_tilde, s, log_y = _project(X_FTM, params, floor)
     bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
     bin_terms = bin_terms - log_y
-    det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
+    det_F = linalg.log_abs_det_gram(params.Q)
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
     return value, _cache(z_tilde, y_tilde, inv_phi)
 
@@ -387,14 +387,12 @@ def run(X_FTM: np.ndarray,
         cfg: SeparationConfig) -> tuple[ModelParams, list[float]]:
     """Initialize, then collect what `iterate` yields: the fitted parameters
     and one marginal log-likelihood per iteration.  Deterministic given
-    cfg.seed.  A non-finite mixture raises ValueError; `iterate` guards
-    the channel layout.
+    cfg.seed.  A non-finite mixture raises ValueError from `init_params`'
+    `power_scale`; `iterate` guards the channel layout.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     if X_FTM.ndim != 3:
         raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
-    if not np.all(np.isfinite(X_FTM)):
-        raise ValueError("mixture holds non-finite values")
 
     params = init_params(cfg, X_FTM)
     values: list[float] = []

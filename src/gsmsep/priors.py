@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .model import GH, NIG, Gaussian, GsmVariant, LeptokurticGG, StudentT
 
@@ -71,12 +70,14 @@ def _ladder(order: float, x: np.ndarray):
             log_scaled = 0.5 * np.log(0.5 * math.pi / x)
             prev = np.ones_like(x)
         elif nu0 == 0.0:
+            from scipy import special  # here, so NIG runs never import scipy
             k0, k1 = special.k0e(x), special.k1e(x)
             log_scaled = np.log(k0)
             prev = k0 / k1  # K_0 / K_{-1}
         else:
             # K_{nu0-1} = K_{1-nu0}: both base orders lie in (0, 1), where
             # kve stays finite down to the smallest positive x
+            from scipy import special
             k_lo, k_hi = special.kve(nu0, x), special.kve(1.0 - nu0, x)
             log_scaled = np.log(k_lo)
             prev = k_lo / k_hi  # K_nu0 / K_{nu0-1}

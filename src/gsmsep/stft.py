@@ -50,18 +50,15 @@ def periodic_hann(n_fft: int) -> np.ndarray:
 
 
 def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
-    """Complex spectrogram of a (n_samples,) or (channels, n_samples) signal.
+    """Complex spectrogram of a (channels, n_samples) signal.
 
-    Returns (F, T) for mono input and (F, T, M) for multichannel, with
-    F = n_fft/2 + 1 and T = ceil(n_samples / hop) + n_fft/hop - 1.  Frame
-    t covers padded samples [t hop, t hop + n_fft).
+    Returns a C-contiguous (F, T, M) stack with F = n_fft/2 + 1 and
+    T = ceil(n_samples / hop) + n_fft/hop - 1.  Frame t covers padded
+    samples [t hop, t hop + n_fft).
     """
     x = np.asarray(samples, dtype=np.float64)
-    mono = x.ndim == 1
-    if mono:
-        x = x[None, :]
     if x.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D samples, got shape {x.shape}")
+        raise ValueError(f"expected (channels, samples), got shape {x.shape}")
     if x.shape[1] < cfg.n_fft:
         raise ValueError(
             f"signal of {x.shape[1]} samples is shorter than one analysis window"
@@ -73,24 +70,21 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
     frames = frames[:, :: cfg.hop, :]
     window = periodic_hann(cfg.n_fft)
     spec_MTF = np.fft.rfft(frames * window, axis=-1)
-    spec = spec_MTF.transpose(2, 1, 0)
-    return spec[:, :, 0] if mono else spec
+    return np.ascontiguousarray(spec_MTF.transpose(2, 1, 0))
 
 
 def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
     """Weighted overlap-add inverse, trimmed/padded to `length` samples.
 
-    Accepts (F, T) or (F, T, M) and returns (length,) or (M, length).
-    Interior samples reconstruct the analyzed signal to rounding error;
-    samples whose synthesis envelope underflows are zeroed.
+    Takes an (F, T, M) stack and returns (M, length).  Interior samples
+    reconstruct the analyzed signal to rounding error; samples whose
+    synthesis envelope underflows are zeroed.
     """
     spec = np.asarray(spec)
-    mono = spec.ndim == 2
-    if mono:
-        spec = spec[:, :, None]
     if spec.ndim != 3 or spec.shape[0] != cfg.n_freq:
         raise ValueError(
-            f"expected spectrogram with {cfg.n_freq} frequency rows, got shape {spec.shape}"
+            f"expected (F, T, M) spectrogram with {cfg.n_freq} frequency rows,"
+            f" got shape {spec.shape}"
         )
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -121,4 +115,4 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
         )
     chunk = out[:, cfg.pad : cfg.pad + n_copy]
     signal[:, :n_copy] = np.where(usable, chunk / np.where(usable, env_slice, 1.0), 0.0)
-    return signal[0] if mono else signal
+    return signal

@@ -324,8 +324,9 @@ def test_criterion_09_normalization_invariance():
         params = random_params(rng, n, k, f, t, m)
         X_FTM = random_mixture(rng, f, t, m)
         variant = ALL_VARIANTS[trial % len(ALL_VARIANTS)][1]
-        before = optimizer.log_likelihood(X_FTM, params, variant)[0]
-        after = optimizer.log_likelihood(X_FTM, normalize(params), variant)[0]
+        floor = optimizer.DEFAULT_FLOOR
+        before = optimizer.log_likelihood(X_FTM, params, variant, floor)[0]
+        after = optimizer.log_likelihood(X_FTM, normalize(params), variant, floor)[0]
         worst = max(worst, abs(after - before) / abs(before))
 
     ok = worst <= 1e-9

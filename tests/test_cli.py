@@ -2,10 +2,14 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gsmsep
 from gsmsep.audio_io import AudioBuffer, read_wav, write_wav
 from gsmsep.cli import build_parser, main
 
@@ -20,6 +24,30 @@ def scene_dir(tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+class TestStartUp:
+    # scipy is imported only where it is used: integer and generic GH
+    # orders, scoring, nothing on the default NIG separate path
+    PROBE = ("import sys, gsmsep.cli\n"
+             "{run}\n"
+             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "assert not loaded, loaded\n")
+
+    def probe(self, run=""):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gsmsep.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", self.PROBE.format(run=run)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_import_loads_no_scipy(self):
+        self.probe()
+
+    def test_default_nig_separate_loads_no_scipy(self, scene_dir, tmp_path):
+        argv = ["separate", str(scene_dir / "mixture.wav"), "--iters", "2",
+                "-K", "2", "--out-dir", str(tmp_path)]
+        self.probe(f"assert gsmsep.cli.main({argv!r}) == 0")
+        assert (tmp_path / "source2.wav").exists()
 
 
 class TestSynthCommand:
@@ -289,8 +317,7 @@ class TestBenchCommand:
         # spelled out: one configuration, one row
         bare = {"n_bases": 2, "iterations": 1, "duration_s": 1.0}
         nig = dict(bare, model="nig")
-        spelled = dict(nig, rho=15.0, eta=1.0, n_sources=2, rank1=False,
-                       eps_init=1e-2, seed=0)
+        spelled = dict(nig, rho=15.0, eta=1.0, n_sources=2, rank1=False, seed=0)
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps([bare, nig, spelled]))
         out_path = tmp_path / "bench.csv"
@@ -409,19 +436,18 @@ class TestBenchCommand:
         assert not (tmp_path / "b.csv").exists()
 
     def test_integral_numbers_are_taken(self, tmp_path):
-        # 1.0 iterations, 2.0 microphones and an integer eps_init are the
+        # 1.0 iterations, 2.0 microphones and an integer duration are the
         # configuration they spell, under the same hash
-        spelled = dict(self.GRID_ENTRY, iterations=1.0, n_mics=2.0, eps_init=0)
+        spelled = dict(self.GRID_ENTRY, iterations=1.0, n_mics=2.0, duration_s=1)
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps([dict(self.GRID_ENTRY, n_mics=2, eps_init=0.0),
-                                         spelled]))
+        grid_path.write_text(json.dumps([dict(self.GRID_ENTRY, n_mics=2), spelled]))
         out_path = tmp_path / "bench.csv"
         assert main(["bench", str(grid_path), "--out", str(out_path)]) == 0
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert ",gaussian,2,2,1,0," in lines[1]
 
-    @pytest.mark.parametrize("key", ["iteration", "floor"])
+    @pytest.mark.parametrize("key", ["iteration", "floor", "eps_init"])
     def test_unknown_key_is_malformed(self, key, tmp_path, capsys):
         # a typo, or a setting that no longer exists, is not ignored
         grid_path = tmp_path / "grid.json"

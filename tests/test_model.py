@@ -101,11 +101,12 @@ class TestSeparationConfig:
             SeparationConfig(n_sources=2, n_bases=0, iterations=1)
         with pytest.raises(ValueError):
             SeparationConfig(n_sources=2, n_bases=4, iterations=-1)
-        with pytest.raises(ValueError):
-            SeparationConfig(n_sources=2, n_bases=4, iterations=1, eps_init=-0.1)
         with pytest.raises(TypeError, match="floor"):
             # the floor follows the mixture's level; it is not a setting
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, floor=1e-10)
+        with pytest.raises(TypeError, match="eps_init"):
+            # the starting G~ weight is a model constant
+            SeparationConfig(n_sources=2, n_bases=4, iterations=1, eps_init=1e-2)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, seed=-1)
 
@@ -113,7 +114,6 @@ class TestSeparationConfig:
         cfg = SeparationConfig(n_sources=2, n_bases=8, iterations=10)
         assert cfg.variant == Gaussian()
         assert cfg.rank1 is False
-        assert cfg.eps_init == 1e-2
         assert cfg.seed == 0
 
 
@@ -124,7 +124,7 @@ class TestInitParams:
         np.testing.assert_array_equal(params.Gtilde, np.eye(2))
 
     def test_gtilde_cyclic_pattern(self):
-        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, eps_init=0.01)
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1)
         params = init_params(cfg, unit_mixture(5, 7, 4))
         np.testing.assert_array_equal(
             params.Gtilde,

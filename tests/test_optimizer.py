@@ -65,8 +65,8 @@ def random_mixture(rng, f, t, m):
     return rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
 
 
-def make_setup(seed=0, n=2, k=2, f=6, t=8, m=2, eps=0.01):
-    cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=1, eps_init=eps, seed=seed)
+def make_setup(seed=0, n=2, k=2, f=6, t=8, m=2):
+    cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=1, seed=seed)
     X = random_mixture(np.random.default_rng(seed + 1000), f, t, m)
     return init_params(cfg, X), X
 
@@ -138,7 +138,7 @@ class TestProjectMixture:
 class TestEStep:
     def test_gaussian_inv_phi_is_one(self):
         params, X = make_setup()
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         np.testing.assert_array_equal(cache.inv_phi, np.ones((6, 8)))
         np.testing.assert_array_equal(
             cache.z_hat, np.abs(project_mixture(X, params.Q)) ** 2)
@@ -146,13 +146,13 @@ class TestEStep:
     def test_identity_q_gives_magnitudes(self):
         # Gaussian: E[1/phi] = 1, so z^ is the projected power itself
         params, X = make_setup()
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         np.testing.assert_allclose(cache.z_hat, np.abs(X) ** 2, rtol=1e-14)
 
     def test_s_matches_naive_loop(self):
         params, X = make_setup(seed=3)
         variant = StudentT(nu=5.0)
-        cache = e_step(X, params, variant)
+        cache = e_step(X, params, variant, DEFAULT_FLOOR)
         z_tilde = np.abs(project_mixture(X, params.Q)) ** 2
         half_nu = 2.5
         for f in range(params.n_freq):
@@ -166,7 +166,7 @@ class TestEStep:
 
     def test_z_hat_weighting(self):
         params, X = make_setup(seed=4)
-        cache = e_step(X, params, StudentT(nu=3.0))
+        cache = e_step(X, params, StudentT(nu=3.0), DEFAULT_FLOOR)
         z_tilde = np.abs(project_mixture(X, params.Q)) ** 2
         np.testing.assert_allclose(
             cache.z_hat, cache.inv_phi[:, :, None] * z_tilde, rtol=1e-14
@@ -175,7 +175,7 @@ class TestEStep:
     def test_shape_mismatch(self):
         params, X = make_setup()
         with pytest.raises(ValueError, match="inconsistent"):
-            e_step(X[:, :4], params, Gaussian())
+            e_step(X[:, :4], params, Gaussian(), DEFAULT_FLOOR)
 
 
 class TestMultiplicativeUpdates:
@@ -230,13 +230,13 @@ class TestMultiplicativeUpdates:
 
     def test_rank1_g_update_is_noop(self):
         params, X = make_setup(seed=6)
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         out = update_g(params, cache, rank1=True)
         assert out.Gtilde is params.Gtilde
 
     def test_updates_preserve_nonnegativity(self):
         params, X = make_setup(seed=7)
-        cache = e_step(X, params, StudentT(nu=3.0))
+        cache = e_step(X, params, StudentT(nu=3.0), DEFAULT_FLOOR)
         assert np.all(update_w(params, cache).W >= 0)
         assert np.all(update_h(params, cache).H >= 0)
         assert np.all(update_g(params, cache).Gtilde >= 0)
@@ -253,7 +253,7 @@ class TestUpdateQ:
         params = init_params(cfg, X)
         params.W[:] = 1.0
         params.H[:] = 1.0
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         out = update_q(params, outer_products(X), cache)
         np.testing.assert_allclose(out.Q, params.Q, atol=1e-14)
 
@@ -262,7 +262,7 @@ class TestUpdateQ:
         cfg = SeparationConfig(n_sources=1, n_bases=2, iterations=1)
         X = random_mixture(np.random.default_rng(8), 4, 16, 1)
         params = init_params(cfg, X)
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         out = update_q(params, outer_products(X), cache)
         weight = cache.inv_phi / cache.y_tilde[:, :, 0]
         V_F = np.mean(weight * np.abs(X[:, :, 0]) ** 2, axis=1)
@@ -272,7 +272,7 @@ class TestUpdateQ:
 
     def test_unit_quadratic_form_postcondition(self):
         params, X = make_setup(seed=9, f=5, t=24, m=2)
-        cache = e_step(X, params, StudentT(nu=4.0))
+        cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
         out = update_q(params, outer_products(X), cache)
         for m in range(params.n_channels):
             weight = cache.inv_phi / cache.y_tilde[:, :, m]
@@ -287,7 +287,7 @@ class TestUpdateQ:
     def test_singular_system_keeps_row(self):
         params, X = make_setup(seed=10, f=3, t=4, m=2)
         X[:] = 0.0  # V collapses, every system is singular
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
             out = update_q(params, outer_products(X), cache)
         np.testing.assert_array_equal(out.Q, params.Q)
@@ -299,7 +299,7 @@ class TestUpdateQ:
                               + 1j * rng.standard_normal((9, 3, 3)))
         dead = [1, 4, 7]
         X[dead] = 0.0  # V_f = 0 there: only those systems are singular
-        cache = e_step(X, params, StudentT(nu=4.0))
+        cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
             out = update_q(params, outer_products(X), cache)
 
@@ -327,7 +327,7 @@ class TestUpdateQ:
         rng = np.random.default_rng(34)
         params.Q[:] += 0.3 * (rng.standard_normal((7, m, m))
                               + 1j * rng.standard_normal((7, m, m)))
-        cache = e_step(X, params, StudentT(nu=4.0))
+        cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
         out = update_q(params, outer_products(X), cache)
 
         Q = params.Q.copy()
@@ -342,7 +342,7 @@ class TestUpdateQ:
     def test_input_params_not_mutated(self):
         params, X = make_setup(seed=11)
         Q0 = params.Q.copy()
-        cache = e_step(X, params, Gaussian())
+        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         update_q(params, outer_products(X), cache)
         np.testing.assert_array_equal(params.Q, Q0)
 
@@ -370,7 +370,7 @@ class TestOuterProducts:
     def test_weighted_covariances_match_longdouble(self, m, t):
         params, X = make_setup(seed=40 + m, n=m, f=5, t=t, m=m)
         X *= np.logspace(-3, 3, m)  # channels of very different power
-        cache = e_step(X, params, StudentT(nu=4.0))
+        cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
         S = outer_products(X)
         assert S.shape == (5, m * m, t)
         assert np.all(S[:, :m] >= 0)
@@ -552,7 +552,7 @@ class TestRun:
         rng = np.random.default_rng(24)
         X = random_mixture(rng, 5, 6, 2)
         params, _ = run(X, cfg)
-        cache = e_step(X, params, cfg.variant)
+        cache = e_step(X, params, cfg.variant, DEFAULT_FLOOR)
         np.testing.assert_array_equal(cache.inv_phi, np.ones((5, 6)))
 
 
@@ -561,9 +561,13 @@ class TestRunGuards:
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
                                variant=NIG(rho=15.0, eta=1.0))
         X = random_mixture(np.random.default_rng(25), 65, 40, 2)
+        params = init_params(cfg, X)
         X[3, 4, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run(X, cfg)
+        # from given parameters the channel guard's power scale refuses it
+        with pytest.raises(ValueError, match="non-finite"):
+            next(iterate(X, params, cfg))
 
     def test_overflowing_mixture_stops_at_first_iteration(self, monkeypatch):
         # finite samples whose power |x|^2 overflows to inf: refused before
@@ -740,6 +744,22 @@ class TestLevelInvariance:
             np.testing.assert_allclose(trace, np.array(base_trace) - shift,
                                        rtol=1e-12, atol=0)
 
+    def test_direct_likelihood_takes_the_run_floor(self, scene_stft):
+        # at -97 dBFS the variance floor binds: a direct call must be given
+        # the run's floor, DEFAULT_FLOOR times the mixture's power scale,
+        # to reproduce what iterate reports for the same parameters
+        X = 1e-5 * scene_stft
+        variant = NIG(rho=15.0, eta=1.0)
+        cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=5, seed=0,
+                               variant=variant)
+        *_, (params, reported) = iterate(X, init_params(cfg, X), cfg)
+        floor = DEFAULT_FLOOR * power_scale(np.sum(np.abs(X) ** 2), X.size)
+        assert log_likelihood(X, params, variant, floor)[0] == reported
+        assert log_likelihood(X, params, variant, DEFAULT_FLOOR)[0] != reported
+        with pytest.raises(TypeError, match="floor"):
+            log_likelihood(X, params, variant)
+        with pytest.raises(TypeError, match="floor"):
+            e_step(X, params, variant)
 
 RUN_CASES = [(v, False) for v in ALL_VARIANTS] + [(Gaussian(), True), (NIG(rho=15.0, eta=1.0), True)]
 RUN_CASE_IDS = VARIANT_IDS + ["gaussian-rank1", "nig-rank1"]
@@ -780,9 +800,9 @@ class TestFusedLoop:
     def test_returned_cache_equals_fresh_e_step(self):
         params, X = make_setup(seed=30, f=5, t=7, m=2)
         for variant in ALL_VARIANTS + [GH(gamma=-1.7, rho=3.0, eta=1.0)]:
-            _, cache = log_likelihood(X, params, variant)
-            assert e_step(X, params, variant, cache=cache) is cache
-            fresh = e_step(X, params, variant)
+            _, cache = log_likelihood(X, params, variant, DEFAULT_FLOOR)
+            assert e_step(X, params, variant, DEFAULT_FLOOR, cache=cache) is cache
+            fresh = e_step(X, params, variant, DEFAULT_FLOOR)
             for field in ("y_tilde", "inv_phi", "z_hat"):
                 np.testing.assert_array_equal(getattr(cache, field),
                                               getattr(fresh, field),

@@ -2,7 +2,9 @@
 
 The forward transform is checked against a direct O(N^2) DFT summation
 per frame, and the inverse against closed-form single-frame synthesis,
-neither of which shares code with the implementation.
+neither of which shares code with the implementation.  Both transforms
+work on stacks: (channels, samples) in, (F, T, M) out, and back; a
+single-channel signal is a stack of one.
 """
 
 import warnings
@@ -88,8 +90,8 @@ class TestWindow:
 class TestForward:
     def test_zeros_map_to_zeros(self):
         cfg = StftConfig(n_fft=64, hop=16)
-        spec = stft_forward(np.zeros(256), cfg)
-        assert spec.shape == (33, (256 + 2 * 48 - 64) // 16 + 1)
+        spec = stft_forward(np.zeros((1, 256)), cfg)
+        assert spec.shape == (33, (256 + 2 * 48 - 64) // 16 + 1, 1)
         np.testing.assert_array_equal(spec, 0.0)
 
     def test_matches_dft_summation_oracle(self):
@@ -97,8 +99,8 @@ class TestForward:
         rng = np.random.default_rng(0)
         signal = rng.standard_normal(40)
         np.testing.assert_allclose(
-            stft_forward(signal, cfg), dft_oracle(signal, cfg), atol=1e-10
-        )
+            stft_forward(signal[None], cfg)[:, :, 0], dft_oracle(signal, cfg),
+            atol=1e-10)
 
     def test_bin_center_exponential(self):
         # a complex exponential at an exact bin center, analyzed with a
@@ -107,7 +109,7 @@ class TestForward:
         k = 5
         i = np.arange(cfg.n_fft)
         signal = np.cos(2 * np.pi * k * i / cfg.n_fft)
-        spec = stft_forward(signal, cfg)
+        spec = stft_forward(signal[None], cfg)[:, :, 0]
         window = periodic_hann(cfg.n_fft)
         # direct evaluation of the windowed DFT at each bin
         expected = np.array(
@@ -124,11 +126,11 @@ class TestForward:
     def test_frame_count_relation(self):
         cfg = StftConfig(n_fft=64, hop=16)
         for n_samples in (64, 100, 256, 1000):
-            spec = stft_forward(np.zeros(n_samples), cfg)
+            spec = stft_forward(np.zeros((2, n_samples)), cfg)
             # off-grid lengths are padded up to the next whole hop
             n_grid = -(-n_samples // cfg.hop) * cfg.hop
             expected_t = (n_grid + 2 * cfg.pad - cfg.n_fft) // cfg.hop + 1
-            assert spec.shape == (cfg.n_freq, expected_t)
+            assert spec.shape == (cfg.n_freq, expected_t, 2)
 
     def test_multichannel_shape(self):
         cfg = StftConfig(n_fft=64, hop=16)
@@ -136,18 +138,22 @@ class TestForward:
         x = rng.standard_normal((3, 200))
         spec = stft_forward(x, cfg)
         assert spec.shape[0] == 33 and spec.shape[2] == 3
+        assert spec.flags.c_contiguous
         for m in range(3):
-            np.testing.assert_allclose(spec[:, :, m], stft_forward(x[m], cfg))
+            np.testing.assert_array_equal(spec[:, :, m],
+                                          stft_forward(x[m:m + 1], cfg)[:, :, 0])
 
     def test_too_short_signal(self):
         cfg = StftConfig(n_fft=64, hop=16)
         with pytest.raises(ValueError, match="shorter than one analysis window"):
-            stft_forward(np.zeros(63), cfg)
+            stft_forward(np.zeros((1, 63)), cfg)
 
     def test_bad_rank(self):
+        # a 1-D signal is refused too: one channel is a (1, samples) stack
         cfg = StftConfig(n_fft=64, hop=16)
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            stft_forward(np.zeros((2, 2, 100)), cfg)
+        for shape in [(100,), (2, 2, 100)]:
+            with pytest.raises(ValueError, match=r"expected \(channels, samples\)"):
+                stft_forward(np.zeros(shape), cfg)
 
 
 class TestInverse:
@@ -155,9 +161,10 @@ class TestInverse:
         # hop-aligned length: every sample is covered by full frames
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(2)
-        signal = rng.standard_normal(1024)
+        signal = rng.standard_normal((1, 1024))
         spec = stft_forward(signal, cfg)
-        back = stft_inverse(spec, cfg, len(signal))
+        back = stft_inverse(spec, cfg, signal.shape[1])
+        assert back.shape == signal.shape
         np.testing.assert_allclose(back, signal, atol=1e-10)
 
     def test_round_trip_multichannel(self):
@@ -173,38 +180,38 @@ class TestInverse:
         # tail, so the whole signal reconstructs, tail included
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(6)
-        signal = rng.standard_normal(1000)
+        signal = rng.standard_normal((1, 1000))
         spec = stft_forward(signal, cfg)
         n_frames = spec.shape[1]
         covered = (n_frames - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
         assert covered == 1008
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            back = stft_inverse(spec, cfg, len(signal))
+            back = stft_inverse(spec, cfg, signal.shape[1])
         np.testing.assert_allclose(back, signal, atol=1e-10)
 
     def test_round_trip_every_length_near_one_window(self):
         cfg = StftConfig()
         rng = np.random.default_rng(7)
-        signal = rng.standard_normal(cfg.n_fft + 2 * cfg.hop)
+        signal = rng.standard_normal((1, cfg.n_fft + 2 * cfg.hop))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for length in range(cfg.n_fft, cfg.n_fft + 2 * cfg.hop + 1):
-                x = signal[:length]
+                x = signal[:, :length]
                 back = stft_inverse(stft_forward(x, cfg), cfg, length)
                 assert np.max(np.abs(back - x)) < 1e-10, length
 
     def test_round_trip_default_config(self):
         cfg = StftConfig()
         rng = np.random.default_rng(4)
-        signal = rng.standard_normal(16384)
-        back = stft_inverse(stft_forward(signal, cfg), cfg, len(signal))
+        signal = rng.standard_normal((1, 16384))
+        back = stft_inverse(stft_forward(signal, cfg), cfg, signal.shape[1])
         np.testing.assert_allclose(back, signal, atol=1e-10)
 
     def test_zero_spectrogram(self):
         cfg = StftConfig(n_fft=64, hop=16)
-        out = stft_inverse(np.zeros((33, 10), dtype=np.complex128), cfg, 100)
-        np.testing.assert_array_equal(out, np.zeros(100))
+        out = stft_inverse(np.zeros((33, 10, 2), dtype=np.complex128), cfg, 100)
+        np.testing.assert_array_equal(out, np.zeros((2, 100)))
 
     def test_single_frame_windowed_sinusoid(self):
         # with hop == n_fft a single frame synthesizes irfft(spec) * w / w^2;
@@ -214,9 +221,9 @@ class TestInverse:
         i = np.arange(cfg.n_fft)
         sinusoid = np.sin(2 * np.pi * 3 * i / cfg.n_fft + 0.7)
         window = periodic_hann(cfg.n_fft)
-        spec = np.fft.rfft(sinusoid * window)[:, None]
+        spec = np.fft.rfft(sinusoid * window)[:, None, None]
         with pytest.warns(RuntimeWarning, match="synthesis envelope underflow"):
-            out = stft_inverse(spec, cfg, cfg.n_fft)
+            (out,) = stft_inverse(spec, cfg, cfg.n_fft)
         assert out[0] == 0.0  # the window zero is zero-filled
         np.testing.assert_allclose(out[1:], sinusoid[1:], atol=1e-10)
 
@@ -226,7 +233,7 @@ class TestInverse:
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(5)
         signal = rng.standard_normal(500)
-        spec = stft_forward(signal, cfg)
+        spec = stft_forward(signal[None], cfg)[:, :, 0]
         weights = np.full(cfg.n_freq, 2.0)
         weights[0] = weights[-1] = 1.0
         spectral = np.sum(weights[:, None] * np.abs(spec) ** 2) / cfg.n_fft
@@ -242,21 +249,23 @@ class TestInverse:
 
     def test_envelope_underflow_beyond_coverage(self):
         cfg = StftConfig(n_fft=64, hop=16)
-        spec = stft_forward(np.ones(96), cfg)
+        spec = stft_forward(np.ones((1, 96)), cfg)
         with pytest.warns(RuntimeWarning, match="zero-filling"):
-            out = stft_inverse(spec, cfg, 200)
+            (out,) = stft_inverse(spec, cfg, 200)
         np.testing.assert_allclose(out[:96], np.ones(96), atol=1e-10)
         np.testing.assert_array_equal(out[96:], 0.0)
 
     def test_wrong_frequency_count(self):
         cfg = StftConfig(n_fft=64, hop=16)
-        with pytest.raises(ValueError, match="frequency rows"):
-            stft_inverse(np.zeros((32, 5), dtype=np.complex128), cfg, 64)
+        # an unstacked (F, T) spectrogram is refused too
+        for shape in [(32, 5, 1), (33, 5)]:
+            with pytest.raises(ValueError, match=r"expected \(F, T, M\).*frequency rows"):
+                stft_inverse(np.zeros(shape, dtype=np.complex128), cfg, 64)
 
     def test_bad_length(self):
         cfg = StftConfig(n_fft=64, hop=16)
         with pytest.raises(ValueError, match="length"):
-            stft_inverse(np.zeros((33, 5), dtype=np.complex128), cfg, 0)
+            stft_inverse(np.zeros((33, 5, 1), dtype=np.complex128), cfg, 0)
 
 
 @given(
@@ -269,10 +278,10 @@ def test_property_round_trip(seed, log_n, hop_div, extra_hops):
     n_fft = 2**log_n
     cfg = StftConfig(n_fft=n_fft, hop=n_fft // hop_div)
     rng = np.random.default_rng(seed)
-    signal = rng.standard_normal(n_fft + extra_hops * cfg.hop)
+    signal = rng.standard_normal((1, n_fft + extra_hops * cfg.hop))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        back = stft_inverse(stft_forward(signal, cfg), cfg, len(signal))
+        back = stft_inverse(stft_forward(signal, cfg), cfg, signal.shape[1])
     assert np.max(np.abs(back - signal)) < 1e-10
 
 
@@ -280,8 +289,8 @@ def test_property_round_trip(seed, log_n, hop_div, extra_hops):
 def test_property_linearity(seed):
     cfg = StftConfig(n_fft=32, hop=8)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(100)
-    b = rng.standard_normal(100)
+    a = rng.standard_normal((2, 100))
+    b = rng.standard_normal((2, 100))
     lhs = stft_forward(2.0 * a - 3.0 * b, cfg)
     rhs = 2.0 * stft_forward(a, cfg) - 3.0 * stft_forward(b, cfg)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
