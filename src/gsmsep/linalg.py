@@ -33,19 +33,9 @@ def as_square_stack(A) -> np.ndarray:
     return A
 
 
-def condition_estimate(A) -> np.ndarray:
-    """2-norm condition number per matrix; +inf where exactly singular."""
-    A = as_square_stack(A)
-    sv = np.linalg.svd(A, compute_uv=False)
-    smax = sv[..., 0]
-    smin = sv[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
-    return cond
-
-
 def _refuse_ill_conditioned(A: np.ndarray) -> None:
-    cond = np.atleast_1d(condition_estimate(A))
+    # 2-norm condition number from the singular values; +inf where singular
+    cond = np.atleast_1d(np.linalg.cond(A))
     worst = float(np.max(cond))
     if not worst < COND_LIMIT:
         flat = int(np.argmax(cond))

@@ -82,27 +82,19 @@ class GH:
 
 
 @dataclasses.dataclass(frozen=True)
-class NIG:
-    """Normal-inverse-Gaussian bins: the GH sub-family with gamma = -1/2.
+class NIG(GH):
+    """Normal-inverse-Gaussian bins: GH with gamma fixed at -1/2.
 
-    Every Bessel order in its statistics is half-integer, so the Bessel
-    ladder starts from the elementary K_{1/2}(x) = sqrt(pi / (2x)) e^-x;
-    that start is chosen by the order's value, not by the class, and GH
-    with a half-integer gamma takes it too.  The index is a class
-    constant, so it is neither a constructor argument nor part of the
-    serialized form.
+    It is a GH and runs GH's checks and statistics.  Every Bessel order
+    it needs is half-integer, so the ladder starts from the elementary
+    K_{1/2}(x) = sqrt(pi / (2x)) e^-x; that start is chosen by the
+    order's value, not by the class, and GH with a half-integer gamma
+    takes it too.  gamma is not a constructor argument, nor part of the
+    repr or the serialized form.
     """
 
     name: ClassVar[str] = "nig"
-    gamma: ClassVar[float] = -0.5
-    rho: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+    gamma: float = dataclasses.field(default=-0.5, init=False, repr=False)
 
 
 GsmVariant = Union[Gaussian, StudentT, LeptokurticGG, GH, NIG]
@@ -111,8 +103,9 @@ VARIANTS = {cls.name: cls for cls in get_args(GsmVariant)}
 
 
 def variant_to_dict(variant: GsmVariant) -> dict:
-    """{"model": name, **fields}: the form used by reports and bench grids."""
-    return {"model": variant.name, **dataclasses.asdict(variant)}
+    """{"model": name, **init fields}: the form used by reports and grids."""
+    return {"model": variant.name, **{field.name: getattr(variant, field.name)
+            for field in dataclasses.fields(variant) if field.init}}
 
 
 def variant_from_dict(payload: dict) -> GsmVariant:
@@ -123,7 +116,7 @@ def variant_from_dict(payload: dict) -> GsmVariant:
         raise ValueError(f"unknown model name {name!r}")
     cls = VARIANTS[name]
     return cls(**{field.name: payload[field.name]
-                  for field in dataclasses.fields(cls)})
+                  for field in dataclasses.fields(cls) if field.init})
 
 
 # ---------------------------------------------------------------------------

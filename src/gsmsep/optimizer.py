@@ -4,8 +4,8 @@ projection for the diagonalizers, normalization, likelihood tracking.
 `iterate` is the one loop; `run` initializes and collects what it yields.
 Each iteration computes the E-step once (the posterior expectation of the
 inverse impulse variable is held fixed through the M-step), then applies
-the four parameter updates in the order W, H, G~, Q with the model
-variances y~ refreshed after every update, then normalizes and records
+the updates of W, H, G~ (not under rank-1) and Q in that order, with the
+model variances y~ refreshed after each, then normalizes and records
 the marginal log-likelihood.  One `log_marginal_from_s` pass gives the
 likelihood both per-bin statistics of the prior, so `log_likelihood` also
 returns the E-step cache (y~, E[1/phi] and z^) at its parameters, and the
@@ -178,14 +178,12 @@ def update_h(params: ModelParams, cache: EStepCache) -> ModelParams:
     return dataclasses.replace(params, H=H_NKT)
 
 
-def update_g(params: ModelParams, cache: EStepCache,
-             rank1: bool = False) -> ModelParams:
+def update_g(params: ModelParams, cache: EStepCache) -> ModelParams:
     """g~ <- g~ sqrt(sum_ft lambda y~^-2 z^ / sum_ft lambda y~^-1).
 
-    No-op under the rank-1 constraint, where G~ is frozen at identity.
+    `iterate` does not call it under the rank-1 constraint, where G~ stays
+    the identity `init_params` gave it.
     """
-    if rank1:
-        return params
     numerator = np.zeros_like(params.Gtilde)
     denominator = np.zeros_like(params.Gtilde)
     for block, P_BTM, R_BTM in _mu_blocks(params, cache):
@@ -346,8 +344,9 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
     first, more than linalg.MAX_DIM channels raise ValueError and
     `check_channel_layout` runs; zero iterations solve no Q and check
     nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
-    `power_scale`.  A non-finite likelihood raises ArithmeticError naming
-    its iteration; a decrease beyond the monotone slack warns.
+    `power_scale`.  Under cfg.rank1 the G~ update, and the y~ refresh
+    after it, are skipped.  A non-finite likelihood raises ArithmeticError
+    naming its iteration; a decrease beyond the monotone slack warns.
     """
     previous = cache = S_FPT = None
     if cfg.iterations > 0:
@@ -366,8 +365,9 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
         params = update_h(params, cache)
         cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
-        params = update_g(params, cache, rank1=cfg.rank1)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+        if not cfg.rank1:  # rank-1 keeps G~ at the identity
+            params = update_g(params, cache)
+            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
         params = update_q(params, S_FPT, cache)
 
         params = normalize(params)

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .model import GH, NIG, Gaussian, GsmVariant, LeptokurticGG, StudentT
+from .model import GH, Gaussian, GsmVariant, LeptokurticGG, StudentT
 
 # s is floored here before the (beta - 2)/2 exponentiation of the GG
 # expectation, which diverges at s = 0 for beta < 2.
@@ -154,7 +154,7 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
         s_floored = np.maximum(s_arr, GG_S_FLOOR)
         return (const - s_arr ** half_beta,
                 half_beta * s_floored ** (half_beta - 1.0))
-    if isinstance(variant, (GH, NIG)):
+    if isinstance(variant, GH):  # NIG is GH at gamma = -1/2
         gamma, rho, eta = variant.gamma, variant.rho, variant.eta
         # x = rho root with root = sqrt(1 + 2 s / (rho eta)); degenerate
         # parameter corners surface as non-finite output

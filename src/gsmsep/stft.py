@@ -5,19 +5,18 @@ to a whole number of hops, so every input sample is covered by full
 windows, slides a periodic Hann window in hop steps, and keeps the
 n_fft/2 + 1 nonnegative-frequency bins.  Synthesis
 is weighted overlap-add with the same window, dividing by the summed
-squared-window envelope; wherever that envelope underflows (possible at
-the extreme edges, or everywhere between frames when hop == n_fft) the
-output is zero-filled and the condition is reported as a warning.
+squared-window envelope.  Every sample it returns lies under at least
+n_fft/hop >= 2 frames, where that envelope is at least 1/2; it refuses
+hop == n_fft (the window is zero at every frame start) and a length
+beyond what the frames cover, rather than return samples it cannot
+invert.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
-
-_ENVELOPE_TINY = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,11 +73,12 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
 
 
 def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
-    """Weighted overlap-add inverse, trimmed/padded to `length` samples.
+    """Weighted overlap-add inverse: the first `length` analyzed samples.
 
-    Takes an (F, T, M) stack and returns (M, length).  Interior samples
-    reconstruct the analyzed signal to rounding error; samples whose
-    synthesis envelope underflows are zeroed.
+    Takes an (F, T, M) stack and returns (M, length), which reconstructs
+    the analyzed signal to rounding error.  Raises ValueError when hop ==
+    n_fft, or when `length` exceeds the (T - 1) hop + n_fft - 2 pad
+    samples the frames cover.
     """
     spec = np.asarray(spec)
     if spec.ndim != 3 or spec.shape[0] != cfg.n_freq:
@@ -86,13 +86,18 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
             f"expected (F, T, M) spectrogram with {cfg.n_freq} frequency rows,"
             f" got shape {spec.shape}"
         )
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    if cfg.hop == cfg.n_fft:
+        raise ValueError(f"hop == n_fft ({cfg.n_fft}) cannot be inverted: the"
+                         " window is zero at every frame start")
     n_frames = spec.shape[1]
+    padded_len = (n_frames - 1) * cfg.hop + cfg.n_fft
+    covered = padded_len - 2 * cfg.pad
+    if not 1 <= length <= covered:
+        raise ValueError(f"length must lie in [1, {covered}], the samples"
+                         f" {n_frames} frames cover; got {length}")
     window = periodic_hann(cfg.n_fft)
     frames_MTt = np.fft.irfft(spec.transpose(2, 1, 0), n=cfg.n_fft, axis=-1) * window
 
-    padded_len = (n_frames - 1) * cfg.hop + cfg.n_fft
     out = np.zeros((spec.shape[2], padded_len))
     envelope = np.zeros(padded_len)
     win_sq = window * window
@@ -100,19 +105,5 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
         start = t * cfg.hop
         out[:, start : start + cfg.n_fft] += frames_MTt[:, t, :]
         envelope[start : start + cfg.n_fft] += win_sq
-
-    signal = np.zeros((spec.shape[2], length))
-    n_copy = min(length, max(padded_len - 2 * cfg.pad, 0))
-    env_slice = envelope[cfg.pad : cfg.pad + n_copy]
-    usable = env_slice > _ENVELOPE_TINY
-    if not np.all(usable) or n_copy < length:
-        n_bad = int(np.sum(~usable)) + (length - n_copy)
-        warnings.warn(
-            f"synthesis envelope underflow at {n_bad} of {length} samples;"
-            " zero-filling them",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    chunk = out[:, cfg.pad : cfg.pad + n_copy]
-    signal[:, :n_copy] = np.where(usable, chunk / np.where(usable, env_slice, 1.0), 0.0)
-    return signal
+    kept = slice(cfg.pad, cfg.pad + length)
+    return out[:, kept] / envelope[kept]

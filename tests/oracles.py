@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, special
 
 from gsmsep import linalg
-from gsmsep.model import GH, NIG, GsmVariant, ModelParams, StudentT
+from gsmsep.model import GH, GsmVariant, ModelParams, StudentT
 from gsmsep.priors import inv_phi_from_s, log_marginal_from_s
 
 
@@ -94,7 +94,7 @@ def log_marginal_density(z_tilde, y_tilde, variant: GsmVariant) -> float:
         raise ValueError("y~ entries must be finite and > 0")
     s = float((z / y).sum())
     m = z.size
-    if isinstance(variant, (GH, NIG)):
+    if isinstance(variant, GH):
         gamma, rho, eta = variant.gamma, variant.rho, variant.eta
         root = math.sqrt(1.0 + 2.0 * s / (rho * eta))
         value = (-m * math.log(math.pi * eta) - kve_log_k(gamma, rho)
@@ -120,7 +120,7 @@ def _log_prior_u(u, variant: GsmVariant):
                 - (shape + 1.0) * u
                 - scale * np.exp(-u)
             )
-        if isinstance(variant, (GH, NIG)):
+        if isinstance(variant, GH):
             gamma, rho, eta = variant.gamma, variant.rho, variant.eta
             return (
                 -math.log(2.0)

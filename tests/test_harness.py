@@ -215,6 +215,11 @@ class TestConfigHash:
             config_to_dict(other, StftConfig())
         )
 
+    def test_nig_hash_is_pinned(self):
+        # NIG serializes without its fixed gamma, so stored hashes hold
+        cfg = SeparationConfig(2, 8, 300, variant=NIG(rho=15.0, eta=1.0))
+        assert config_hash(config_to_dict(cfg, StftConfig())) == "291e33558c27"
+
     def test_twelve_hex_chars(self):
         digest = config_hash({"a": 1})
         assert len(digest) == 12

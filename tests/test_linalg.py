@@ -18,7 +18,6 @@ from gsmsep.linalg import (
     MAX_DIM,
     IllConditionedMatrixError,
     compensated_quadratic_form,
-    condition_estimate,
     invert,
     log_abs_det_gram,
 )
@@ -47,7 +46,7 @@ class TestInvert:
     def test_involution(self):
         rng = np.random.default_rng(11)
         A = random_stack(rng, (6,), 3)
-        assert np.all(condition_estimate(A) <= 1e6)
+        assert np.all(np.linalg.cond(A) <= 1e6)
         np.testing.assert_allclose(invert(invert(A)), A, rtol=1e-8, atol=1e-8)
 
     def test_single_matrix_keeps_shape(self):
@@ -111,13 +110,21 @@ class TestLogAbsDetGram:
 
 
 class TestConditionEstimate:
+    # `invert` refuses by numpy's 2-norm condition number and reports it
+
     def test_diagonal_ratio(self):
         A = np.diag([8.0, 2.0, 1.0]).astype(np.complex128)
-        np.testing.assert_allclose(condition_estimate(A), 8.0, rtol=1e-12)
+        np.testing.assert_allclose(invert(A), np.diag([0.125, 0.5, 1.0]),
+                                   rtol=1e-15)
+        with pytest.raises(IllConditionedMatrixError,
+                           match=r"condition estimate 1\.000e\+12"):
+            invert(np.diag([8.0, 8.0 / COND_LIMIT]).astype(np.complex128))
 
     def test_singular_is_infinite(self):
         A = np.zeros((2, 2), dtype=np.complex128)
-        assert np.isinf(condition_estimate(A))
+        with pytest.raises(IllConditionedMatrixError,
+                           match="condition estimate inf"):
+            invert(A)
 
     def test_unitary_is_one(self):
         theta = 0.3
@@ -128,7 +135,7 @@ class TestConditionEstimate:
             ],
             dtype=np.complex128,
         )
-        np.testing.assert_allclose(condition_estimate(Q), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(invert(Q), Q.T, rtol=0, atol=1e-15)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, MAX_DIM))

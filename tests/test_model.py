@@ -71,7 +71,12 @@ class TestVariants:
             GH(gamma=0.0, rho=1.0, eta=-1.0)
 
     def test_nig_is_gh_with_fixed_gamma(self):
-        assert NIG(rho=15.0, eta=1.0).gamma == NIG.gamma == -0.5
+        nig = NIG(rho=15.0, eta=1.0)
+        assert isinstance(nig, GH)
+        assert nig.gamma == NIG.gamma == -0.5
+        assert repr(nig) == "NIG(rho=15.0, eta=1.0)"
+        with pytest.raises(TypeError, match="gamma"):
+            NIG(gamma=-0.5, rho=15.0, eta=1.0)
         with pytest.raises(ValueError):
             NIG(rho=-1.0, eta=1.0)
 

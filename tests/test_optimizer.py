@@ -121,7 +121,6 @@ class TestBlockedStages:
         np.testing.assert_allclose(
             update_g(params, cache).Gtilde,
             oracles.whole_update_g(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
-        assert update_g(params, cache, rank1=True) is params
 
 
 class TestProjectMixture:
@@ -227,12 +226,6 @@ class TestMultiplicativeUpdates:
         )
         out = update_w(params, cache)
         assert out.W[0, 0, 0] == pytest.approx(w * np.sqrt(z_hat / y), rel=1e-14)
-
-    def test_rank1_g_update_is_noop(self):
-        params, X = make_setup(seed=6)
-        cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
-        out = update_g(params, cache, rank1=True)
-        assert out.Gtilde is params.Gtilde
 
     def test_updates_preserve_nonnegativity(self):
         params, X = make_setup(seed=7)
@@ -786,9 +779,10 @@ class TestFusedLoop:
             expected_params = update_h(expected_params, cache)
             cache = dataclasses.replace(
                 cache, y_tilde=compute_ytilde(expected_params, floor))
-            expected_params = update_g(expected_params, cache, rank1=rank1)
-            cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, floor))
+            if not rank1:
+                expected_params = update_g(expected_params, cache)
+                cache = dataclasses.replace(
+                    cache, y_tilde=compute_ytilde(expected_params, floor))
             expected_params = update_q(expected_params, outer_products(X), cache)
             expected_params = normalize(expected_params)
             expected.append(
@@ -807,6 +801,16 @@ class TestFusedLoop:
                 np.testing.assert_array_equal(getattr(cache, field),
                                               getattr(fresh, field),
                                               err_msg=f"{field} under {variant}")
+
+    @pytest.mark.parametrize("rank1,per_iteration", [(True, 0), (False, 1)])
+    def test_rank1_skips_the_g_update(self, rank1, per_iteration, monkeypatch):
+        calls = counter(monkeypatch, "update_g")
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=4,
+                               rank1=rank1, seed=1)
+        params, _ = run(random_mixture(np.random.default_rng(21), 9, 12, 2), cfg)
+        assert len(calls) == per_iteration * cfg.iterations
+        if rank1:
+            np.testing.assert_array_equal(params.Gtilde, np.eye(2))
 
     @pytest.mark.parametrize("iterations,builds", [(0, 0), (3, 1)])
     def test_statistics_built_once_per_run(self, iterations, builds,

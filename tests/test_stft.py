@@ -1,8 +1,8 @@
 """Tests for STFT analysis and synthesis.
 
 The forward transform is checked against a direct O(N^2) DFT summation
-per frame, and the inverse against closed-form single-frame synthesis,
-neither of which shares code with the implementation.  Both transforms
+per frame, which shares no code with the implementation, and the inverse
+by round trips and by its refusal of inputs it cannot invert.  Both transforms
 work on stacks: (channels, samples) in, (F, T, M) out, and back; a
 single-channel signal is a stack of one.
 """
@@ -213,19 +213,13 @@ class TestInverse:
         out = stft_inverse(np.zeros((33, 10, 2), dtype=np.complex128), cfg, 100)
         np.testing.assert_array_equal(out, np.zeros((2, 100)))
 
-    def test_single_frame_windowed_sinusoid(self):
-        # with hop == n_fft a single frame synthesizes irfft(spec) * w / w^2;
-        # feeding the spectrum of a windowed sinusoid must return the
-        # sinusoid itself wherever the envelope is nonzero
+    def test_refuses_hop_equal_to_n_fft(self):
+        # the periodic Hann window is zero at every frame start, and with
+        # no overlap nothing else covers those samples
         cfg = StftConfig(n_fft=64, hop=64)
-        i = np.arange(cfg.n_fft)
-        sinusoid = np.sin(2 * np.pi * 3 * i / cfg.n_fft + 0.7)
-        window = periodic_hann(cfg.n_fft)
-        spec = np.fft.rfft(sinusoid * window)[:, None, None]
-        with pytest.warns(RuntimeWarning, match="synthesis envelope underflow"):
-            (out,) = stft_inverse(spec, cfg, cfg.n_fft)
-        assert out[0] == 0.0  # the window zero is zero-filled
-        np.testing.assert_allclose(out[1:], sinusoid[1:], atol=1e-10)
+        spec = stft_forward(np.ones((1, 64)), cfg)
+        with pytest.raises(ValueError, match="hop == n_fft"):
+            stft_inverse(spec, cfg, cfg.n_fft)
 
     def test_parseval_consistency(self):
         # windowed-frame energy equals spectral energy with the one-sided
@@ -247,13 +241,20 @@ class TestInverse:
         )
         np.testing.assert_allclose(spectral, frame_energy, rtol=1e-9)
 
-    def test_envelope_underflow_beyond_coverage(self):
+    def test_refuses_length_beyond_coverage(self):
         cfg = StftConfig(n_fft=64, hop=16)
         spec = stft_forward(np.ones((1, 96)), cfg)
-        with pytest.warns(RuntimeWarning, match="zero-filling"):
-            (out,) = stft_inverse(spec, cfg, 200)
-        np.testing.assert_allclose(out[:96], np.ones(96), atol=1e-10)
-        np.testing.assert_array_equal(out[96:], 0.0)
+        with pytest.raises(ValueError, match=r"length must lie in \[1, 96\]"):
+            stft_inverse(spec, cfg, 200)
+
+    def test_length_equal_to_coverage(self):
+        cfg = StftConfig(n_fft=64, hop=16)
+        signal = np.random.default_rng(8).standard_normal((1, 96))
+        spec = stft_forward(signal, cfg)
+        covered = (spec.shape[1] - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
+        assert covered == 96
+        np.testing.assert_allclose(stft_inverse(spec, cfg, covered), signal,
+                                   atol=1e-10)
 
     def test_wrong_frequency_count(self):
         cfg = StftConfig(n_fft=64, hop=16)
