@@ -727,7 +727,7 @@ class TestLevelInvariance:
         cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=8, seed=0,
                                variant=variant)
         base, base_trace = run(scene_stft, cfg)
-        for k in (-100, -20, 20, 100):
+        for k in (-400, -100, -20, 20, 100, 400):
             params, trace = run(2.0 ** k * scene_stft, cfg)
             for field in ("W", "Q", "Gtilde"):
                 np.testing.assert_array_equal(getattr(params, field),
