@@ -200,7 +200,7 @@ class SeparationReport:
 
 def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
                      stft_cfg: StftConfig, n_samples: int,
-                     all_channels: bool = True) -> tuple[list, list]:
+                     all_channels: bool) -> tuple[list, list]:
     """Optimize, then Wiener-separate and resynthesize one STFT mixture.
 
     Returns one (M, n_samples) image per source, loudest first, and the

@@ -61,7 +61,7 @@ def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray
 
 
 def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
-             n_samples: int, all_channels: bool = True) -> list:
+             n_samples: int, all_channels: bool) -> list:
     """Render every source image, loudest first.
 
     Each image is inverse-STFT'd as soon as it is built and then dropped,

@@ -380,7 +380,7 @@ class TestChannelLayout:
         X[:, :, 1] = X[:, :, 0]
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
         with pytest.raises(ValueError, match="scaled copy"):
-            separate_mixture(X, cfg, StftConfig(), 1024)
+            separate_mixture(X, cfg, StftConfig(), 1024, all_channels=True)
 
     def test_run_experiment_raises(self):
         scene = synth_scene(2, 2, 1.0, seed=7)
@@ -408,7 +408,8 @@ class TestChannelLayout:
         stft_cfg = StftConfig()
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=0)
         sources, trace = separate_mixture(stft_forward(samples, stft_cfg), cfg,
-                                          stft_cfg, samples.shape[1])
+                                          stft_cfg, samples.shape[1],
+                                          all_channels=True)
         assert (calls, trace) == ([], [])
         assert all(np.all(np.isfinite(source)) for source in sources)
         error = np.linalg.norm(sum(sources) - samples)
@@ -421,7 +422,8 @@ def separate_samples(samples, n_sources):
     cfg = SeparationConfig(n_sources=n_sources, n_bases=4, iterations=5,
                            variant=NIG(rho=15.0, eta=1.0), seed=0)
     X = stft_forward(samples, stft_cfg)
-    sources, _ = separate_mixture(X, cfg, stft_cfg, samples.shape[1])
+    sources, _ = separate_mixture(X, cfg, stft_cfg, samples.shape[1],
+                                  all_channels=True)
     return sources, sum(sources)
 
 

@@ -117,7 +117,8 @@ class TestRanking:
         params.W[2] *= 1e2
         order, expected = oracle_renders(X, params, 256)
         assert order == [1, 2, 0]
-        np.testing.assert_array_equal(separate(X, params, CFG, 256), expected)
+        rendered = separate(X, params, CFG, 256, all_channels=True)
+        np.testing.assert_array_equal(rendered, expected)
 
     def test_tie_keeps_lower_index(self, monkeypatch):
         # images 0 and 2 differ (a 90-degree phase turn) but carry exactly
@@ -128,7 +129,7 @@ class TestRanking:
         images = [base, 3.0 * base, 1j * base]
         monkeypatch.setattr(wiener, "source_images",
                             lambda X, params: iter(images))
-        rendered = wiener.separate(None, None, CFG, 128)
+        rendered = wiener.separate(None, None, CFG, 128, all_channels=True)
         expected = [stft_inverse(images[n], CFG, 128) for n in (1, 0, 2)]
         assert not np.array_equal(expected[1], expected[2])
         np.testing.assert_array_equal(rendered, expected)
@@ -136,7 +137,8 @@ class TestRanking:
     def test_matches_naive_oracle(self):
         params, X, _ = spectral_setup(seed=12, n=4, m=4)
         _, expected = oracle_renders(X, params, 256)
-        np.testing.assert_array_equal(separate(X, params, CFG, 256), expected)
+        rendered = separate(X, params, CFG, 256, all_channels=True)
+        np.testing.assert_array_equal(rendered, expected)
 
     def test_channel_one_alone(self, monkeypatch):
         # without all_channels only channel 1 is inverse-transformed; the
@@ -159,7 +161,7 @@ class TestRenderTimeDomain:
         # the rendered images sum to the rendered mixture, which is the
         # input signal up to the STFT round trip
         params, X, x = spectral_setup(seed=13, n=2, length=512)
-        rendered = separate(X, params, CFG, 512)
+        rendered = separate(X, params, CFG, 512, all_channels=True)
         assert len(rendered) == 2
         assert all(source.shape == (2, 512) for source in rendered)
         np.testing.assert_allclose(rendered[0] + rendered[1], x, atol=1e-10)
@@ -167,11 +169,11 @@ class TestRenderTimeDomain:
     def test_matches_direct_inverse(self):
         # one source: its image is the mixture itself
         params, X, x = spectral_setup(seed=14, n=1)
-        (rendered,) = separate(X, params, CFG, 256)
+        (rendered,) = separate(X, params, CFG, 256, all_channels=True)
         np.testing.assert_array_equal(rendered, stft_inverse(X, CFG, 256))
         np.testing.assert_allclose(rendered, x, atol=1e-10)
 
     def test_shape_mismatch(self):
         params, X, _ = spectral_setup(seed=15, n=2)
         with pytest.raises(ValueError, match="inconsistent"):
-            separate(X[:, :3], params, CFG, 256)
+            separate(X[:, :3], params, CFG, 256, all_channels=True)
