@@ -140,9 +140,8 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
 
 
 def _mu_blocks(params: ModelParams, cache: EStepCache):
-    # per frequency block of the W, H and G~ updates: y~^-2 z^ and y~^-1.
-    # z^ R R, not z^ / y~^2: y~^2 leaves float64 (and the update with it)
-    # for y~ beyond 2^+-512, where z^ R R still holds
+    # per frequency block of the W, H and G~ updates: y~^-2 z^ as z^ R R and
+    # R = y~^-1; y~^2 itself would leave float64 for y~ beyond 2^+-512
     per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
     for block in freq_blocks(params.n_freq, per_freq):
         R_BTM = 1.0 / cache.y_tilde[block]
