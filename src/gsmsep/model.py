@@ -289,9 +289,12 @@ def freq_blocks(n_freq: int, bytes_per_freq: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_freq))
 
 
-def source_psd(params: ModelParams, freqs: slice = slice(None)) -> np.ndarray:
-    """lambda_NFT = sum_k w_nkf h_nkt, at the frequencies `freqs`."""
-    return np.matmul(params.W[:, :, freqs].transpose(0, 2, 1), params.H)
+def source_psd(params: ModelParams, freqs: slice = slice(None),
+               sources: slice = slice(None)) -> np.ndarray:
+    """lambda_NFT = sum_k w_nkf h_nkt, at the frequencies `freqs` of the
+    sources `sources`."""
+    return np.matmul(params.W[sources, :, freqs].transpose(0, 2, 1),
+                     params.H[sources])
 
 
 def compute_ytilde(params: ModelParams, floor: float) -> np.ndarray:

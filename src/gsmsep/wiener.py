@@ -6,6 +6,16 @@ back-projection, and the impulse variables cancel, so the filter depends
 only on the spatial and spectral parameters, never on the tail variant.
 The per-source gains sum to one in every bin by construction, so the
 images partition the mixture exactly.
+
+The filter runs over `freq_blocks`, so its temporaries stay in cache.  A
+first pass forms, block by block, the source-independent ratio
+Q_f x_ft / sum_n lambda_nft g~_n (unfloored, so the gains sum to exactly
+one) and the mask of the entries where that total vanishes.  Then each
+source in turn is built block by block and back-projected through
+Q_f^-1; its energy, the mean |x^|^2 over (f, t, m) of the whole image, is
+summed while the block is in cache, and only the channel rows that are
+written are kept.  At most one source's kept rows are alive at a time,
+and besides them the ratio and the mask are the only whole arrays.
 """
 
 from __future__ import annotations
@@ -15,19 +25,22 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import linalg
-from .model import ModelParams, source_psd
-from .optimizer import project_mixture
+from .model import ModelParams, freq_blocks, source_psd
 from .stft import StftConfig, stft_inverse
 
 
-def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray]:
+def source_images(X_FTM: np.ndarray, params: ModelParams,
+                  all_channels: bool) -> Iterator[tuple[float, np.ndarray]]:
     """Conditional-mean source images x^_nft = Q_f^-1 (gain_n * Q_f x_ft).
 
-    Yields one (F, T, M) image per source in model order.
-    gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Bins where
-    every source variance vanishes get the uniform 1/N gain so the images
-    still partition the mixture.  The shape check runs on the first
-    ``next``.
+    Yields one (energy, image) pair per source in model order: energy is
+    the mean |x^|^2 over (f, t, m) of the whole (F, T, M) image, and image
+    holds its rows that are written: all M under `all_channels`, else
+    channel 1 alone, (F, T, 1).
+    gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Entries
+    where every source variance vanishes get the uniform 1/N gain so the
+    images still partition the mixture.  The shape check runs on the
+    first ``next``.
     """
     X_FTM = np.asarray(X_FTM, dtype=np.complex128)
     expected = (params.n_freq, params.n_frames, params.n_channels)
@@ -36,46 +49,76 @@ def source_images(X_FTM: np.ndarray, params: ModelParams) -> Iterator[np.ndarray
             f"mixture shape {X_FTM.shape} inconsistent with params {expected}"
         )
     n_sources = params.n_sources
+    channels = slice(None) if all_channels else slice(0, 1)
     if n_sources == 1:
-        yield X_FTM.copy()
+        yield np.vdot(X_FTM, X_FTM).real / X_FTM.size, X_FTM[:, :, channels].copy()
         return
 
     Qinv_FMM = linalg.invert(params.Q)
-    Qx_FTM = project_mixture(X_FTM, params.Q)
-    lambda_NFT = source_psd(params)
-    # unfloored total so the per-bin gains sum to exactly one; the dead
-    # bins' 1.0 is written in place so no second (F, T, M) array exists
-    safe_total_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
-    live_FTM = safe_total_FTM > 0
-    safe_total_FTM[~live_FTM] = 1.0
+    # bytes of one frequency's temporaries in either pass, ~4 complex
+    # (M, T) arrays
+    per_freq = 64 * params.n_frames * params.n_channels
+    # Q x over the unfloored total, channel-major so that every elementwise
+    # product runs along t; the total is 1 where it vanishes, so the ratio
+    # there is Q x itself
+    ratio_FMT = np.empty((params.n_freq, params.n_channels, params.n_frames),
+                         dtype=np.complex128)
+    dead_FMT = np.empty(ratio_FMT.shape, dtype=bool)
+    for block in freq_blocks(params.n_freq, per_freq):
+        total_BMT = np.matmul(params.Gtilde.T,
+                              source_psd(params, block).transpose(1, 0, 2))
+        np.equal(total_BMT, 0.0, out=dead_FMT[block])
+        total_BMT[dead_FMT[block]] = 1.0
+        np.divide(np.matmul(params.Q[block], X_FTM[block].transpose(0, 2, 1)),
+                  total_BMT, out=ratio_FMT[block])
 
-    # each gain lives only inside its yielded expression, so nothing but
-    # the image itself is held across a yield
+    # the pair is built inside `_source_image`, so nothing but the yielded
+    # rows is held across a yield
     for n in range(n_sources):
-        yield np.matmul(
-            np.where(live_FTM,
-                     lambda_NFT[n][:, :, None] * params.Gtilde[n][None, None, :]
-                     / safe_total_FTM,
-                     1.0 / n_sources) * Qx_FTM,
-            Qinv_FMM.transpose(0, 2, 1))
+        yield _source_image(params, n, ratio_FMT, dead_FMT, Qinv_FMM, channels,
+                            per_freq)
+
+
+def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
+                  channels: slice, per_freq: int) -> tuple[float, np.ndarray]:
+    # source n's (energy, kept rows), one frequency block at a time:
+    # Q^-1 diag(lambda_n g~_n) ratio, with g~_n folded into the columns of
+    # Q^-1 and lambda_nft scaling column t.  Where the total vanishes every
+    # lambda_n g~_nm is 0, so those entries add their 1/N share instead.
+    kept_FTC = np.empty((params.n_freq, params.n_frames,
+                         ratio_FMT[0, channels].shape[0]), dtype=np.complex128)
+    power = 0.0
+    for block in freq_blocks(params.n_freq, per_freq):
+        image_BMT = np.matmul(Qinv_FMM[block] * params.Gtilde[n], ratio_FMT[block])
+        image_BMT *= source_psd(params, block,
+                                slice(n, n + 1)).transpose(1, 0, 2)
+        dead_BMT = dead_FMT[block]
+        if dead_BMT.any():
+            image_BMT += np.matmul(Qinv_FMM[block],
+                                   np.where(dead_BMT, ratio_FMT[block], 0.0)
+                                   ) / params.n_sources
+        power += np.vdot(image_BMT, image_BMT).real
+        kept_FTC[block] = image_BMT[:, channels].transpose(0, 2, 1)
+    return power / ratio_FMT.size, kept_FTC
 
 
 def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
              n_samples: int, all_channels: bool) -> list:
     """Render every source image, loudest first.
 
-    Each image is inverse-STFT'd as soon as it is built and then dropped,
-    so one (F, T, M) image is alive at a time.  Returns one
-    (M, n_samples) array per source, or (1, n_samples) holding channel 1
-    alone when not `all_channels`, ordered by decreasing mean |x^|^2 over
-    (f, t, m) of the whole image either way; ties keep the lower index
-    first.  Channel 1 (index 0) is the single-channel export convention.
+    `source_images` builds each image in frequency blocks and keeps only
+    the rows written here: every channel under `all_channels`, else
+    channel 1 (index 0, the single-channel export convention).  Each is
+    inverse-STFT'd as soon as it is built and then dropped, so at most one
+    source's kept rows are alive at a time.  Returns one (M, n_samples)
+    array per source, or (1, n_samples) without `all_channels`, ordered by
+    decreasing mean |x^|^2 over (f, t, m) of the whole image either way;
+    ties keep the lower index first.
     """
-    rendered_channels = slice(None) if all_channels else slice(0, 1)
     energies, rendered = [], []
-    for image_FTM in source_images(X_FTM, params):
-        energies.append(np.mean(np.abs(image_FTM) ** 2))
-        rendered.append(stft_inverse(image_FTM[:, :, rendered_channels],
-                                     stft_cfg, n_samples))
+    for energy, image_FTC in source_images(X_FTM, params, all_channels):
+        energies.append(energy)
+        rendered.append(stft_inverse(image_FTC, stft_cfg, n_samples))
+        del image_FTC  # not held while the next source is built
     order = np.argsort(-np.array(energies), kind="stable")
     return [rendered[n] for n in order]

@@ -12,10 +12,10 @@ the production path is never checked against itself.
 - `posterior_inv_phi` and `BinStatistic`: a validated scalar view of the
   production `inv_phi_from_s`;
 - `gh_from_ab`: GH from the alternative (a, b) parameters;
-- `whole_ytilde`, `whole_update_w`, `whole_update_h`, `whole_update_g` and
-  `whole_likelihood`: the per-bin stages on whole (F, T, M) arrays, one
-  product over every frequency, as the frequency-blocked stages compute
-  them block by block.
+- `whole_ytilde`, `whole_update_w`, `whole_update_h`, `whole_update_g`,
+  `whole_likelihood` and `whole_source_images`: the per-bin stages and the
+  Wiener filter on whole (F, T, M) arrays, one product over every
+  frequency, as the frequency-blocked stages compute them block by block.
 """
 
 from __future__ import annotations
@@ -277,3 +277,21 @@ def whole_likelihood(X_FTM, params: ModelParams, variant: GsmVariant,
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
     return value, y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde
+
+
+def whole_source_images(X_FTM, params: ModelParams) -> list:
+    """Every conditional-mean source image, (F, T, M) each, from whole
+    arrays: the gain lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm (1/N
+    where the total vanishes) times Q x, back-projected through Q_f^-1."""
+    Qinv_FMM = np.linalg.inv(params.Q)
+    Qx_FTM = np.matmul(X_FTM, params.Q.transpose(0, 2, 1))
+    lambda_NFT = _whole_psd(params)
+    total_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
+    live_FTM = total_FTM > 0
+    safe_total_FTM = np.where(live_FTM, total_FTM, 1.0)
+    return [np.matmul(np.where(live_FTM,
+                               lambda_NFT[n][:, :, None] * params.Gtilde[n]
+                               / safe_total_FTM,
+                               1.0 / params.n_sources) * Qx_FTM,
+                      Qinv_FMM.transpose(0, 2, 1))
+            for n in range(params.n_sources)]

@@ -276,7 +276,8 @@ def test_criterion_07_wiener_partition(instrumented_runs):
     results, _ = instrumented_runs
     worst = 0.0
     for result in results:
-        total_FTM = sum(wiener.source_images(result.X, result.params))
+        total_FTM = sum(image for _, image in wiener.source_images(
+            result.X, result.params, all_channels=True))
         diff = np.abs(total_FTM - result.X)
         mag = np.abs(result.X)
         zero = mag == 0.0

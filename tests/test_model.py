@@ -336,6 +336,15 @@ class TestSourcePsd:
                     )
                     assert lam[n, f, t] == pytest.approx(expected, rel=1e-12)
 
+    def test_one_source_at_some_frequencies(self):
+        rng = np.random.default_rng(6)
+        params = random_params(rng, 3, 2, 7, 5, 3)
+        block = slice(2, 5)
+        for n in range(3):
+            np.testing.assert_array_equal(
+                source_psd(params, block, slice(n, n + 1)),
+                source_psd(params)[n:n + 1, block])
+
 
 class TestFreqBlocks:
     @pytest.mark.parametrize("n_freq,per_freq,budget", [

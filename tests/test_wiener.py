@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from gsmsep import model, wiener
 from gsmsep.model import SeparationConfig, init_params
 from gsmsep.optimizer import run
 from gsmsep.stft import StftConfig, stft_forward, stft_inverse
-from gsmsep import wiener
 from gsmsep.wiener import separate, source_images
 
+import oracles
+
 CFG = StftConfig(n_fft=64, hop=16)
+
+
+def images_of(X, params):
+    """Every whole (F, T, M) image `source_images` yields, in model order."""
+    return [image for _, image in source_images(X, params, all_channels=True)]
 
 
 def random_setup(seed=0, n=2, k=2, f=5, t=7, m=2):
@@ -29,14 +36,14 @@ def random_setup(seed=0, n=2, k=2, f=5, t=7, m=2):
 class TestSeparate:
     def test_partition_identity(self):
         params, X = random_setup(seed=1)
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         total = sum(images)
         np.testing.assert_allclose(total, X, rtol=1e-10, atol=1e-12)
 
     def test_partition_with_dead_bins(self):
         params, X = random_setup(seed=2)
         params.H[:, :, 3] = 0.0  # every source silent in frame 3
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         total = sum(images)
         np.testing.assert_allclose(total, X, rtol=1e-10, atol=1e-12)
         # the dead frame is split uniformly after back-projection
@@ -44,9 +51,22 @@ class TestSeparate:
             images[0][:, 3], images[1][:, 3], rtol=1e-10
         )
 
+    def test_partition_with_dead_channel(self):
+        # a zero g~ column: the total at m = 1 vanishes for every source in
+        # every bin, so each source takes 1/N of that diagonalized component
+        params, X = random_setup(seed=16, n=3, m=3)
+        params.Gtilde[:, 1] = 0.0
+        images = images_of(X, params)
+        np.testing.assert_allclose(sum(images), X, rtol=1e-10, atol=1e-12)
+        Qx = np.matmul(X, params.Q.transpose(0, 2, 1))
+        for image in images:
+            np.testing.assert_allclose(
+                np.matmul(image, params.Q.transpose(0, 2, 1))[:, :, 1],
+                Qx[:, :, 1] / 3.0, rtol=1e-10, atol=1e-12)
+
     def test_single_source_returns_mixture(self):
         params, X = random_setup(seed=3, n=1)
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         assert len(images) == 1
         np.testing.assert_array_equal(images[0], X)
 
@@ -55,7 +75,7 @@ class TestSeparate:
         params.W[1] = params.W[0]
         params.H[1] = params.H[0]
         params.Gtilde[1] = params.Gtilde[0]
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         np.testing.assert_allclose(images[0], X / 2.0, rtol=1e-10)
         np.testing.assert_allclose(images[1], X / 2.0, rtol=1e-10)
 
@@ -66,28 +86,28 @@ class TestSeparate:
         params.W[0] *= 1e12
         params.Gtilde[0] = [1.0, 1.0]
         params.Gtilde[1] = [1e-12, 1e-12]
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         np.testing.assert_allclose(images[0], X, rtol=1e-6)
 
     def test_variant_free_signature(self):
         # the filter uses only the fitted parameters: images from the
         # same params agree no matter which variant produced them
         params, X = random_setup(seed=6)
-        a = list(source_images(X, params))
-        b = list(source_images(X.copy(), params))
+        a = images_of(X, params)
+        b = images_of(X.copy(), params)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch(self):
         params, X = random_setup(seed=7)
         with pytest.raises(ValueError, match="inconsistent"):
-            list(source_images(X[:, :3], params))
+            images_of(X[:, :3], params)
 
     def test_after_optimizer_run(self):
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=8, seed=8)
         rng = np.random.default_rng(9)
         X = rng.standard_normal((6, 10, 2)) + 1j * rng.standard_normal((6, 10, 2))
         params, _ = run(X, cfg)
-        images = list(source_images(X, params))
+        images = images_of(X, params)
         np.testing.assert_allclose(
             sum(images), X, rtol=1e-10, atol=1e-12
         )
@@ -104,7 +124,7 @@ def spectral_setup(seed, n, m=2, length=256):
 
 def oracle_renders(X, params, length):
     """stft_inverse of every source image, ordered by decreasing energy."""
-    images = list(source_images(X, params))
+    images = images_of(X, params)
     energies = [float(np.mean(np.abs(image) ** 2)) for image in images]
     order = sorted(range(len(images)), key=lambda n: (-energies[n], n))
     return order, [stft_inverse(images[n], CFG, length) for n in order]
@@ -127,8 +147,10 @@ class TestRanking:
         shape = (CFG.n_freq, 11, 2)  # the STFT grid of 128 samples
         base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         images = [base, 3.0 * base, 1j * base]
+        energies = [float(np.mean(np.abs(image) ** 2)) for image in images]
+        assert energies[0] == energies[2]
         monkeypatch.setattr(wiener, "source_images",
-                            lambda X, params: iter(images))
+                            lambda X, params, all_channels: zip(energies, images))
         rendered = wiener.separate(None, None, CFG, 128, all_channels=True)
         expected = [stft_inverse(images[n], CFG, 128) for n in (1, 0, 2)]
         assert not np.array_equal(expected[1], expected[2])
@@ -154,6 +176,57 @@ class TestRanking:
         rendered = separate(X, params, CFG, 256, all_channels=False)
         assert widths == [1, 1, 1]
         np.testing.assert_array_equal(rendered, [image[0:1] for image in expected])
+
+
+class TestBlockedFilter:
+    """The frequency-blocked filter against the whole-array oracle.  Only
+    the order of the products differs, so the images agree to a few ulp."""
+
+    CASES = [  # (n, m, f, t, dead)
+        (2, 2, 7, 5, None),
+        (3, 3, 13, 9, None),
+        (3, 4, 11, 6, "frame"),
+        (3, 3, 13, 9, "channel"),
+        (2, 3, 13, 9, "frequency"),
+    ]
+
+    @pytest.mark.parametrize("n,m,f,t,dead", CASES)
+    @pytest.mark.parametrize("freqs", [0, 3, 1 << 20],
+                             ids=["one-frequency", "three", "one-block"])
+    def test_matches_whole_array_filter(self, n, m, f, t, dead, freqs,
+                                        monkeypatch):
+        # budget 0 makes every block one frequency; 3 frequencies leave
+        # uneven last blocks at f = 7, 11 and 13
+        monkeypatch.setattr(model, "_BLOCK_BYTES", freqs * 64 * t * m)
+        params, X = random_setup(seed=20 + n + m, n=n, f=f, t=t, m=m)
+        params.W *= np.arange(1.0, n + 1.0)[:, None, None] ** 2
+        if dead == "frame":
+            params.H[:, :, 2] = 0.0
+        elif dead == "channel":
+            params.Gtilde[:, -1] = 0.0
+        elif dead == "frequency":  # dead entries in the first block alone
+            params.W[:, :, 0] = 0.0
+        expected = oracles.whole_source_images(X, params)
+
+        pairs = list(source_images(X, params, all_channels=True))
+        for (_, image), want in zip(pairs, expected):
+            np.testing.assert_allclose(image, want, rtol=1e-13)
+        np.testing.assert_allclose(
+            [energy for energy, _ in pairs],
+            [np.mean(np.abs(want) ** 2) for want in expected], rtol=1e-13)
+        # channel 1 alone is the same rows of the same images
+        for (_, row), (_, image) in zip(
+                source_images(X, params, all_channels=False), pairs):
+            assert row.shape == (f, t, 1)
+            np.testing.assert_array_equal(row, image[:, :, 0:1])
+
+        # each render is replaced by its model index to read off the order
+        calls = iter(range(n))
+        monkeypatch.setattr(wiener, "stft_inverse",
+                            lambda spec, cfg, length: next(calls))
+        energies = [np.mean(np.abs(want) ** 2) for want in expected]
+        assert separate(X, params, CFG, 1, all_channels=False) \
+            == sorted(range(n), key=lambda k: (-energies[k], k))
 
 
 class TestRenderTimeDomain:
