@@ -33,7 +33,7 @@ from .model import (
     normalize,
 )
 from .optimizer import ChannelLayoutError, EStepCache, iterate, log_likelihood, run
-from .priors import bessel_k_ratio, log_bessel_k
+from .priors import log_bessel_k
 from .stft import StftConfig, stft_forward, stft_inverse
 from .wiener import separate, source_images
 
@@ -55,7 +55,6 @@ __all__ = [
     "StftConfig",
     "StudentT",
     "SyntheticScene",
-    "bessel_k_ratio",
     "init_params",
     "iterate",
     "log_bessel_k",

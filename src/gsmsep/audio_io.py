@@ -1,11 +1,11 @@
 """Minimal RIFF/WAVE reader and writer for the codecs this toolkit needs.
 
 Reads little-endian linear PCM-16, PCM-24 and IEEE float-32, the input
-WAVs the toolkit takes; writes float-32 only.  Integer samples are
-scaled by 2^(bits-1), so full scale maps onto [-1, 1).  Files are
-interleaved on disk; buffers are channel-major in memory.  There is no
-resampling: rate mismatches are the caller's problem to detect via
-AudioBuffer.sample_rate.
+WAVs the toolkit takes, with a plain or a WAVE_FORMAT_EXTENSIBLE fmt
+chunk; writes float-32 only.  Integer samples are scaled by 2^(bits-1),
+so full scale maps onto [-1, 1).  Files are interleaved on disk; buffers
+are channel-major in memory.  There is no resampling: rate mismatches
+are the caller's problem to detect via AudioBuffer.sample_rate.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ import dataclasses
 import struct
 
 import numpy as np
+
+# WAVE_FORMAT_EXTENSIBLE (code 0xFFFE) names the codec by a SubFormat GUID:
+# the KSDATAFORMAT_SUBTYPE GUIDs are a plain format code's low byte, then this
+_SUBTYPE_TAIL = b"\x00\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 class WavFormatError(ValueError):
@@ -95,6 +99,13 @@ def read_wav(path) -> AudioBuffer:
                 if len(body) < 16:
                     raise TruncatedWavError(f"fmt chunk truncated in {path}")
                 fmt = struct.unpack("<HHIIHH", body[:16])
+                if fmt[0] == 0xFFFE:
+                    if len(body) < 40:
+                        raise TruncatedWavError(f"extensible fmt chunk truncated in {path}")
+                    if body[24] not in (1, 3) or body[25:40] != _SUBTYPE_TAIL:
+                        raise UnsupportedWavEncodingError(
+                            f"unsupported encoding: extensible subformat {body[24:40].hex()}")
+                    fmt = (body[24],) + fmt[1:]
             elif chunk_id == b"data":
                 payload = fh.read(chunk_size)
                 if len(payload) < chunk_size:

@@ -205,9 +205,9 @@ def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
 
     Returns one (M, n_samples) image per source, loudest first, and the
     log-likelihood trace; without `all_channels` each image holds channel
-    1 only, (1, n_samples), and the order is the same.  A silent or
-    duplicated channel raises optimizer.ChannelLayoutError before the
-    first iteration.
+    1 only, (1, n_samples), and the order is the same.  A silent channel,
+    or linearly dependent channels, raise optimizer.ChannelLayoutError
+    before the first iteration.
     """
     params, trace = optimizer.run(X_FTM, cfg)
     return wiener.separate(X_FTM, params, stft_cfg, n_samples, all_channels), trace

@@ -19,10 +19,9 @@ sum_m log y~) loops over `freq_blocks`, so its temporaries stay in
 cache.  The sums over f in the H and G~ updates accumulate across
 blocks; the likelihood sums its per-bin (F, T) terms once, and the only
 (F, T, M) arrays a stage holds whole are the cache's y~ and z^.
-`iterate` is a
-generator, not a step function returning its state, so the E-step cache
-outlives each iteration: freeing it every iteration made the allocator
-return its pages to the OS and fault them back in.  Every update
+`iterate` is a generator, not a step function returning its state, so the
+E-step cache outlives each iteration: freeing it every iteration made the
+allocator return its pages to the OS and fault them back in.  Every update
 is an exact maximizer or a multiplicative step on the same minorizing
 bound, so the trace is non-decreasing up to rounding; violations beyond a
 1e-8 relative slack are reported as warnings with their iteration index,
@@ -60,12 +59,11 @@ DEFAULT_FLOOR = 1e-10
 # never alter a denominator that carries information
 _DEN_TINY = np.finfo(np.float64).tiny
 
-# |G_ij|^2 >= (1 - tol) G_ii G_jj: equality in Cauchy-Schwarz up to rounding
-_COPY_TOL = 1e-10
+_RANK_TOL = 1e-10  # channel correlation eigenvalue (and eigenvector weight) taken as 0
 
 
 class ChannelLayoutError(ValueError):
-    """A mixture channel is silent, or a scaled copy of another channel."""
+    """A mixture channel is silent, or some channels are linearly dependent."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,19 +231,20 @@ def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
 
 def check_channel_layout(S_FPT: np.ndarray) -> float:
     """Raise ChannelLayoutError, naming channels from 1, if one is silent
-    (G_ii = 0) or a scaled copy of another (|G_ij|^2 reaches G_ii G_jj):
-    either makes every Q_f singular.  G = sum_ft x_ft x_ft^H is the sum of
-    S_FPT = `outer_products(X)` over f and t, so per-bin degeneracy passes.
-    Returns the `power_scale` of trace G, which refuses an overflow."""
+    (G_ii = 0) or some are linearly dependent (D^-1/2 G D^-1/2 has an
+    eigenvalue <= _RANK_TOL; a copy gives 1 - |rho|): either makes every Q_f
+    singular.  G sums `outer_products(X)` over f and t, so per-bin degeneracy
+    passes.  Returns the `power_scale` of trace G, which refuses an overflow."""
     gram = _unpack_hermitian(S_FPT.sum(axis=(0, 2)))
     power = gram.diagonal().real
     scale = power_scale(power.sum(), S_FPT.shape[0] * S_FPT.shape[2] * len(power))
     problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
-    for i, j in zip(*np.triu_indices(len(power), k=1)):
-        # divided before squaring: extreme powers must not under/overflow into a copy
-        if power[i] > 0 and power[j] > 0 and \
-                (abs(gram[i, j]) / np.sqrt(power[i])) ** 2 >= (1.0 - _COPY_TOL) * power[j]:
-            problems.append(f"channel {j + 1} is a scaled copy of channel {i + 1}")
+    live = np.nonzero(power)[0]
+    root = np.sqrt(power[live])  # one root at a time: G_ii G_jj can under/overflow
+    values, vectors = np.linalg.eigh(gram[np.ix_(live, live)] / root[:, None] / root)
+    weight = np.sum(np.abs(vectors[:, values <= _RANK_TOL]) ** 2, axis=1)
+    if named := [str(i + 1) for i in live[weight > _RANK_TOL]]:
+        problems.append(f"channels {', '.join(named[:-1])} and {named[-1]} are linearly dependent")
     if problems:
         raise ChannelLayoutError("mixture channel layout: " + "; ".join(problems))
     return scale
@@ -341,13 +340,13 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
             cfg: SeparationConfig) -> Iterator[tuple[ModelParams, float]]:
     """Run cfg.iterations MU-VEM iterations from params.
 
-    Yields (params, log-likelihood) after each iteration.  Before the
-    first, more than linalg.MAX_DIM channels raise ValueError and
-    `check_channel_layout` runs; zero iterations solve no Q and check
-    nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
-    `power_scale`.  Under cfg.rank1 the G~ update, and the y~ refresh
-    after it, are skipped.  A non-finite likelihood raises ArithmeticError
-    naming its iteration; a decrease beyond the monotone slack warns.
+    Yields (params, log-likelihood) after each iteration.  Before the first,
+    more than linalg.MAX_DIM channels raise ValueError, and silent or
+    linearly dependent channels ChannelLayoutError; zero iterations solve no
+    Q and check nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
+    `power_scale`.  Under cfg.rank1 the G~ update, and the y~ refresh after
+    it, are skipped.  A non-finite likelihood raises ArithmeticError naming
+    its iteration; a decrease beyond the monotone slack warns.
     """
     previous = cache = S_FPT = None
     if cfg.iterations > 0:

@@ -30,18 +30,23 @@ def make_wav(
     bits: int = 16,
     audio_format: int = 1,
     block_align: int | None = None,
+    sub_format: bytes | None = None,
 ) -> bytes:
+    # with a sub_format, the fmt chunk is WAVE_FORMAT_EXTENSIBLE: format code
+    # 0xFFFE, then cbSize, valid bits, channel mask and the SubFormat GUID
     if block_align is None:
         block_align = n_channels * bits // 8
     fmt = struct.pack(
         "<HHIIHH",
-        audio_format,
+        audio_format if sub_format is None else 0xFFFE,
         n_channels,
         sample_rate,
         sample_rate * block_align,
         block_align,
         bits,
     )
+    if sub_format is not None:
+        fmt += struct.pack("<HHI", 22, bits, 0) + sub_format
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(data)) + data
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
@@ -215,6 +220,48 @@ class TestReadWav:
         path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
         buf = read_wav(path)
         np.testing.assert_allclose(buf.samples, [[0.5, -0.5]])
+
+
+def subtype_guid(code: int) -> bytes:
+    """KSDATAFORMAT_SUBTYPE GUID of a plain format code, as stored on disk."""
+    return struct.pack("<H", code) + bytes.fromhex("000000001000800000aa00389b71")
+
+
+class TestExtensibleFormat:
+    PAYLOADS = {
+        (1, 16): struct.pack("<4h", 100, -200, 32767, -32768),
+        (1, 24): b"".join(v.to_bytes(3, "little", signed=True)
+                          for v in (1 << 22, -(1 << 23), (1 << 23) - 1, -5)),
+        (3, 32): struct.pack("<4f", 0.25, -1.5, 0.0, 1e-30),
+    }
+
+    @pytest.mark.parametrize("code,bits", list(PAYLOADS), ids=["pcm16", "pcm24", "float32"])
+    def test_reads_as_the_plain_chunk(self, tmp_path, code, bits):
+        data = self.PAYLOADS[code, bits]
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(make_wav(data, n_channels=2, bits=bits, audio_format=code))
+        extensible.write_bytes(make_wav(data, n_channels=2, bits=bits,
+                                        sub_format=subtype_guid(code)))
+        want, got = read_wav(plain), read_wav(extensible)
+        assert got.sample_rate == want.sample_rate
+        assert got.samples.shape == want.samples.shape == (2, 2)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("guid", [
+        subtype_guid(6),  # A-law
+        struct.pack("<H", 1) + bytes(14),  # PCM code, foreign GUID tail
+    ], ids=["alaw", "foreign-tail"])
+    def test_other_subformat_unsupported(self, tmp_path, guid):
+        path = tmp_path / "other.wav"
+        path.write_bytes(make_wav(b"\x00\x00", sub_format=guid))
+        with pytest.raises(UnsupportedWavEncodingError, match="extensible subformat"):
+            read_wav(path)
+
+    def test_short_extensible_fmt_is_truncated(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(make_wav(b"\x00\x00", sub_format=subtype_guid(1)[:10]))
+        with pytest.raises(TruncatedWavError, match="extensible fmt chunk truncated"):
+            read_wav(path)
 
 
 class TestWriteWav:

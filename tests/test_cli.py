@@ -5,11 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import wave
 
 import numpy as np
 import pytest
 
 import gsmsep
+from gsmsep import optimizer
 from gsmsep.audio_io import AudioBuffer, read_wav, write_wav
 from gsmsep.cli import build_parser, main
 
@@ -211,15 +213,31 @@ def _layout_probe(mix, kind):
         "silent": np.zeros_like(first),
         "duplicated": first,
         "scaled-duplicate": -0.3 * first,
+        "upmix": (first + second) / 2,
+        "upmix-diff": first - second / 2,
     }[kind]
     return np.stack([first, second, third])
+
+
+def _write_pcm(path, samples, sample_rate, bits):
+    """(channels, frames) samples at peak 0.5 as PCM-16 or PCM-24, by the
+    stdlib writer."""
+    ints = np.round(samples / np.max(np.abs(samples)) * 2.0 ** (bits - 2))
+    low_bytes = np.frombuffer(ints.T.astype("<i4").tobytes(), np.uint8).reshape(-1, 4)
+    with wave.open(str(path), "wb") as out:
+        out.setnchannels(samples.shape[0])
+        out.setsampwidth(bits // 8)
+        out.setframerate(sample_rate)
+        out.writeframes(low_bytes[:, :bits // 8].tobytes())
 
 
 class TestChannelLayout:
     @pytest.mark.parametrize("kind,message", [
         ("silent", "channel 3 is silent"),
-        ("duplicated", "channel 3 is a scaled copy of channel 1"),
-        ("scaled-duplicate", "channel 3 is a scaled copy of channel 1"),
+        ("duplicated", "channels 1 and 3 are linearly dependent"),
+        ("scaled-duplicate", "channels 1 and 3 are linearly dependent"),
+        ("upmix", "channels 1, 2 and 3 are linearly dependent"),
+        ("upmix-diff", "channels 1, 2 and 3 are linearly dependent"),
     ])
     def test_uninformative_channel_exits_two(self, scene_dir, tmp_path,
                                              capsys, kind, message):
@@ -244,7 +262,33 @@ class TestChannelLayout:
         code = main(["separate", str(probe), "--iters", "1",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "channel 2 is a scaled copy of channel 1" in capsys.readouterr().err
+        assert "channels 1 and 2 are linearly dependent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["upmix", "upmix-diff"])
+    @pytest.mark.parametrize("bits,code", [(16, 0), (24, 2)])
+    def test_quantized_upmix(self, scene_dir, tmp_path, capsys, monkeypatch,
+                             kind, bits, code):
+        # PCM-16 rounding leaves the upmix ~1e-8 from singular, which
+        # separates; PCM-24 leaves ~1e-13, which is refused before any E-step
+        e_steps = []
+        real_e_step = optimizer.e_step
+
+        def counted_e_step(*args, **kwargs):
+            e_steps.append(None)
+            return real_e_step(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "e_step", counted_e_step)
+        mix = read_wav(scene_dir / "mixture.wav")
+        probe = tmp_path / f"{kind}{bits}.wav"
+        _write_pcm(probe, _layout_probe(mix, kind), mix.sample_rate, bits)
+        assert main([
+            "separate", str(probe), "--model", "nig", "-N", "2", "-K", "2",
+            "--iters", "2", "--out-dir", str(tmp_path / "out"),
+        ]) == code
+        refused = "channels 1, 2 and 3 are linearly dependent" in capsys.readouterr().err
+        assert refused == (code == 2)
+        assert len(e_steps) == (0 if refused else 2)
+        assert (tmp_path / "out" / "source2.wav").exists() == (code == 0)
 
 
 class TestEvaluateCommand:

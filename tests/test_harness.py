@@ -363,7 +363,7 @@ class TestChannelLayout:
         X = self.mixture()
         X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
         with pytest.raises(ChannelLayoutError,
-                           match="channel 3 is a scaled copy of channel 2"):
+                           match="channels 2 and 3 are linearly dependent"):
             optimizer.check_channel_layout(outer_products(X))
 
     def test_every_problem_listed(self):
@@ -372,14 +372,22 @@ class TestChannelLayout:
         X[:, :, 3] = X[:, :, 0]
         with pytest.raises(ChannelLayoutError) as info:
             optimizer.check_channel_layout(outer_products(X))
-        assert "channel 2 is silent" in str(info.value)
-        assert "channel 4 is a scaled copy of channel 1" in str(info.value)
+        assert str(info.value) == ("mixture channel layout: channel 2 is silent;"
+                                   " channels 1 and 4 are linearly dependent")
+
+    def test_two_copied_pairs_name_all_four_channels(self):
+        X = self.mixture(m=4)
+        X[:, :, 2] = X[:, :, 0]
+        X[:, :, 3] = 2.0 * X[:, :, 1]
+        with pytest.raises(ChannelLayoutError,
+                           match="channels 1, 2, 3 and 4 are linearly dependent"):
+            optimizer.check_channel_layout(outer_products(X))
 
     def test_is_a_value_error_raised_before_the_optimizer(self):
         X = self.mixture(m=2)
         X[:, :, 1] = X[:, :, 0]
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
-        with pytest.raises(ValueError, match="scaled copy"):
+        with pytest.raises(ValueError, match="linearly dependent"):
             separate_mixture(X, cfg, StftConfig(), 1024, all_channels=True)
 
     def test_run_experiment_raises(self):

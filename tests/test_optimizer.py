@@ -644,14 +644,20 @@ def bad_layout(kind):
         return X, "channel 2 is silent"
     if kind == "duplicate":
         X[:, :, 2] = X[:, :, 0]
-        return X, "channel 3 is a scaled copy of channel 1"
+        return X, "channels 1 and 3 are linearly dependent"
     if kind == "scaled":
         X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
-        return X, "channel 3 is a scaled copy of channel 2"
+        return X, "channels 2 and 3 are linearly dependent"
+    if kind == "upmix":
+        X[:, :, 2] = (X[:, :, 0] + X[:, :, 1]) / 2
+        return X, "channels 1, 2 and 3 are linearly dependent"
+    if kind == "upmix-diff":
+        X[:, :, 2] = X[:, :, 0] - X[:, :, 1] / 2
+        return X, "channels 1, 2 and 3 are linearly dependent"
     return np.zeros_like(X), "channel 1 is silent; channel 2 is silent; channel 3"
 
 
-LAYOUTS = ["silent", "duplicate", "scaled", "all-zero"]
+LAYOUTS = ["silent", "duplicate", "scaled", "upmix", "upmix-diff", "all-zero"]
 
 
 class TestChannelGuard:
@@ -671,9 +677,14 @@ class TestChannelGuard:
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_extreme_scale_is_not_a_copy(self, scale):
-        # |G_12|^2 and G_11 G_22 both under- or overflow at these scales
+        # |G_12|^2 and G_11 G_22 both under- or overflow at these scales,
+        # so a copy is told from independent channels without forming them
         X = scale * random_mixture(np.random.default_rng(47), 9, 12, 2)
         optimizer.check_channel_layout(outer_products(X))
+        X[:, :, 1] = -3.0 * X[:, :, 0]
+        with pytest.raises(optimizer.ChannelLayoutError,
+                           match="channels 1 and 2 are linearly dependent"):
+            optimizer.check_channel_layout(outer_products(X))
 
     def test_channel_silent_in_half_the_bins_reaches_the_optimizer(self, monkeypatch):
         calls = counter(monkeypatch, "e_step")
