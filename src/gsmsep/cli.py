@@ -26,7 +26,7 @@ from .harness import (
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import NIG, VARIANTS, SeparationConfig, variant_from_dict
+from .model import NIG, VARIANTS, SeparationConfig, run_blocks_serially, variant_from_dict
 from .stft import StftConfig, stft_forward
 
 
@@ -247,6 +247,17 @@ def _run_bench_entry(parsed: tuple) -> SeparationReport:
     return run_experiment(synth_scene(**scene_args), cfg, StftConfig())
 
 
+def _worker_pool(workers: int):
+    """`bench --workers` processes, spawned; each runs frequency blocks on
+    one thread (`model.run_blocks_serially`), so N do not oversubscribe."""
+    import concurrent.futures
+    import multiprocessing
+
+    return concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("spawn"),
+        initializer=run_blocks_serially)
+
+
 def cmd_bench(args) -> int:
     try:
         grid = json.loads(pathlib.Path(args.grid).read_text())
@@ -262,17 +273,13 @@ def cmd_bench(args) -> int:
         unique.setdefault(config_hash(effective), (cfg, scene_args))
 
     if args.workers > 1 and unique:
-        import concurrent.futures
-        import multiprocessing
-
         # spawned workers inherit one BLAS thread each, read when they
         # import numpy; the caller's environment is restored afterwards
         saved = dict(os.environ)
         os.environ.update(dict.fromkeys(
             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
         try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            with _worker_pool(args.workers) as pool:
                 reports = list(pool.map(_run_bench_entry, unique.values()))
         finally:
             os.environ.clear()

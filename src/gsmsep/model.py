@@ -14,14 +14,18 @@ GsmVariant value and gives the heavy-tailed members of the family.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import dataclasses
 import math
-from typing import ClassVar, Iterator, Union, get_args
+import os
+import threading
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-# working-set bound of one frequency block of a per-bin stage (`freq_blocks`):
-# half of the 2 MiB per-core L2 it was tuned on
+# working-set bound of one frequency block of a per-bin stage (`freq_blocks`),
+# per thread: half of the 2 MiB per-core L2 it was tuned on
 _BLOCK_BYTES = 1 << 20
 
 # starting G~ weight of a source at the channels it is not assigned to
@@ -276,7 +280,7 @@ def normalize(params: ModelParams) -> ModelParams:
     return ModelParams(W=W_NKF, H=H_NKT, Q=Q_FMM, Gtilde=G_NM)
 
 
-def freq_blocks(n_freq: int, bytes_per_freq: int) -> Iterator[slice]:
+def freq_blocks(n_freq: int, bytes_per_freq: int) -> list[slice]:
     """Consecutive frequency slices covering range(n_freq) once, in order.
 
     Each holds _BLOCK_BYTES // bytes_per_freq frequencies (at least one;
@@ -285,8 +289,64 @@ def freq_blocks(n_freq: int, bytes_per_freq: int) -> Iterator[slice]:
     in cache; across blocks only its sums over f are coupled.
     """
     step = max(1, _BLOCK_BYTES // bytes_per_freq)
-    for start in range(0, n_freq, step):
-        yield slice(start, min(start + step, n_freq))
+    return [slice(start, min(start + step, n_freq)) for start in range(0, n_freq, step)]
+
+
+def run_blocks_serially() -> None:
+    """Turn the helper thread off: `map_blocks` runs every block on its caller."""
+    global _HELPER
+    _HELPER = None
+
+
+# the one thread that takes `map_blocks`' blocks beside the caller
+_HELPER = None
+if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+    _HELPER = concurrent.futures.ThreadPoolExecutor(1, "gsmsep-blocks")
+    os.register_at_fork(after_in_child=run_blocks_serially)  # threads are not forked
+
+
+def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None) -> list:
+    """[body(block) for block in freq_blocks(n_freq, bytes_per_freq)], the
+    blocks taken in turn by the caller and the helper thread (the caller
+    alone without a helper or with one block).  With `fold`,
+    each result goes to fold(result) instead, in block order as soon as all
+    before it have, and the list is empty: a sum over f then holds a few
+    blocks' terms, not all of them, and has the serial loop's bits.  The
+    helper runs in a copy of the caller's context (its `np.errstate`).  After
+    a body or fold raises, no thread takes another block, and the helper
+    has stopped before the error propagates."""
+    blocks, results = freq_blocks(n_freq, bytes_per_freq), []
+    fold = fold or results.append
+    lock, order = threading.Lock(), iter(range(len(blocks)))
+    done, passed = {}, [0]  # results not yet passed on, and how many were
+
+    def work():
+        while True:
+            with lock:  # each block index goes to one thread
+                k = next(order, None)
+            if k is None:
+                return
+            try:
+                result = body(blocks[k])
+                with lock:  # results pass on in block order
+                    done[k] = result
+                    while passed[0] in done:
+                        fold(done.pop(passed[0]))
+                        passed[0] += 1
+            except BaseException:
+                with lock:
+                    list(order)  # drained: no thread takes another block
+                raise
+
+    helper = (None if _HELPER is None or len(blocks) < 2
+              else _HELPER.submit(contextvars.copy_context().run, work))
+    try:
+        work()
+    finally:  # a helper that started stops before anything propagates
+        error = None if helper is None or helper.cancel() else helper.exception()
+    if error is not None:
+        raise error
+    return results
 
 
 def source_psd(params: ModelParams, freqs: slice = slice(None),
@@ -303,8 +363,10 @@ def compute_ytilde(params: ModelParams, floor: float) -> np.ndarray:
         raise ValueError(f"floor must be > 0, got {floor}")
     n_frames = params.n_frames
     y_FTM = np.empty((params.n_freq, n_frames, params.n_channels))
-    per_freq = 8 * n_frames * (params.n_sources + params.n_channels)
-    for block in freq_blocks(params.n_freq, per_freq):
+
+    def block_body(block):
         y_FTM[block] = np.maximum(np.tensordot(
             source_psd(params, block), params.Gtilde, axes=([0], [0])), floor)
+    map_blocks(block_body, params.n_freq,
+               8 * n_frames * (params.n_sources + params.n_channels))
     return y_FTM

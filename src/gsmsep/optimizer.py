@@ -14,11 +14,12 @@ are weighted sums of the outer products x_ft x_ft^H, which do not change
 during a run: `iterate` builds their real statistics once, checks the
 channel layout from them, and each `update_q` weighs them for every m
 with one real matrix product.  Every other per-bin stage (y~, the W, H
-and G~ updates, and the likelihood's projection, |Q x|^2, s and
-sum_m log y~) loops over `freq_blocks`, so its temporaries stay in
-cache.  The sums over f in the H and G~ updates accumulate across
-blocks; the likelihood sums its per-bin (F, T) terms once, and the only
-(F, T, M) arrays a stage holds whole are the cache's y~ and z^.
+and G~ updates, the outer products and V, and the likelihood's
+projection, |Q x|^2, s and sum_m log y~) runs over `map_blocks`: the
+caller and one helper thread take frequency blocks whose temporaries fit
+the per-thread cache budget.  The H and G~ updates add their blocks'
+sums over f in block order, so two threads give the bits one would; the
+only (F, T, M) arrays a stage holds whole are the cache's y~ and z^.
 `iterate` is a generator, not a step function returning its state, so the
 E-step cache outlives each iteration: freeing it every iteration made the
 allocator return its pages to the OS and fault them back in.  Every update
@@ -42,8 +43,8 @@ from .model import (
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
-    freq_blocks,
     init_params,
+    map_blocks,
     normalize,
     power_scale,
     source_psd,
@@ -94,10 +95,12 @@ def _project(X_FTM: np.ndarray, params: ModelParams, floor: float):
     z_tilde = np.empty(X_FTM.shape)
     s_FT = np.empty((n_freq, n_frames))
     log_y_FT = np.empty((n_freq, n_frames))
-    for block in freq_blocks(n_freq, 40 * n_frames * n_chan):
+
+    def block_body(block):
         z_tilde[block] = np.abs(project_mixture(X_FTM[block], params.Q[block])) ** 2
         s_FT[block] = _sum_channels(z_tilde[block] / y_tilde[block])
         log_y_FT[block] = _sum_channels(np.log(y_tilde[block]))
+    map_blocks(block_body, n_freq, 40 * n_frames * n_chan)
     return z_tilde, y_tilde, s_FT, log_y_FT
 
 
@@ -137,43 +140,49 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
     return cache
 
 
-def _mu_blocks(params: ModelParams, cache: EStepCache):
-    # per frequency block of the W, H and G~ updates: y~^-2 z^ as z^ R R and
-    # R = y~^-1; y~^2 itself would leave float64 for y~ beyond 2^+-512
-    per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
-    for block in freq_blocks(params.n_freq, per_freq):
+def _mu_blocks(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
+    # map_blocks of body(block, y~^-2 z^, y~^-1) over the frequency blocks of
+    # the W, H and G~ updates; y~^-2 z^ is z^ R R with R = y~^-1, as y~^2
+    # itself would leave float64 for y~ beyond 2^+-512
+    def block_body(block):
         R_BTM = 1.0 / cache.y_tilde[block]
-        yield block, cache.z_hat[block] * R_BTM * R_BTM, R_BTM
+        return body(block, cache.z_hat[block] * R_BTM * R_BTM, R_BTM)
+    per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
+    return map_blocks(block_body, params.n_freq, per_freq, fold)
 
 
-def _mu_ratio_parts(params: ModelParams, cache: EStepCache):
-    # per frequency block: tmp1 weights carry y~^-2 z^, tmp2 carry y~^-1,
-    # contracted over m with G~
-    for block, P_BTM, R_BTM in _mu_blocks(params, cache):
-        yield (block,
-               np.tensordot(params.Gtilde, P_BTM, axes=([1], [2])),
-               np.tensordot(params.Gtilde, R_BTM, axes=([1], [2])))
+def _mu_ratio_parts(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
+    # body(block, tmp1, tmp2) over the same blocks: tmp1 weights carry
+    # y~^-2 z^, tmp2 carry y~^-1, contracted over m with G~
+    return _mu_blocks(params, cache, lambda block, P_BTM, R_BTM: body(
+        block, np.tensordot(params.Gtilde, P_BTM, axes=([1], [2])),
+        np.tensordot(params.Gtilde, R_BTM, axes=([1], [2]))), fold)
 
 
 def update_w(params: ModelParams, cache: EStepCache) -> ModelParams:
     """w <- w sqrt(sum_tm h g~ y~^-2 z^ / sum_tm h g~ y~^-1)."""
     W_NKF = np.empty_like(params.W)
-    for block, tmp1_NBT, tmp2_NBT in _mu_ratio_parts(params, cache):
+
+    def block_body(block, tmp1_NBT, tmp2_NBT):
         numerator = np.matmul(params.H, tmp1_NBT.transpose(0, 2, 1))
         denominator = np.matmul(params.H, tmp2_NBT.transpose(0, 2, 1))
         W_NKF[:, :, block] = params.W[:, :, block] * np.sqrt(
             numerator / np.maximum(denominator, _DEN_TINY))
+    _mu_ratio_parts(params, cache, block_body)
     return dataclasses.replace(params, W=W_NKF)
 
 
 def update_h(params: ModelParams, cache: EStepCache) -> ModelParams:
     """h <- h sqrt(sum_fm w g~ y~^-2 z^ / sum_fm w g~ y~^-1)."""
-    numerator = np.zeros_like(params.H)
-    denominator = np.zeros_like(params.H)
-    for block, tmp1_NBT, tmp2_NBT in _mu_ratio_parts(params, cache):
-        numerator += np.matmul(params.W[:, :, block], tmp1_NBT)
-        denominator += np.matmul(params.W[:, :, block], tmp2_NBT)
-    H_NKT = params.H * np.sqrt(numerator / np.maximum(denominator, _DEN_TINY))
+    sums = np.zeros((2,) + params.H.shape)  # numerator, denominator
+
+    def block_body(block, tmp1_NBT, tmp2_NBT):
+        part = np.empty_like(sums)
+        np.matmul(params.W[:, :, block], tmp1_NBT, out=part[0])
+        np.matmul(params.W[:, :, block], tmp2_NBT, out=part[1])
+        return part
+    _mu_ratio_parts(params, cache, block_body, fold=sums.__iadd__)
+    H_NKT = params.H * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
     return dataclasses.replace(params, H=H_NKT)
 
 
@@ -183,13 +192,14 @@ def update_g(params: ModelParams, cache: EStepCache) -> ModelParams:
     `iterate` does not call it under the rank-1 constraint, where G~ stays
     the identity `init_params` gave it.
     """
-    numerator = np.zeros_like(params.Gtilde)
-    denominator = np.zeros_like(params.Gtilde)
-    for block, P_BTM, R_BTM in _mu_blocks(params, cache):
+    sums = np.zeros((2,) + params.Gtilde.shape)  # numerator, denominator
+
+    def block_body(block, P_BTM, R_BTM):
         lambda_NBT = source_psd(params, block)
-        numerator += np.tensordot(lambda_NBT, P_BTM, axes=([1, 2], [0, 1]))
-        denominator += np.tensordot(lambda_NBT, R_BTM, axes=([1, 2], [0, 1]))
-    G_NM = params.Gtilde * np.sqrt(numerator / np.maximum(denominator, _DEN_TINY))
+        return np.stack([np.tensordot(lambda_NBT, P_BTM, axes=([1, 2], [0, 1])),
+                         np.tensordot(lambda_NBT, R_BTM, axes=([1, 2], [0, 1]))])
+    _mu_blocks(params, cache, block_body, fold=sums.__iadd__)
+    G_NM = params.Gtilde * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
     return dataclasses.replace(params, Gtilde=G_NM)
 
 
@@ -206,13 +216,15 @@ def outer_products(X_FTM: np.ndarray) -> np.ndarray:
     n_freq, n_frames, n_chan = X_FTM.shape
     upper, lower = np.triu_indices(n_chan, k=1)
     S_FPT = np.empty((n_freq, n_chan * n_chan, n_frames))
-    for block in freq_blocks(n_freq, 16 * n_frames * (n_chan + 3 * len(upper))):
+
+    def block_body(block):
         X_BMT = X_FTM[block].transpose(0, 2, 1).copy()
         S_BPT = S_FPT[block]
         S_BPT[:, :n_chan] = X_BMT.real ** 2 + X_BMT.imag ** 2
         cross_BPT = X_BMT[:, upper] * X_BMT[:, lower].conj()
         S_BPT[:, n_chan::2] = cross_BPT.real
         S_BPT[:, n_chan + 1::2] = cross_BPT.imag
+    map_blocks(block_body, n_freq, 16 * n_frames * (n_chan + 3 * len(upper)))
     return S_FPT
 
 
@@ -258,10 +270,13 @@ def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
     (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit,
     with real nonnegative diagonals.
     """
-    n_frames = cache.y_tilde.shape[1]
-    weight_FTM = cache.inv_phi[:, :, None] / cache.y_tilde
-    R_FMP = (np.matmul(S_FPT, weight_FTM) / n_frames).transpose(0, 2, 1)
-    return _unpack_hermitian(R_FMP)
+    n_freq, n_frames, n_chan = cache.y_tilde.shape
+
+    def block_body(block):  # no (F, T, M) weight is formed
+        weight_BTM = cache.inv_phi[block, :, None] / cache.y_tilde[block]
+        return np.matmul(S_FPT[block], weight_BTM)
+    R_FPM = np.concatenate(map_blocks(block_body, n_freq, 8 * n_frames * n_chan * (n_chan + 1)))
+    return _unpack_hermitian((R_FPM / n_frames).transpose(0, 2, 1))
 
 
 def update_q(params: ModelParams, S_FPT: np.ndarray,

@@ -3,7 +3,9 @@
 Analysis zero-pads the signal by n_fft - hop on both ends, and the end up
 to a whole number of hops, so every input sample is covered by full
 windows, slides a periodic Hann window in hop steps, and keeps the
-n_fft/2 + 1 nonnegative-frequency bins.  Synthesis
+n_fft/2 + 1 nonnegative-frequency bins; blocks of frames within the
+per-thread cache budget go to the caller and one helper thread
+(`model.map_blocks`), which gives the bits one thread would.  Synthesis
 is weighted overlap-add with the same window, dividing by the summed
 squared-window envelope.  Every sample it returns lies under at least
 n_fft/hop >= 2 frames, where that envelope is at least 1/2; it refuses
@@ -17,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+
+from .model import map_blocks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +72,12 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=1)
     frames = frames[:, :: cfg.hop, :]
     window = periodic_hann(cfg.n_fft)
-    spec_MTF = np.fft.rfft(frames * window, axis=-1)
-    return np.ascontiguousarray(spec_MTF.transpose(2, 1, 0))
+    spec_FTM = np.empty((cfg.n_freq, frames.shape[1], x.shape[0]), dtype=np.complex128)
+
+    def frame_block(block):  # as many frames as the per-thread budget holds
+        spec_FTM[:, block] = np.fft.rfft(frames[:, block] * window, axis=-1).transpose(2, 1, 0)
+    map_blocks(frame_block, frames.shape[1], 8 * cfg.n_fft * x.shape[0])
+    return spec_FTM
 
 
 def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:

@@ -7,15 +7,17 @@ only on the spatial and spectral parameters, never on the tail variant.
 The per-source gains sum to one in every bin by construction, so the
 images partition the mixture exactly.
 
-The filter runs over `freq_blocks`, so its temporaries stay in cache.  A
+The filter runs over `map_blocks`, frequency blocks that the caller and
+one helper thread share, each within the per-thread cache budget.  A
 first pass forms, block by block, the source-independent ratio
 Q_f x_ft / sum_n lambda_nft g~_n (unfloored, so the gains sum to exactly
 one) and the mask of the entries where that total vanishes.  Then each
 source in turn is built block by block and back-projected through
 Q_f^-1; its energy, the mean |x^|^2 over (f, t, m) of the whole image, is
-summed while the block is in cache, and only the channel rows that are
-written are kept.  At most one source's kept rows are alive at a time,
-and besides them the ratio and the mask are the only whole arrays.
+summed per block in cache and added up in block order, and only the
+channel rows that are written are kept.  At most one source's kept rows are alive
+at a time, and besides them the ratio and the mask are the only whole
+arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import linalg
-from .model import ModelParams, freq_blocks, source_psd
+from .model import ModelParams, map_blocks, source_psd
 from .stft import StftConfig, stft_inverse
 
 
@@ -64,13 +66,15 @@ def source_images(X_FTM: np.ndarray, params: ModelParams,
     ratio_FMT = np.empty((params.n_freq, params.n_channels, params.n_frames),
                          dtype=np.complex128)
     dead_FMT = np.empty(ratio_FMT.shape, dtype=bool)
-    for block in freq_blocks(params.n_freq, per_freq):
+
+    def ratio_block(block):
         total_BMT = np.matmul(params.Gtilde.T,
                               source_psd(params, block).transpose(1, 0, 2))
         np.equal(total_BMT, 0.0, out=dead_FMT[block])
         total_BMT[dead_FMT[block]] = 1.0
         np.divide(np.matmul(params.Q[block], X_FTM[block].transpose(0, 2, 1)),
                   total_BMT, out=ratio_FMT[block])
+    map_blocks(ratio_block, params.n_freq, per_freq)
 
     # the pair is built inside `_source_image`, so nothing but the yielded
     # rows is held across a yield
@@ -87,8 +91,8 @@ def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
     # lambda_n g~_nm is 0, so those entries add their 1/N share instead.
     kept_FTC = np.empty((params.n_freq, params.n_frames,
                          ratio_FMT[0, channels].shape[0]), dtype=np.complex128)
-    power = 0.0
-    for block in freq_blocks(params.n_freq, per_freq):
+
+    def image_block(block):
         image_BMT = np.matmul(Qinv_FMM[block] * params.Gtilde[n], ratio_FMT[block])
         image_BMT *= source_psd(params, block,
                                 slice(n, n + 1)).transpose(1, 0, 2)
@@ -97,9 +101,11 @@ def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
             image_BMT += np.matmul(Qinv_FMM[block],
                                    np.where(dead_BMT, ratio_FMT[block], 0.0)
                                    ) / params.n_sources
-        power += np.vdot(image_BMT, image_BMT).real
         kept_FTC[block] = image_BMT[:, channels].transpose(0, 2, 1)
-    return power / ratio_FMT.size, kept_FTC
+        return np.vdot(image_BMT, image_BMT).real
+    power = np.zeros(())
+    map_blocks(image_block, params.n_freq, per_freq, fold=power.__iadd__)
+    return power[()] / ratio_FMT.size, kept_FTC
 
 
 def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,

@@ -15,7 +15,8 @@ the production path is never checked against itself.
 - `whole_ytilde`, `whole_update_w`, `whole_update_h`, `whole_update_g`,
   `whole_likelihood` and `whole_source_images`: the per-bin stages and the
   Wiener filter on whole (F, T, M) arrays, one product over every
-  frequency, as the frequency-blocked stages compute them block by block.
+  frequency, as the frequency-blocked stages compute them block by block;
+- `whole_stft_forward`: the forward STFT as one `rfft` over every frame.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy import integrate, special
 from gsmsep import linalg
 from gsmsep.model import GH, GsmVariant, ModelParams, StudentT
 from gsmsep.priors import inv_phi_from_s, log_marginal_from_s
+from gsmsep.stft import StftConfig, periodic_hann
 
 
 def kve_log_k(order: float, x: float) -> float:
@@ -295,3 +297,13 @@ def whole_source_images(X_FTM, params: ModelParams) -> list:
                                1.0 / params.n_sources) * Qx_FTM,
                       Qinv_FMM.transpose(0, 2, 1))
             for n in range(params.n_sources)]
+
+
+def whole_stft_forward(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """(F, T, M) spectrogram of (M, n) samples: every padded frame windowed
+    and transformed by one `rfft` call."""
+    tail = -samples.shape[1] % cfg.hop
+    padded = np.pad(samples, ((0, 0), (cfg.pad, cfg.pad + tail)))
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=1)
+    spec_MTF = np.fft.rfft(frames[:, :: cfg.hop, :] * periodic_hann(cfg.n_fft), axis=-1)
+    return np.ascontiguousarray(spec_MTF.transpose(2, 1, 0))

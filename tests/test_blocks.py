@@ -1,0 +1,241 @@
+"""Tests for `model.map_blocks`: frequency blocks shared by the calling
+thread and one helper thread.
+
+Every blocked stage must give the bits the serial loop gives.  An error
+in either thread must reach the caller only after both threads have
+stopped, the helper must see the caller's `np.errstate`, no function that
+sepbench's tracer wraps may run off the calling thread, and `gsmsep
+bench` worker processes must run their blocks on one thread.
+"""
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import oracles
+from gsmsep import cli, harness, linalg, model, optimizer, wiener
+from gsmsep.harness import synth_scene
+from gsmsep.model import SeparationConfig, StudentT, map_blocks
+from gsmsep.stft import StftConfig, stft_forward
+
+# every call to map_blocks below passes _BLOCK_BYTES as the bytes per
+# frequency, so each block holds one frequency
+ONE = model._BLOCK_BYTES
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A helper thread for `map_blocks`, already started, on any CPU count.
+
+    Returns the helper's thread id."""
+    pool = concurrent.futures.ThreadPoolExecutor(1, "test-blocks")
+    ident = pool.submit(threading.get_ident).result()
+    monkeypatch.setattr(model, "_HELPER", pool)
+    yield ident
+    pool.shutdown()
+
+
+def paired(barrier):
+    """Body wrapper: blocks 0 and 1 meet at `barrier`, so each thread
+    takes one of them (a thread holds one block at a time)."""
+    def wrap(body):
+        def run(block):
+            if block.start < 2:
+                barrier.wait()
+            return body(block)
+        return run
+    return wrap
+
+
+class TestMapBlocks:
+    def test_results_in_block_order_from_both_threads(self, helper):
+        def body(block):
+            time.sleep(0.001)
+            return block, threading.get_ident()
+
+        results = map_blocks(paired(threading.Barrier(2, timeout=10))(body), 12, ONE)
+        assert [block for block, _ in results] == [slice(k, k + 1) for k in range(12)]
+        assert {ident for _, ident in results} == {threading.get_ident(), helper}
+
+    def test_fold_takes_results_in_block_order(self, helper):
+        def body(block):
+            time.sleep(0.001 * (block.start % 3))  # the threads finish out of turn
+            return block.start
+
+        folded = []
+        assert map_blocks(paired(threading.Barrier(2, timeout=10))(body), 12, ONE,
+                          fold=folded.append) == []
+        assert folded == list(range(12))
+
+    def test_fold_error_propagates(self, helper):
+        def fold(result):
+            if result == 3:
+                raise ArithmeticError("fold 3")
+
+        with pytest.raises(ArithmeticError, match="fold 3"):
+            map_blocks(lambda block: block.start, 12, ONE, fold=fold)
+
+    def test_one_block_runs_on_the_caller(self, helper):
+        assert map_blocks(lambda block: threading.get_ident(), 3, ONE // 3) == [
+            threading.get_ident()]
+
+    def test_no_helper_runs_every_block_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_HELPER", None)
+        assert set(map_blocks(lambda block: threading.get_ident(), 6, ONE)) == {
+            threading.get_ident()}
+
+    @pytest.mark.parametrize("thread", ["caller", "helper"])
+    def test_error_stops_both_threads_before_it_propagates(self, helper, thread):
+        n_blocks, first_failure = 24, 5
+        written = np.zeros(n_blocks, dtype=bool)
+        failed_at = []
+        failing = threading.get_ident() if thread == "caller" else helper
+
+        def body(block):
+            k = block.start
+            if k >= first_failure and threading.get_ident() == failing:
+                failed_at.append(k)
+                raise ValueError(f"block {k}")
+            time.sleep(0.005)
+            written[k] = True
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block"):
+            map_blocks(paired(threading.Barrier(2, timeout=10))(body), n_blocks, ONE)
+        assert threading.active_count() == before
+        snapshot = written.copy()
+        time.sleep(0.05)
+        np.testing.assert_array_equal(written, snapshot)  # nothing wrote late
+        (k,) = failed_at
+        assert not written[k] and not written[k + 2:].any()  # at most k + 1 in flight
+
+    @pytest.mark.parametrize("thread", ["caller", "helper"])
+    def test_helper_sees_the_callers_errstate(self, helper, thread):
+        overflowing = threading.get_ident() if thread == "caller" else helper
+
+        def body(block):
+            if threading.get_ident() == overflowing:
+                np.exp(np.full(3, 1000.0))
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                map_blocks(paired(threading.Barrier(2, timeout=10))(body), 4, ONE)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs sched_setaffinity")
+    def test_no_helper_on_one_cpu(self):
+        probe = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+                 " from gsmsep import model; print(model._HELPER is None)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "True"
+
+
+class TestBitIdentical:
+    """Each blocked stage on two threads against the same stage on one."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("m_step_freqs", [0, 3, 1 << 20],
+                             ids=["one-frequency", "three", "one-block"])
+    def test_run_and_source_images(self, m, m_step_freqs, helper, monkeypatch):
+        # budget 0 makes every block one frequency; 3 M-step frequencies
+        # leave an uneven last block at f = 13
+        n, f, t = 2, 13, 16
+        monkeypatch.setattr(model, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+        cfg = SeparationConfig(n_sources=n, n_bases=2, iterations=3,
+                               variant=StudentT(nu=4.0), seed=m)
+        runs = []
+        for pool in (None, model._HELPER):
+            monkeypatch.setattr(model, "_HELPER", pool)
+            params, trace = optimizer.run(X, cfg)
+            runs.append((trace, params,
+                         list(wiener.source_images(X, params, all_channels=True))))
+        (trace, params, images), (trace2, params2, images2) = runs
+        assert trace2 == trace
+        for name in ("W", "H", "Q", "Gtilde"):
+            assert np.array_equal(getattr(params2, name), getattr(params, name))
+        assert len(images2) == len(images) == n
+        for (energy2, image2), (energy, image) in zip(images2, images):
+            assert energy2 == energy
+            assert np.array_equal(image2, image)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("frames", [1, 5, None], ids=["one-frame", "five", "default"])
+    def test_stft_forward_matches_one_rfft(self, m, frames, helper, monkeypatch):
+        cfg = StftConfig()
+        if frames is not None:
+            monkeypatch.setattr(model, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
+        rng = np.random.default_rng(m)
+        # 303 frames: the last block is short at 5 frames and at the default
+        # budget's 128, 64 and 32 frames for M = 1, 2 and 4
+        x = rng.standard_normal((m, 300 * cfg.hop - 77))
+        spec = stft_forward(x, cfg)
+        assert spec.shape == (cfg.n_freq, 303, m) and spec.flags.c_contiguous
+        assert np.array_equal(spec, oracles.whole_stft_forward(x, cfg))
+
+
+# sepbench/run.py's PROBES, (module, attribute), copied: tests do not import
+# sepbench.  Its tracer assumes that these run on the calling thread.
+PROBED = [
+    (cli, "main"), (cli, "read_wav"), (cli, "write_wav"), (cli, "stft_forward"),
+    (optimizer, "init_params"), (optimizer, "e_step"), (optimizer, "inv_phi_from_s"),
+    (optimizer, "compute_ytilde"), (optimizer, "update_w"), (optimizer, "update_h"),
+    (optimizer, "update_g"), (optimizer, "update_q"),
+    (linalg, "compensated_quadratic_form"), (optimizer, "normalize"),
+    (optimizer, "log_likelihood"), (optimizer, "log_marginal_from_s"),
+    (linalg, "log_abs_det_gram"), (wiener, "separate"), (linalg, "invert"),
+    (wiener, "stft_inverse"),
+]
+
+
+def test_probed_names_run_on_the_calling_thread(helper, monkeypatch):
+    calls = []
+
+    def recorded(fn, name):
+        def call(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    for module, attr in PROBED:
+        monkeypatch.setattr(module, attr, recorded(getattr(module, attr), attr))
+    # not probed: shows that the helper took blocks of compute_ytilde
+    monkeypatch.setattr(model, "source_psd", recorded(model.source_psd, "source_psd"))
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 1 << 14)
+    scene = synth_scene(2, 2, 1.0, seed=0)
+    cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=2,
+                           variant=StudentT(nu=4.0))
+    stft_cfg = StftConfig()
+    X = cli.stft_forward(scene.mixture.samples, stft_cfg)
+    harness.separate_mixture(X, cfg, stft_cfg, scene.mixture.n_frames,
+                             all_channels=False)
+
+    caller = threading.get_ident()
+    assert {name for name, ident in calls if name != "source_psd"} == {
+        attr for _, attr in PROBED} - {"main", "read_wav", "write_wav"}
+    assert [name for name, ident in calls
+            if name != "source_psd" and ident != caller] == []
+    assert {ident for name, ident in calls if name == "source_psd"} == {caller, helper}
+
+
+def _block_threads():
+    # run in a `gsmsep bench` worker: (threads that ran 8 blocks, the worker's thread)
+    def body(block):
+        time.sleep(0.005)
+        return threading.get_ident()
+
+    return set(map_blocks(body, 8, ONE)), threading.get_ident()
+
+
+def test_bench_workers_run_blocks_on_one_thread():
+    with cli._worker_pool(1) as pool:
+        threads, worker = pool.submit(_block_threads).result()
+    assert threads == {worker}
