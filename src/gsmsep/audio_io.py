@@ -154,11 +154,17 @@ def read_wav(path) -> AudioBuffer:
 
 def write_wav(path, buffer: AudioBuffer) -> None:
     """Write a buffer as IEEE float-32; float32-representable samples read
-    back bit-exact."""
+    back bit-exact.  Raises ValueError, before anything is written, for a
+    non-finite sample or one that rounds beyond the float32 range."""
     samples = np.asarray(buffer.samples, dtype=np.float64)
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("cannot write non-finite samples")
-    data = samples.T.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):
+        interleaved = samples.T.astype("<f4")
+    if not np.all(np.isfinite(interleaved)):
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("cannot write non-finite samples")
+        raise ValueError("cannot write samples beyond the float32 range"
+                         f" (largest magnitude {np.max(np.abs(samples)):.6g})")
+    data = interleaved.tobytes()
     block_align = 4 * samples.shape[0]
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",

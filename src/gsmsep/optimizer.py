@@ -115,8 +115,10 @@ def _sum_channels(A_BTM: np.ndarray) -> np.ndarray:
 
 def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
            inv_phi: np.ndarray) -> EStepCache:
-    # z^ is formed in z~'s memory, which nothing else holds
-    z_tilde *= inv_phi[:, :, None]
+    # z^ is formed in z~'s memory, which nothing else holds, block by block
+    def block_body(block):
+        z_tilde[block] *= inv_phi[block, :, None]
+    map_blocks(block_body, z_tilde.shape[0], 8 * z_tilde.shape[1] * (z_tilde.shape[2] + 1))
     return EStepCache(y_tilde, inv_phi, z_tilde)
 
 

@@ -3,15 +3,16 @@
 Analysis zero-pads the signal by n_fft - hop on both ends, and the end up
 to a whole number of hops, so every input sample is covered by full
 windows, slides a periodic Hann window in hop steps, and keeps the
-n_fft/2 + 1 nonnegative-frequency bins; blocks of frames within the
-per-thread cache budget go to the caller and one helper thread
-(`model.map_blocks`), which gives the bits one thread would.  Synthesis
-is weighted overlap-add with the same window, dividing by the summed
-squared-window envelope.  Every sample it returns lies under at least
-n_fft/hop >= 2 frames, where that envelope is at least 1/2; it refuses
-hop == n_fft (the window is zero at every frame start) and a length
-beyond what the frames cover, rather than return samples it cannot
-invert.
+n_fft/2 + 1 nonnegative-frequency bins.  Synthesis is weighted
+overlap-add with the same window, each hop-sample output chunk adding its
+frames' parts in frame order, divided by the summed squared-window
+envelope.  Both pass blocks (of frames, then of output chunks) within the
+per-thread cache budget to the caller and one helper thread
+(`model.map_blocks`), which gives the bits one thread would.  Every
+sample synthesis returns lies under at least n_fft/hop >= 2 frames, where
+that envelope is at least 1/2; it refuses hop == n_fft (the window is
+zero at every frame start) and a length beyond what the frames cover,
+rather than return samples it cannot invert.
 """
 
 from __future__ import annotations
@@ -97,21 +98,30 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
     if cfg.hop == cfg.n_fft:
         raise ValueError(f"hop == n_fft ({cfg.n_fft}) cannot be inverted: the"
                          " window is zero at every frame start")
-    n_frames = spec.shape[1]
-    padded_len = (n_frames - 1) * cfg.hop + cfg.n_fft
-    covered = padded_len - 2 * cfg.pad
+    (_, n_frames, n_chan), overlap, hop = spec.shape, cfg.n_fft // cfg.hop, cfg.hop
+    covered = (n_frames + 1 - overlap) * hop
     if not 1 <= length <= covered:
         raise ValueError(f"length must lie in [1, {covered}], the samples"
                          f" {n_frames} frames cover; got {length}")
     window = periodic_hann(cfg.n_fft)
-    frames_MTt = np.fft.irfft(spec.transpose(2, 1, 0), n=cfg.n_fft, axis=-1) * window
+    frames_MTn = np.empty((n_chan, n_frames, cfg.n_fft))
 
-    out = np.zeros((spec.shape[2], padded_len))
-    envelope = np.zeros(padded_len)
-    win_sq = window * window
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[:, start : start + cfg.n_fft] += frames_MTt[:, t, :]
-        envelope[start : start + cfg.n_fft] += win_sq
-    kept = slice(cfg.pad, cfg.pad + length)
-    return out[:, kept] / envelope[kept]
+    def frame_block(block):
+        np.fft.irfft(spec[:, block].transpose(2, 1, 0), n=cfg.n_fft, out=frames_MTn[:, block])
+        frames_MTn[:, block] *= window
+    map_blocks(frame_block, n_frames, 8 * cfg.n_fft * n_chan)
+
+    # kept chunk k (samples pad + k hop on) is 0.0 plus sub-chunk overlap-1-u
+    # of frame k + u for u = 0, 1, ...: a frame-by-frame overlap-add's order
+    subs_MToh = frames_MTn.reshape(n_chan, n_frames, overlap, hop)
+    envelope = sum((window * window).reshape(overlap, hop)[::-1], np.zeros(hop))
+    out = np.empty((n_chan, length))
+
+    def chunk_block(block):
+        sum_MKh = np.zeros((n_chan, block.stop - block.start, hop))
+        for u in range(overlap):
+            sum_MKh += subs_MToh[:, block.start + u : block.stop + u, overlap - 1 - u]
+        kept = out[:, block.start * hop : block.stop * hop]
+        kept[:] = (sum_MKh / envelope).reshape(n_chan, -1)[:, : kept.shape[1]]
+    map_blocks(chunk_block, -(-length // hop), 8 * cfg.n_fft * n_chan)
+    return out

@@ -16,7 +16,9 @@ the production path is never checked against itself.
   `whole_likelihood` and `whole_source_images`: the per-bin stages and the
   Wiener filter on whole (F, T, M) arrays, one product over every
   frequency, as the frequency-blocked stages compute them block by block;
-- `whole_stft_forward`: the forward STFT as one `rfft` over every frame.
+- `whole_stft_forward`: the forward STFT as one `rfft` over every frame;
+- `whole_stft_inverse`: the inverse STFT as one `irfft` over every frame
+  and an overlap-add loop over frames, with the envelope summed in it.
 """
 
 from __future__ import annotations
@@ -307,3 +309,23 @@ def whole_stft_forward(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=1)
     spec_MTF = np.fft.rfft(frames[:, :: cfg.hop, :] * periodic_hann(cfg.n_fft), axis=-1)
     return np.ascontiguousarray(spec_MTF.transpose(2, 1, 0))
+
+
+def whole_stft_inverse(spec: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
+    """(M, length) weighted overlap-add of an (F, T, M) spectrogram: every
+    frame inverse-transformed and windowed at once, then added frame by
+    frame, t ascending, into zeros."""
+    n_frames = spec.shape[1]
+    padded_len = (n_frames - 1) * cfg.hop + cfg.n_fft
+    window = periodic_hann(cfg.n_fft)
+    frames_MTt = np.fft.irfft(spec.transpose(2, 1, 0), n=cfg.n_fft, axis=-1) * window
+
+    out = np.zeros((spec.shape[2], padded_len))
+    envelope = np.zeros(padded_len)
+    win_sq = window * window
+    for t in range(n_frames):
+        start = t * cfg.hop
+        out[:, start : start + cfg.n_fft] += frames_MTt[:, t, :]
+        envelope[start : start + cfg.n_fft] += win_sq
+    kept = slice(cfg.pad, cfg.pad + length)
+    return out[:, kept] / envelope[kept]

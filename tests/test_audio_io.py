@@ -293,6 +293,20 @@ class TestWriteWav:
         with pytest.raises(ValueError, match="non-finite"):
             write_wav(tmp_path / "x.wav", buf)
 
+    @pytest.mark.parametrize("sample", [1e39, -3.5e38])
+    def test_beyond_float32_range_rejected_before_writing(self, tmp_path, sample):
+        # the float32 cast alone would write inf, which read_wav refuses
+        path = tmp_path / "x.wav"
+        with np.errstate(over="raise"), pytest.raises(ValueError, match="float32 range"):
+            write_wav(path, AudioBuffer(samples=np.array([[sample, 0.5]]), sample_rate=16000))
+        assert not path.exists()
+
+    def test_float32_max_is_written(self, tmp_path):
+        peak = float(np.finfo(np.float32).max)
+        write_wav(tmp_path / "x.wav", AudioBuffer(samples=np.array([[peak, -peak]]),
+                                                  sample_rate=16000))
+        assert read_wav(tmp_path / "x.wav").samples.tolist() == [[peak, -peak]]
+
 
 @given(
     seed=st.integers(0, 2**31 - 1),

@@ -22,7 +22,7 @@ import oracles
 from gsmsep import cli, harness, linalg, model, optimizer, wiener
 from gsmsep.harness import synth_scene
 from gsmsep.model import SeparationConfig, StudentT, map_blocks
-from gsmsep.stft import StftConfig, stft_forward
+from gsmsep.stft import StftConfig, stft_forward, stft_inverse
 
 # every call to map_blocks below passes _BLOCK_BYTES as the bytes per
 # frequency, so each block holds one frequency
@@ -180,6 +180,43 @@ class TestBitIdentical:
         spec = stft_forward(x, cfg)
         assert spec.shape == (cfg.n_freq, 303, m) and spec.flags.c_contiguous
         assert np.array_equal(spec, oracles.whole_stft_forward(x, cfg))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("overlap", [2, 4, 8])
+    @pytest.mark.parametrize("frames", [1, 6, None], ids=["one-frame", "six", "default"])
+    @pytest.mark.parametrize("threads", ["helper", "caller"])
+    def test_stft_inverse_matches_the_frame_loop(self, m, overlap, frames, threads,
+                                                 helper, monkeypatch):
+        cfg = StftConfig(hop=1024 // overlap)
+        if frames is not None:
+            monkeypatch.setattr(model, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
+        if threads == "caller":
+            monkeypatch.setattr(model, "_HELPER", None)
+        rng = np.random.default_rng(10 * m + overlap)
+        # 203 frames and 204 - overlap output chunks: the last block of each
+        # is short at 6 per block and at the default budget's 128 // m
+        spec = (rng.standard_normal((cfg.n_freq, 203, m))
+                + 1j * rng.standard_normal((cfg.n_freq, 203, m)))
+        covered = (203 + 1 - overlap) * cfg.hop
+        for length in (covered, covered - cfg.hop // 2 - 1):  # the limit; mid-chunk
+            out = stft_inverse(spec, cfg, length)
+            assert out.shape == (m, length) and out.flags.c_contiguous
+            assert np.array_equal(out, oracles.whole_stft_inverse(spec, cfg, length))
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["zeros", "signed-zeros"])
+    def test_stft_inverse_of_zeros_is_positive_zero(self, signed, helper, monkeypatch):
+        # some -0.0 bins make windowed samples -0.0; where every term of a
+        # sum is -0.0 only a sum that starts from 0.0 returns +0.0
+        cfg = StftConfig(n_fft=4, hop=2)
+        monkeypatch.setattr(model, "_BLOCK_BYTES", 3 * 8 * cfg.n_fft * 2)
+        spec = np.zeros((cfg.n_freq, 400, 2), dtype=np.complex128)
+        if signed:
+            rng = np.random.default_rng(0)
+            spec.real[rng.random(spec.shape) < 0.5] = -0.0
+            spec.imag[rng.random(spec.shape) < 0.5] = -0.0
+        out = stft_inverse(spec, cfg, 397 * cfg.hop - 1)
+        assert np.array_equal(out, oracles.whole_stft_inverse(spec, cfg, 397 * cfg.hop - 1))
+        assert not np.any(out) and not np.any(np.signbit(out))
 
 
 # sepbench/run.py's PROBES, (module, attribute), copied: tests do not import

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gsmsep
-from gsmsep import optimizer
+from gsmsep import cli, optimizer
 from gsmsep.audio_io import AudioBuffer, read_wav, write_wav
 from gsmsep.cli import build_parser, main
 
@@ -195,6 +195,17 @@ class TestSeparateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "rank1 needs as many sources as channels" in captured.err
+
+    def test_output_beyond_float32_exits_two(self, scene_dir, tmp_path, capsys,
+                                              monkeypatch):
+        # write_wav refuses a sample that would be written as inf
+        monkeypatch.setattr(cli, "separate_mixture", lambda X, cfg, stft_cfg, n, **kw: (
+            [np.full((2, n), 1e39)], [0.0]))
+        code = main(["separate", str(scene_dir / "mixture.wav"), "--iters", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "float32 range" in capsys.readouterr().err
+        assert not (tmp_path / "source1.wav").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
