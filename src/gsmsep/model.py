@@ -357,12 +357,14 @@ def source_psd(params: ModelParams, freqs: slice = slice(None),
                      params.H[sources])
 
 
-def compute_ytilde(params: ModelParams, floor: float) -> np.ndarray:
-    """y~_FTM = sum_n lambda_nft g~_nm, floored elementwise at `floor`."""
+def compute_ytilde(params: ModelParams, floor: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """y~_FTM = sum_n lambda_nft g~_nm, floored elementwise at `floor`;
+    written into `out` (an (F, T, M) float64 array) when it is given."""
     if floor <= 0:
         raise ValueError(f"floor must be > 0, got {floor}")
     n_frames = params.n_frames
-    y_FTM = np.empty((params.n_freq, n_frames, params.n_channels))
+    y_FTM = np.empty((params.n_freq, n_frames, params.n_channels)) if out is None else out
 
     def block_body(block):
         y_FTM[block] = np.maximum(np.tensordot(

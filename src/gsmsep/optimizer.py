@@ -14,15 +14,19 @@ are weighted sums of the outer products x_ft x_ft^H, which do not change
 during a run: `iterate` builds their real statistics once, checks the
 channel layout from them, and each `update_q` weighs them for every m
 with one real matrix product.  Every other per-bin stage (y~, the W, H
-and G~ updates, the outer products and V, and the likelihood's
-projection, |Q x|^2, s and sum_m log y~) runs over `map_blocks`: the
-caller and one helper thread take frequency blocks whose temporaries fit
-the per-thread cache budget.  The H and G~ updates add their blocks'
-sums over f in block order, so two threads give the bits one would; the
-only (F, T, M) arrays a stage holds whole are the cache's y~ and z^.
-`iterate` is a generator, not a step function returning its state, so the
-E-step cache outlives each iteration: freeing it every iteration made the
-allocator return its pages to the OS and fault them back in.  Every update
+and G~ updates, the outer products and V, the likelihood's projection,
+|Q x|^2, s and sum_m log y~, and the prior's statistics of s) runs over
+`map_blocks`: the caller and one helper thread take blocks whose
+temporaries fit the per-thread cache budget.  The H and G~ updates add
+their blocks' sums over f in block order, so two threads give the bits
+one would; the only (F, T, M) arrays a stage holds whole are the cache's
+y~ and z^, and a run allocates them once.  `iterate` is a generator, not
+a step function returning its state, so the E-step cache outlives each
+iteration and its arrays are written over instead of allocated anew:
+each y~ refresh over the y~ the update before it read, and the
+likelihood's y~, z~ (scaled into z^) and s over the cache the M-step has
+finished with.  Freeing the cache every iteration made the allocator
+return its pages to the OS and fault them back in.  Every update
 is an exact maximizer or a multiplicative step on the same minorizing
 bound, so the trace is non-decreasing up to rounding; violations beyond a
 1e-8 relative slack are reported as warnings with their iteration index,
@@ -87,19 +91,24 @@ def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
     return np.matmul(X_FTM, Q_FMM.transpose(0, 2, 1))
 
 
-def _project(X_FTM: np.ndarray, params: ModelParams, floor: float):
-    # (z~, y~, s, sum_m log y~) at params; Q x and the per-bin sums are
-    # formed one frequency block at a time
+def _project(X_FTM: np.ndarray, params: ModelParams, floor: float,
+             buffers: EStepCache | None = None, log_y: bool = True):
+    # (z~, y~, s, sum_m log y~ or None) at params; Q x and the per-bin sums
+    # are formed one frequency block at a time.  z~, y~ and s are written
+    # over the z^, y~ and E[1/phi] arrays of `buffers`, or of fresh ones
     n_freq, n_frames, n_chan = X_FTM.shape
-    y_tilde = compute_ytilde(params, floor)
-    z_tilde = np.empty(X_FTM.shape)
-    s_FT = np.empty((n_freq, n_frames))
-    log_y_FT = np.empty((n_freq, n_frames))
+    if buffers is None:
+        buffers = EStepCache(np.empty(X_FTM.shape), np.empty((n_freq, n_frames)),
+                             np.empty(X_FTM.shape))
+    y_tilde = compute_ytilde(params, floor, out=buffers.y_tilde)
+    z_tilde, s_FT = buffers.z_hat, buffers.inv_phi
+    log_y_FT = np.empty((n_freq, n_frames)) if log_y else None
 
     def block_body(block):
         z_tilde[block] = np.abs(project_mixture(X_FTM[block], params.Q[block])) ** 2
         s_FT[block] = _sum_channels(z_tilde[block] / y_tilde[block])
-        log_y_FT[block] = _sum_channels(np.log(y_tilde[block]))
+        if log_y:
+            log_y_FT[block] = _sum_channels(np.log(y_tilde[block]))
     map_blocks(block_body, n_freq, 40 * n_frames * n_chan)
     return z_tilde, y_tilde, s_FT, log_y_FT
 
@@ -136,7 +145,7 @@ def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
             f" {(params.n_freq, params.n_frames, params.n_channels)}"
         )
     if cache is None:
-        z_tilde, y_tilde, s, _ = _project(X_FTM, params, floor)
+        z_tilde, y_tilde, s, _ = _project(X_FTM, params, floor, log_y=False)
         cache = _cache(z_tilde, y_tilde,
                        inv_phi_from_s(s, params.n_channels, variant))
     return cache
@@ -336,18 +345,21 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
 
 
 def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
-                   variant: GsmVariant, floor: float) -> tuple[float, EStepCache]:
+                   variant: GsmVariant, floor: float,
+                   buffers: EStepCache | None = None) -> tuple[float, EStepCache]:
     """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|,
     and the E-step cache at the same parameters, with y~ floored at
     `floor` as in `e_step`.
 
     The cache equals, bit for bit, a fresh `e_step(X_FTM, params, variant,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
-    as the marginal.
+    as the marginal.  `buffers`, when given, is a cache of the same shape
+    that nothing reads any more: its arrays are overwritten, and its y~ and
+    z^ arrays become the returned cache's.
     """
-    z_tilde, y_tilde, s, log_y = _project(X_FTM, params, floor)
+    z_tilde, y_tilde, s, log_y = _project(X_FTM, params, floor, buffers)
     bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
-    bin_terms = bin_terms - log_y
+    bin_terms -= log_y
     det_F = linalg.log_abs_det_gram(params.Q)
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
     return value, _cache(z_tilde, y_tilde, inv_phi)
@@ -378,17 +390,19 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         # delimits iterations by these two calls
         cache = e_step(X_FTM, params, cfg.variant, floor, cache=cache)
 
+        # each refresh writes over the y~ the update before it read, and the
+        # likelihood over the whole cache, once the M-step is done with it
         params = update_w(params, cache)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+        compute_ytilde(params, floor, out=cache.y_tilde)
         params = update_h(params, cache)
-        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+        compute_ytilde(params, floor, out=cache.y_tilde)
         if not cfg.rank1:  # rank-1 keeps G~ at the identity
             params = update_g(params, cache)
-            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+            compute_ytilde(params, floor, out=cache.y_tilde)
         params = update_q(params, S_FPT, cache)
 
         params = normalize(params)
-        ll, cache = log_likelihood(X_FTM, params, cfg.variant, floor)
+        ll, cache = log_likelihood(X_FTM, params, cfg.variant, floor, cache)
         if not np.isfinite(ll):
             raise ArithmeticError(
                 f"log-likelihood is {ll} at iteration {iteration}")

@@ -42,13 +42,17 @@ import math
 
 import numpy as np
 
-from .model import GH, Gaussian, GsmVariant, LeptokurticGG, StudentT
+from .model import GH, Gaussian, GsmVariant, LeptokurticGG, StudentT, map_blocks
 
 # s is floored here before the (beta - 2)/2 exponentiation of the GG
 # expectation, which diverges at s = 0 for beta < 2.
 GG_S_FLOOR = 1e-12
 
 LOG_PI = math.log(math.pi)
+
+# bytes of temporaries per value of s that a block of `log_marginal_from_s`
+# holds at once: the GH ladder's eight float64 arrays, the most of any variant
+_BYTES_PER_S = 8 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +130,27 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
     The first entry is the part of the normalized log marginal density
     that depends on z and y~ only through s; the caller subtracts
     sum_m log y~_m.  GH and NIG take both entries from one Bessel ladder.
+    Both come back in the shape of s, scalar for scalar s.  The values of
+    s, in C order, are taken in `map_blocks` blocks whose temporaries fit
+    the per-thread cache budget; every statistic is elementwise, so the
+    blocks give the bits one whole-array pass would.
     """
+    statistics = _bin_statistics(m_dims, variant)
     s_arr = np.asarray(s, dtype=np.float64)
-    m = m_dims
+    s_flat = s_arr.reshape(-1)
+    log_p, inv_phi = np.empty(s_flat.shape), np.empty(s_flat.shape)
+
+    def block_body(block):
+        log_p[block], inv_phi[block] = statistics(s_flat[block])
+    map_blocks(block_body, s_flat.size, _BYTES_PER_S)
+    return log_p.reshape(s_arr.shape)[()], inv_phi.reshape(s_arr.shape)[()]
+
+
+def _bin_statistics(m: int, variant: GsmVariant):
+    # the variant's s -> (log p(z) + sum_m log y~_m, E[phi^-1 | z]) on one
+    # block of s, with its constants formed once, here
     if isinstance(variant, Gaussian):
-        return -m * LOG_PI - s_arr, np.ones_like(s_arr)
+        return lambda s: (-m * LOG_PI - s, np.ones_like(s))
     if isinstance(variant, StudentT):
         half_nu = 0.5 * variant.nu
         const = (
@@ -139,8 +159,8 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
             - m * math.log(math.pi * variant.nu)
             - math.lgamma(half_nu)
         )
-        return (const - (m + half_nu) * np.log1p(s_arr / half_nu),
-                (half_nu + m) / (half_nu + s_arr))
+        return lambda s: (const - (m + half_nu) * np.log1p(s / half_nu),
+                          (half_nu + m) / (half_nu + s))
     if isinstance(variant, LeptokurticGG):
         beta = variant.beta
         half_beta = 0.5 * beta
@@ -151,17 +171,19 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
             - m * LOG_PI
             - math.lgamma(2.0 * m / beta)
         )
-        s_floored = np.maximum(s_arr, GG_S_FLOOR)
-        return (const - s_arr ** half_beta,
-                half_beta * s_floored ** (half_beta - 1.0))
+        return lambda s: (const - s ** half_beta,
+                          half_beta * np.maximum(s, GG_S_FLOOR) ** (half_beta - 1.0))
     if isinstance(variant, GH):  # NIG is GH at gamma = -1/2
         gamma, rho, eta = variant.gamma, variant.rho, variant.eta
-        # x = rho root with root = sqrt(1 + 2 s / (rho eta)); degenerate
-        # parameter corners surface as non-finite output
-        with np.errstate(over="ignore", invalid="ignore"):
-            root = np.sqrt(1.0 + 2.0 / (rho * eta) * s_arr)
-            log_k, ratio = _ladder(m - gamma, rho * root)
-            inv_phi = ratio / (eta * root)
         const = -m * math.log(math.pi * eta) - log_bessel_k(gamma, rho)
-        return const + (gamma - m) * np.log(root) + log_k, inv_phi
+
+        def gh(s):
+            # x = rho root with root = sqrt(1 + 2 s / (rho eta)); degenerate
+            # parameter corners surface as non-finite output
+            with np.errstate(over="ignore", invalid="ignore"):
+                root = np.sqrt(1.0 + 2.0 / (rho * eta) * s)
+                log_k, ratio = _ladder(m - gamma, rho * root)
+                inv_phi = ratio / (eta * root)
+            return const + (gamma - m) * np.log(root) + log_k, inv_phi
+        return gh
     raise TypeError(f"unknown variant {variant!r}")

@@ -14,14 +14,17 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from gsmsep import cli, harness, linalg, model, optimizer, wiener
+from gsmsep import cli, harness, linalg, model, optimizer, priors, wiener
 from gsmsep.harness import synth_scene
-from gsmsep.model import SeparationConfig, StudentT, map_blocks
+from gsmsep.model import (GH, NIG, Gaussian, LeptokurticGG, SeparationConfig, StudentT,
+                          map_blocks)
+from gsmsep.priors import log_marginal_from_s
 from gsmsep.stft import StftConfig, stft_forward, stft_inverse
 
 # every call to map_blocks below passes _BLOCK_BYTES as the bytes per
@@ -217,6 +220,57 @@ class TestBitIdentical:
         out = stft_inverse(spec, cfg, 397 * cfg.hop - 1)
         assert np.array_equal(out, oracles.whole_stft_inverse(spec, cfg, 397 * cfg.hop - 1))
         assert not np.any(out) and not np.any(np.signbit(out))
+
+
+PRIOR_VARIANTS = [
+    Gaussian(), StudentT(nu=4.0), LeptokurticGG(beta=1.2),
+    GH(gamma=-2.0, rho=3.0, eta=1.0),  # integer orders: the k0e/k1e base
+    GH(gamma=-1.7, rho=3.0, eta=1.0),  # the kve base
+    NIG(rho=15.0, eta=1.0),
+]
+
+
+class TestPriorStatistics:
+    """`log_marginal_from_s` over blocks of s against one serial pass."""
+
+    @staticmethod
+    def statistics(s, m, variant, monkeypatch, budget, pool):
+        monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(model, "_HELPER", pool)
+        return log_marginal_from_s(s, m, variant)
+
+    @pytest.mark.parametrize("variant", PRIOR_VARIANTS,
+                             ids=["gaussian", "t", "gg", "gh-integer", "gh-kve", "nig"])
+    @pytest.mark.parametrize("shape", [(), (40,), (13, 40)], ids=["0-d", "1-d", "2-d"])
+    def test_blocks_match_one_pass(self, variant, shape, helper, monkeypatch):
+        rng = np.random.default_rng(len(shape))
+        s = rng.exponential(3.0, shape) * rng.choice([0.0, 1e-9, 1.0, 1e6], shape)
+        pool = model._HELPER
+        whole = self.statistics(s, 3, variant, monkeypatch, 1 << 40, None)
+        per_row = priors._BYTES_PER_S * (shape or (1,))[-1]
+        for budget in (0, per_row, model._BLOCK_BYTES):  # one value, one row, default
+            for threads in (None, pool):
+                blocked = self.statistics(s, 3, variant, monkeypatch, budget, threads)
+                for got, want in zip(blocked, whole):
+                    assert np.shape(got) == shape
+                    assert np.array_equal(got, want)
+        if shape == ():
+            assert all(isinstance(value, float) for value in whole)
+
+    @pytest.mark.parametrize("gamma", [-1.0, -1.7], ids=["gh-integer", "gh-kve"])
+    def test_degenerate_corners_are_non_finite_without_warnings(self, gamma, helper,
+                                                                monkeypatch):
+        # at rho = 1e-300 the ladder overflows for s = 1e300 and inf, in
+        # blocks of one value on either thread, and stays finite for s <= 1
+        variant = GH(gamma=gamma, rho=1e-300, eta=1.0)
+        s = np.array([0.0, 1.0, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = self.statistics(s, 1, variant, monkeypatch, 1 << 40, None)
+            blocked = self.statistics(s, 1, variant, monkeypatch, 0, model._HELPER)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want, equal_nan=True)
+            np.testing.assert_array_equal(np.isfinite(got), [True, True, False, False])
 
 
 # sepbench/run.py's PROBES, (module, attribute), copied: tests do not import

@@ -10,6 +10,7 @@ extended-precision reference.
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -842,3 +843,72 @@ class TestFusedLoop:
                                variant=variant)
         run(random_mixture(np.random.default_rng(31), 17, 20, 2), cfg)
         assert len(calls) == 1
+
+
+class TestBufferReuse:
+    """`iterate` writes each iteration's y~, z^ and s over the arrays of the
+    cache the M-step has finished with, instead of allocating new ones."""
+
+    def test_likelihood_over_a_spent_cache_matches_a_fresh_one(self):
+        variant = StudentT(nu=4.0)
+        params, X = make_setup(seed=31, f=9, t=11, m=3)
+        _, spent = log_likelihood(X, params, variant, DEFAULT_FLOOR)
+        moved = update_q(update_w(params, spent), outer_products(X), spent)
+        fresh_ll, fresh = log_likelihood(X, moved, variant, DEFAULT_FLOOR)
+        ll, cache = log_likelihood(X, moved, variant, DEFAULT_FLOOR, spent)
+        assert ll == fresh_ll
+        for field in ("y_tilde", "inv_phi", "z_hat"):
+            np.testing.assert_array_equal(getattr(cache, field), getattr(fresh, field),
+                                          err_msg=field)
+        assert cache.y_tilde is spent.y_tilde and cache.z_hat is spent.z_hat
+
+    @pytest.mark.parametrize("variant,rank1", [
+        (StudentT(nu=4.0), False), (GH(gamma=-1.7, rho=3.0, eta=1.0), False),
+        (NIG(rho=15.0, eta=1.0), True)], ids=["t", "gh", "nig-rank1"])
+    def test_iterate_matches_a_replica_with_fresh_arrays(self, variant, rank1):
+        # every yield is kept until the end, so a later iteration that wrote
+        # over an array an earlier yield holds would show
+        cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=3, seed=7,
+                               variant=variant, rank1=rank1)
+        X = random_mixture(np.random.default_rng(37), 13, 15, 2)
+        yielded = list(iterate(X, init_params(cfg, X), cfg))
+
+        params = init_params(cfg, X)
+        floor = DEFAULT_FLOOR * power_scale(np.sum(np.abs(X) ** 2), X.size)
+        cache = e_step(X, params, variant, floor)
+        assert len(yielded) == cfg.iterations
+        for got_params, got_ll in yielded:
+            params = update_w(params, cache)
+            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+            params = update_h(params, cache)
+            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+            if not rank1:
+                params = update_g(params, cache)
+                cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+            params = normalize(update_q(params, outer_products(X), cache))
+            ll, cache = log_likelihood(X, params, variant, floor)
+            assert got_ll == ll
+            for name in ("W", "H", "Q", "Gtilde"):
+                np.testing.assert_array_equal(getattr(got_params, name),
+                                              getattr(params, name), err_msg=name)
+
+    def test_run_peak_holds_the_statistics_and_four_model_arrays(self):
+        # tracemalloc peak of a second run (the first starts what a process
+        # starts once) less the resident outer products S: the cache's y~
+        # and z^ are 2 of the 4 y~-sized arrays allowed, the likelihood's
+        # (F, T) arrays and the blocks' temporaries the rest; allocating a
+        # new cache while the previous one is alive took 5.6
+        X = random_mixture(np.random.default_rng(47), 257, 600, 4)
+        cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=3,
+                               variant=StudentT(nu=4.0))
+        run(X, cfg)
+        tracemalloc.start()
+        try:
+            run(X, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_freq, n_frames, n_chan = X.shape
+        y_tilde_bytes = 8 * X.size
+        s_bytes = 8 * n_freq * n_chan * n_chan * n_frames
+        assert peak - s_bytes <= 4.0 * y_tilde_bytes
