@@ -147,8 +147,8 @@ def cmd_separate(args) -> int:
     # the forward STFT stays here rather than in separate_mixture because
     # sepbench's tracer wraps read_wav, write_wav and stft_forward as
     # attributes of this module
-    X_FTM = stft_forward(buffer.samples, stft_cfg)
-    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg, buffer.n_frames,
+    X_FMT = stft_forward(buffer.samples, stft_cfg)
+    sources, trace = separate_mixture(X_FMT, cfg, stft_cfg, buffer.n_frames,
                                       all_channels=args.multichannel)
 
     out_dir = pathlib.Path(args.out_dir)

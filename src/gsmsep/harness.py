@@ -135,8 +135,8 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
         a_FM = _smooth_random_steering(rng, gen_cfg.n_freq, n_mics)
         steering_NFM[n] = a_FM
 
-        image_FTM = a_FM[:, None, :] * S_FT[:, :, None]
-        image_ML = stft_inverse(image_FTM, gen_cfg, n_samples)
+        image_FMT = a_FM[:, :, None] * S_FT[:, None, :]
+        image_ML = stft_inverse(image_FMT, gen_cfg, n_samples)
         rms = float(np.sqrt(np.mean(image_ML**2)))
         if rms == 0.0:
             raise RuntimeError("degenerate draw produced a silent source")
@@ -198,7 +198,7 @@ class SeparationReport:
     seed: int
 
 
-def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
+def separate_mixture(X_FMT: np.ndarray, cfg: SeparationConfig,
                      stft_cfg: StftConfig, n_samples: int,
                      all_channels: bool) -> tuple[list, list]:
     """Optimize, then Wiener-separate and resynthesize one STFT mixture.
@@ -209,8 +209,8 @@ def separate_mixture(X_FTM: np.ndarray, cfg: SeparationConfig,
     or linearly dependent channels, raise optimizer.ChannelLayoutError
     before the first iteration.
     """
-    params, trace = optimizer.run(X_FTM, cfg)
-    return wiener.separate(X_FTM, params, stft_cfg, n_samples, all_channels), trace
+    params, trace = optimizer.run(X_FMT, cfg)
+    return wiener.separate(X_FMT, params, stft_cfg, n_samples, all_channels), trace
 
 
 def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
@@ -228,8 +228,8 @@ def run_experiment(scene: SyntheticScene, cfg: SeparationConfig,
             f" {n_refs} references"
         )
     started = time.perf_counter()
-    X_FTM = stft_forward(scene.mixture.samples, stft_cfg)
-    sources, trace = separate_mixture(X_FTM, cfg, stft_cfg,
+    X_FMT = stft_forward(scene.mixture.samples, stft_cfg)
+    sources, trace = separate_mixture(X_FMT, cfg, stft_cfg,
                                       scene.mixture.n_frames, all_channels=False)
     estimates = [source[0] for source in sources[:n_refs]]
     references = [ref.samples[0] for ref in scene.references]

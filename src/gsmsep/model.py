@@ -5,7 +5,8 @@ a low-rank power spectrogram lambda_nft = sum_k w_nkf h_nkt (K basis
 spectra W against K activation rows H) and a nonnegative weight row
 g~_nm that places its power in the M coordinates obtained by projecting
 each frequency bin through the mixing matrix Q_f.  The source spatial
-covariance at frequency f is then Q_f^-1 Diag(g~_n) Q_f^-H.
+covariance at frequency f is then Q_f^-1 Diag(g~_n) Q_f^-H.  Spectrograms
+and every per-bin array are channel-major, (F, M, T).
 
 The per-bin scale of the whole mixture may additionally be perturbed by a
 positive impulse variable; the prior placed on it is selected by the
@@ -23,6 +24,8 @@ import threading
 from typing import ClassVar, Union, get_args
 
 import numpy as np
+
+from . import linalg
 
 # working-set bound of one frequency block of a per-bin stage (`freq_blocks`),
 # per thread: half of the 2 MiB per-core L2 it was tuned on
@@ -211,8 +214,9 @@ class ModelParams:
         return self.Gtilde.shape[1]
 
 
-def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
-    """Seeded starting point for the optimizer on the (F, T, M) mixture.
+def init_params(cfg: SeparationConfig, X_FMT: np.ndarray) -> ModelParams:
+    """Seeded starting point for the optimizer on the (F, M, T) mixture,
+    refused before any allocation above linalg.MAX_DIM channels.
 
     W and H are |standard normal| draws from numpy's PCG64 generator
     seeded with cfg.seed (W first, times the mixture's `power_scale`, then
@@ -220,7 +224,9 @@ def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
     channels m with m mod N == n and GTILDE_INIT_OFF elsewhere; under the
     rank-1 constraint (N == M) it is frozen to the exact identity instead.
     """
-    n, k, (n_freq, n_frames, m) = cfg.n_sources, cfg.n_bases, X_FTM.shape
+    n, k, (n_freq, m, n_frames) = cfg.n_sources, cfg.n_bases, X_FMT.shape
+    if m > linalg.MAX_DIM:
+        raise ValueError(f"{m} channels in {X_FMT.shape}, over {linalg.MAX_DIM}: is it (F, M, T)?")
     if cfg.rank1 and n != m:
         raise ValueError(
             f"rank-1 spatial model: rank1 needs as many sources as channels,"
@@ -228,10 +234,9 @@ def init_params(cfg: SeparationConfig, X_FTM: np.ndarray) -> ModelParams:
         )
     if n > m:
         raise ValueError(f"underdetermined model not supported: N={n} > M={m}")
-    total = np.einsum("ftm,ftm->", X_FTM.real, X_FTM.real) \
-        + np.einsum("ftm,ftm->", X_FTM.imag, X_FTM.imag)  # no (F, T, M) temporary
+    total = np.vdot(X_FMT, X_FMT).real
     rng = np.random.default_rng(cfg.seed)
-    W_NKF = power_scale(total, X_FTM.size) * np.abs(rng.standard_normal((n, k, n_freq)))
+    W_NKF = power_scale(total, X_FMT.size) * np.abs(rng.standard_normal((n, k, n_freq)))
     H_NKT = np.abs(rng.standard_normal((n, k, n_frames)))
     Q_FMM = np.tile(np.eye(m, dtype=np.complex128), (n_freq, 1, 1))
     G_NM = np.full((n, m), 0.0 if cfg.rank1 else GTILDE_INIT_OFF)
@@ -359,16 +364,16 @@ def source_psd(params: ModelParams, freqs: slice = slice(None),
 
 def compute_ytilde(params: ModelParams, floor: float,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """y~_FTM = sum_n lambda_nft g~_nm, floored elementwise at `floor`;
-    written into `out` (an (F, T, M) float64 array) when it is given."""
+    """y~_FMT = sum_n g~_nm lambda_nft, floored elementwise at `floor`;
+    written into `out` (an (F, M, T) float64 array) when it is given."""
     if floor <= 0:
         raise ValueError(f"floor must be > 0, got {floor}")
     n_frames = params.n_frames
-    y_FTM = np.empty((params.n_freq, n_frames, params.n_channels)) if out is None else out
+    y_FMT = np.empty((params.n_freq, params.n_channels, n_frames)) if out is None else out
 
     def block_body(block):
-        y_FTM[block] = np.maximum(np.tensordot(
-            source_psd(params, block), params.Gtilde, axes=([0], [0])), floor)
+        np.maximum(np.matmul(params.Gtilde.T, source_psd(params, block).transpose(1, 0, 2)),
+                   floor, out=y_FMT[block])
     map_blocks(block_body, params.n_freq,
                8 * n_frames * (params.n_sources + params.n_channels))
-    return y_FTM
+    return y_FMT

@@ -12,14 +12,17 @@ returns the E-step cache (y~, E[1/phi] and z^) at its parameters, and the
 next E-step takes it as it is.  The Q update's weighted covariances V_fm
 are weighted sums of the outer products x_ft x_ft^H, which do not change
 during a run: `iterate` builds their real statistics once, checks the
-channel layout from them, and each `update_q` weighs them for every m
-with one real matrix product.  Every other per-bin stage (y~, the W, H
+channel layout from their sums, and each `update_q` weighs them for every
+m with one real matrix product.  The mixture and every per-bin array are
+channel-major, (F, M, T), so each contraction over m or n (G~ against
+the ratios, G~ transposed against lambda, Q_f against x) is a batched
+matrix product on contiguous rows of t.  Every other per-bin stage (y~, the W, H
 and G~ updates, the outer products and V, the likelihood's projection,
 |Q x|^2, s and sum_m log y~, and the prior's statistics of s) runs over
 `map_blocks`: the caller and one helper thread take blocks whose
 temporaries fit the per-thread cache budget.  The H and G~ updates add
 their blocks' sums over f in block order, so two threads give the bits
-one would; the only (F, T, M) arrays a stage holds whole are the cache's
+one would; the only (F, M, T) arrays a stage holds whole are the cache's
 y~ and z^, and a run allocates them once.  `iterate` is a generator, not
 a step function returning its state, so the E-step cache outlives each
 iteration and its arrays are written over instead of allocated anew:
@@ -76,9 +79,9 @@ class EStepCache:
     """Per-bin statistics at one parameter set, shared by the M-step
     updates; `log_likelihood` returns them for the next `e_step`.
 
-    y_tilde: (F, T, M) model variances, floored
+    y_tilde: (F, M, T) model variances, floored
     inv_phi: (F, T) posterior expectation of phi^-1
-    z_hat:   (F, T, M) = inv_phi |q_fm^H x_ft|^2
+    z_hat:   (F, M, T) = inv_phi |q_fm^H x_ft|^2
     """
 
     y_tilde: np.ndarray
@@ -86,66 +89,56 @@ class EStepCache:
     z_hat: np.ndarray
 
 
-def project_mixture(X_FTM: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
-    """z_ftm = (Q_f x_ft)_m (row m of Q_f is q_fm^H)."""
-    return np.matmul(X_FTM, Q_FMM.transpose(0, 2, 1))
+def project_mixture(X_FMT: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
+    """z_fmt = (Q_f x_ft)_m (row m of Q_f is q_fm^H)."""
+    return np.matmul(Q_FMM, X_FMT)
 
 
-def _project(X_FTM: np.ndarray, params: ModelParams, floor: float,
+def _project(X_FMT: np.ndarray, params: ModelParams, floor: float,
              buffers: EStepCache | None = None, log_y: bool = True):
     # (z~, y~, s, sum_m log y~ or None) at params; Q x and the per-bin sums
-    # are formed one frequency block at a time.  z~, y~ and s are written
-    # over the z^, y~ and E[1/phi] arrays of `buffers`, or of fresh ones
-    n_freq, n_frames, n_chan = X_FTM.shape
+    # are formed one frequency block at a time, the sums over m adding the
+    # block's contiguous rows of t.  z~, y~ and s are written over the z^,
+    # y~ and E[1/phi] arrays of `buffers`, or of fresh ones
+    n_freq, n_chan, n_frames = X_FMT.shape
     if buffers is None:
-        buffers = EStepCache(np.empty(X_FTM.shape), np.empty((n_freq, n_frames)),
-                             np.empty(X_FTM.shape))
+        buffers = EStepCache(np.empty(X_FMT.shape), np.empty((n_freq, n_frames)),
+                             np.empty(X_FMT.shape))
     y_tilde = compute_ytilde(params, floor, out=buffers.y_tilde)
     z_tilde, s_FT = buffers.z_hat, buffers.inv_phi
     log_y_FT = np.empty((n_freq, n_frames)) if log_y else None
 
     def block_body(block):
-        z_tilde[block] = np.abs(project_mixture(X_FTM[block], params.Q[block])) ** 2
-        s_FT[block] = _sum_channels(z_tilde[block] / y_tilde[block])
+        z_tilde[block] = np.abs(project_mixture(X_FMT[block], params.Q[block])) ** 2
+        s_FT[block] = (z_tilde[block] / y_tilde[block]).sum(axis=1)
         if log_y:
-            log_y_FT[block] = _sum_channels(np.log(y_tilde[block]))
+            log_y_FT[block] = np.log(y_tilde[block]).sum(axis=1)
     map_blocks(block_body, n_freq, 40 * n_frames * n_chan)
     return z_tilde, y_tilde, s_FT, log_y_FT
-
-
-def _sum_channels(A_BTM: np.ndarray) -> np.ndarray:
-    # sum over m, added in channel order: what `sum(axis=2)` does below 8
-    # channels, bit for bit, without its per-bin reduction overhead
-    total_BT = A_BTM[:, :, 0].copy()
-    for m in range(1, A_BTM.shape[2]):
-        total_BT += A_BTM[:, :, m]
-    return total_BT
 
 
 def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
            inv_phi: np.ndarray) -> EStepCache:
     # z^ is formed in z~'s memory, which nothing else holds, block by block
     def block_body(block):
-        z_tilde[block] *= inv_phi[block, :, None]
-    map_blocks(block_body, z_tilde.shape[0], 8 * z_tilde.shape[1] * (z_tilde.shape[2] + 1))
+        z_tilde[block] *= inv_phi[block, None]
+    map_blocks(block_body, z_tilde.shape[0], 8 * z_tilde.shape[2] * (z_tilde.shape[1] + 1))
     return EStepCache(y_tilde, inv_phi, z_tilde)
 
 
-def e_step(X_FTM: np.ndarray, params: ModelParams, variant: GsmVariant,
+def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
            floor: float, cache: EStepCache | None = None) -> EStepCache:
     """Posterior E[1/phi] and z^ at params, with y~ floored at `floor`
     (a run's is DEFAULT_FLOOR times the mixture's `power_scale`).
 
     `cache`, when given, must be the one `log_likelihood` returned for the
-    same (X_FTM, params, floor); it is returned as it is.
+    same (X_FMT, params, floor); it is returned as it is.
     """
-    if X_FTM.shape != (params.n_freq, params.n_frames, params.n_channels):
-        raise ValueError(
-            f"mixture shape {X_FTM.shape} inconsistent with params"
-            f" {(params.n_freq, params.n_frames, params.n_channels)}"
-        )
+    expected = (params.n_freq, params.n_channels, params.n_frames)
+    if X_FMT.shape != expected:
+        raise ValueError(f"mixture shape {X_FMT.shape} inconsistent with params {expected}")
     if cache is None:
-        z_tilde, y_tilde, s, _ = _project(X_FTM, params, floor, log_y=False)
+        z_tilde, y_tilde, s, _ = _project(X_FMT, params, floor, log_y=False)
         cache = _cache(z_tilde, y_tilde,
                        inv_phi_from_s(s, params.n_channels, variant))
     return cache
@@ -156,27 +149,26 @@ def _mu_blocks(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
     # the W, H and G~ updates; y~^-2 z^ is z^ R R with R = y~^-1, as y~^2
     # itself would leave float64 for y~ beyond 2^+-512
     def block_body(block):
-        R_BTM = 1.0 / cache.y_tilde[block]
-        return body(block, cache.z_hat[block] * R_BTM * R_BTM, R_BTM)
+        R_BMT = 1.0 / cache.y_tilde[block]
+        return body(block, cache.z_hat[block] * R_BMT * R_BMT, R_BMT)
     per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
     return map_blocks(block_body, params.n_freq, per_freq, fold)
 
 
 def _mu_ratio_parts(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
-    # body(block, tmp1, tmp2) over the same blocks: tmp1 weights carry
-    # y~^-2 z^, tmp2 carry y~^-1, contracted over m with G~
-    return _mu_blocks(params, cache, lambda block, P_BTM, R_BTM: body(
-        block, np.tensordot(params.Gtilde, P_BTM, axes=([1], [2])),
-        np.tensordot(params.Gtilde, R_BTM, axes=([1], [2]))), fold)
+    # body(block, tmp1, tmp2) over the same blocks: the (B, N, T) tmp1
+    # weights carry y~^-2 z^, tmp2 carry y~^-1, contracted over m with G~
+    return _mu_blocks(params, cache, lambda block, P_BMT, R_BMT: body(
+        block, np.matmul(params.Gtilde, P_BMT), np.matmul(params.Gtilde, R_BMT)), fold)
 
 
 def update_w(params: ModelParams, cache: EStepCache) -> ModelParams:
     """w <- w sqrt(sum_tm h g~ y~^-2 z^ / sum_tm h g~ y~^-1)."""
     W_NKF = np.empty_like(params.W)
 
-    def block_body(block, tmp1_NBT, tmp2_NBT):
-        numerator = np.matmul(params.H, tmp1_NBT.transpose(0, 2, 1))
-        denominator = np.matmul(params.H, tmp2_NBT.transpose(0, 2, 1))
+    def block_body(block, tmp1_BNT, tmp2_BNT):
+        numerator = np.matmul(params.H, tmp1_BNT.transpose(1, 2, 0))
+        denominator = np.matmul(params.H, tmp2_BNT.transpose(1, 2, 0))
         W_NKF[:, :, block] = params.W[:, :, block] * np.sqrt(
             numerator / np.maximum(denominator, _DEN_TINY))
     _mu_ratio_parts(params, cache, block_body)
@@ -187,10 +179,10 @@ def update_h(params: ModelParams, cache: EStepCache) -> ModelParams:
     """h <- h sqrt(sum_fm w g~ y~^-2 z^ / sum_fm w g~ y~^-1)."""
     sums = np.zeros((2,) + params.H.shape)  # numerator, denominator
 
-    def block_body(block, tmp1_NBT, tmp2_NBT):
+    def block_body(block, tmp1_BNT, tmp2_BNT):
         part = np.empty_like(sums)
-        np.matmul(params.W[:, :, block], tmp1_NBT, out=part[0])
-        np.matmul(params.W[:, :, block], tmp2_NBT, out=part[1])
+        np.matmul(params.W[:, :, block], tmp1_BNT.transpose(1, 0, 2), out=part[0])
+        np.matmul(params.W[:, :, block], tmp2_BNT.transpose(1, 0, 2), out=part[1])
         return part
     _mu_ratio_parts(params, cache, block_body, fold=sums.__iadd__)
     H_NKT = params.H * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
@@ -205,38 +197,39 @@ def update_g(params: ModelParams, cache: EStepCache) -> ModelParams:
     """
     sums = np.zeros((2,) + params.Gtilde.shape)  # numerator, denominator
 
-    def block_body(block, P_BTM, R_BTM):
-        lambda_NBT = source_psd(params, block)
-        return np.stack([np.tensordot(lambda_NBT, P_BTM, axes=([1, 2], [0, 1])),
-                         np.tensordot(lambda_NBT, R_BTM, axes=([1, 2], [0, 1]))])
+    def block_body(block, P_BMT, R_BMT):  # (B, N, M) terms, summed over b
+        lambda_BNT = source_psd(params, block).transpose(1, 0, 2)
+        return np.stack([np.matmul(lambda_BNT, P_BMT.transpose(0, 2, 1)).sum(axis=0),
+                         np.matmul(lambda_BNT, R_BMT.transpose(0, 2, 1)).sum(axis=0)])
     _mu_blocks(params, cache, block_body, fold=sums.__iadd__)
     G_NM = params.Gtilde * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
     return dataclasses.replace(params, Gtilde=G_NM)
 
 
-def outer_products(X_FTM: np.ndarray) -> np.ndarray:
-    """Real per-bin statistics of x_ft x_ft^H, shape (F, M^2, T).
+def outer_products(X_FMT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real per-bin statistics of x_ft x_ft^H, shape (F, M^2, T), and
+    their (M^2,) sums over f and t.
 
     Rows 0..M-1 hold |x_i|^2; then each pair i < j, in `np.triu_indices`
     order, has two rows: Re and Im of x_i x_j^*.  They do not change
     during a run, so `iterate` builds them once and `update_q` weighs them
-    with one real matrix product per call.  X is read in `freq_blocks`
-    whose channel-major copy and pair temporaries fit in cache, so no
-    transposed copy of the whole of X is made.
+    with one real matrix product per call; the sums, added per block while
+    it is in cache and folded in block order, are the channel guard's Gram.
     """
-    n_freq, n_frames, n_chan = X_FTM.shape
+    n_freq, n_chan, n_frames = X_FMT.shape
     upper, lower = np.triu_indices(n_chan, k=1)
     S_FPT = np.empty((n_freq, n_chan * n_chan, n_frames))
+    gram_P = np.zeros(n_chan * n_chan)
 
     def block_body(block):
-        X_BMT = X_FTM[block].transpose(0, 2, 1).copy()
-        S_BPT = S_FPT[block]
+        X_BMT, S_BPT = X_FMT[block], S_FPT[block]
         S_BPT[:, :n_chan] = X_BMT.real ** 2 + X_BMT.imag ** 2
         cross_BPT = X_BMT[:, upper] * X_BMT[:, lower].conj()
         S_BPT[:, n_chan::2] = cross_BPT.real
         S_BPT[:, n_chan + 1::2] = cross_BPT.imag
-    map_blocks(block_body, n_freq, 16 * n_frames * (n_chan + 3 * len(upper)))
-    return S_FPT
+        return S_BPT.sum(axis=(0, 2))
+    map_blocks(block_body, n_freq, 16 * n_frames * (n_chan + 3 * len(upper)), gram_P.__iadd__)
+    return S_FPT, gram_P
 
 
 def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
@@ -252,15 +245,16 @@ def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
     return A_MM
 
 
-def check_channel_layout(S_FPT: np.ndarray) -> float:
+def check_channel_layout(gram_P: np.ndarray, n_bins: int) -> float:
     """Raise ChannelLayoutError, naming channels from 1, if one is silent
     (G_ii = 0) or some are linearly dependent (D^-1/2 G D^-1/2 has an
     eigenvalue <= _RANK_TOL; a copy gives 1 - |rho|): either makes every Q_f
-    singular.  G sums `outer_products(X)` over f and t, so per-bin degeneracy
-    passes.  Returns the `power_scale` of trace G, which refuses an overflow."""
-    gram = _unpack_hermitian(S_FPT.sum(axis=(0, 2)))
+    singular.  G is unpacked from gram_P, the sums over the n_bins (f, t)
+    that `outer_products` returns, so per-bin degeneracy passes.  Returns
+    the `power_scale` of trace G, which refuses an overflow."""
+    gram = _unpack_hermitian(gram_P)
     power = gram.diagonal().real
-    scale = power_scale(power.sum(), S_FPT.shape[0] * S_FPT.shape[2] * len(power))
+    scale = power_scale(power.sum(), n_bins * len(power))
     problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
     live = np.nonzero(power)[0]
     root = np.sqrt(power[live])  # one root at a time: G_ii G_jj can under/overflow
@@ -281,11 +275,11 @@ def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
     (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit,
     with real nonnegative diagonals.
     """
-    n_freq, n_frames, n_chan = cache.y_tilde.shape
+    n_freq, n_chan, n_frames = cache.y_tilde.shape
 
-    def block_body(block):  # no (F, T, M) weight is formed
-        weight_BTM = cache.inv_phi[block, :, None] / cache.y_tilde[block]
-        return np.matmul(S_FPT[block], weight_BTM)
+    def block_body(block):  # no (F, M, T) weight is formed
+        weight_BMT = cache.inv_phi[block, None] / cache.y_tilde[block]
+        return np.matmul(S_FPT[block], weight_BMT.transpose(0, 2, 1))
     R_FPM = np.concatenate(map_blocks(block_body, n_freq, 8 * n_frames * n_chan * (n_chan + 1)))
     return _unpack_hermitian((R_FPM / n_frames).transpose(0, 2, 1))
 
@@ -344,28 +338,28 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
     return dataclasses.replace(params, Q=Q_FMM)
 
 
-def log_likelihood(X_FTM: np.ndarray, params: ModelParams,
+def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
                    variant: GsmVariant, floor: float,
                    buffers: EStepCache | None = None) -> tuple[float, EStepCache]:
     """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|,
     and the E-step cache at the same parameters, with y~ floored at
     `floor` as in `e_step`.
 
-    The cache equals, bit for bit, a fresh `e_step(X_FTM, params, variant,
+    The cache equals, bit for bit, a fresh `e_step(X_FMT, params, variant,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
     as the marginal.  `buffers`, when given, is a cache of the same shape
     that nothing reads any more: its arrays are overwritten, and its y~ and
     z^ arrays become the returned cache's.
     """
-    z_tilde, y_tilde, s, log_y = _project(X_FTM, params, floor, buffers)
+    z_tilde, y_tilde, s, log_y = _project(X_FMT, params, floor, buffers)
     bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
     bin_terms -= log_y
     det_F = linalg.log_abs_det_gram(params.Q)
-    value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
+    value = float(bin_terms.sum() + params.n_frames * det_F.sum())
     return value, _cache(z_tilde, y_tilde, inv_phi)
 
 
-def iterate(X_FTM: np.ndarray, params: ModelParams,
+def iterate(X_FMT: np.ndarray, params: ModelParams,
             cfg: SeparationConfig) -> Iterator[tuple[ModelParams, float]]:
     """Run cfg.iterations MU-VEM iterations from params.
 
@@ -381,14 +375,14 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
     if cfg.iterations > 0:
         linalg.as_square_stack(params.Q)  # the channel cap, before any work
         with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses overflow
-            S_FPT = outer_products(X_FTM)  # update_q's statistics, the guard's Gram
-            floor = DEFAULT_FLOOR * check_channel_layout(S_FPT)
+            S_FPT, gram_P = outer_products(X_FMT)  # update_q's statistics, the guard's Gram
+            floor = DEFAULT_FLOOR * check_channel_layout(gram_P, X_FMT.shape[0] * X_FMT.shape[2])
     for iteration in range(cfg.iterations):
         # e_step opens and log_likelihood closes every iteration, both
         # looked up in this module's globals (as are inv_phi_from_s and
         # log_marginal_from_s): sepbench's tracer wraps them by name and
         # delimits iterations by these two calls
-        cache = e_step(X_FTM, params, cfg.variant, floor, cache=cache)
+        cache = e_step(X_FMT, params, cfg.variant, floor, cache=cache)
 
         # each refresh writes over the y~ the update before it read, and the
         # likelihood over the whole cache, once the M-step is done with it
@@ -402,7 +396,7 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         params = update_q(params, S_FPT, cache)
 
         params = normalize(params)
-        ll, cache = log_likelihood(X_FTM, params, cfg.variant, floor, cache)
+        ll, cache = log_likelihood(X_FMT, params, cfg.variant, floor, cache)
         if not np.isfinite(ll):
             raise ArithmeticError(
                 f"log-likelihood is {ll} at iteration {iteration}")
@@ -414,19 +408,19 @@ def iterate(X_FTM: np.ndarray, params: ModelParams,
         yield params, ll
 
 
-def run(X_FTM: np.ndarray,
+def run(X_FMT: np.ndarray,
         cfg: SeparationConfig) -> tuple[ModelParams, list[float]]:
     """Initialize, then collect what `iterate` yields: the fitted parameters
     and one marginal log-likelihood per iteration.  Deterministic given
     cfg.seed.  A non-finite mixture raises ValueError from `init_params`'
     `power_scale`; `iterate` guards the channel layout.
     """
-    X_FTM = np.asarray(X_FTM, dtype=np.complex128)
-    if X_FTM.ndim != 3:
-        raise ValueError(f"expected (F, T, M) mixture, got shape {X_FTM.shape}")
+    X_FMT = np.asarray(X_FMT, dtype=np.complex128)
+    if X_FMT.ndim != 3:
+        raise ValueError(f"expected (F, M, T) mixture, got shape {X_FMT.shape}")
 
-    params = init_params(cfg, X_FTM)
+    params = init_params(cfg, X_FMT)
     values: list[float] = []
-    for params, ll in iterate(X_FTM, params, cfg):
+    for params, ll in iterate(X_FMT, params, cfg):
         values.append(ll)
     return params, values

@@ -3,16 +3,16 @@
 Analysis zero-pads the signal by n_fft - hop on both ends, and the end up
 to a whole number of hops, so every input sample is covered by full
 windows, slides a periodic Hann window in hop steps, and keeps the
-n_fft/2 + 1 nonnegative-frequency bins.  Synthesis is weighted
-overlap-add with the same window, each hop-sample output chunk adding its
-frames' parts in frame order, divided by the summed squared-window
-envelope.  Both pass blocks (of frames, then of output chunks) within the
-per-thread cache budget to the caller and one helper thread
-(`model.map_blocks`), which gives the bits one thread would.  Every
-sample synthesis returns lies under at least n_fft/hop >= 2 frames, where
-that envelope is at least 1/2; it refuses hop == n_fft (the window is
-zero at every frame start) and a length beyond what the frames cover,
-rather than return samples it cannot invert.
+n_fft/2 + 1 nonnegative-frequency bins in a channel-major (F, M, T)
+stack.  Synthesis is weighted overlap-add with the same window, each
+hop-sample output chunk adding its frames' parts in frame order, divided
+by the summed squared-window envelope.  Both pass blocks (of frames, then
+of output chunks) within the per-thread cache budget to the caller and
+one helper thread (`model.map_blocks`), which gives the bits one thread
+would.  Every sample synthesis returns lies under at least n_fft/hop >= 2
+frames, where that envelope is at least 1/2; it refuses hop == n_fft (the
+window is zero at every frame start) and a length beyond what the frames
+cover, rather than return samples it cannot invert.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def periodic_hann(n_fft: int) -> np.ndarray:
 def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
     """Complex spectrogram of a (channels, n_samples) signal.
 
-    Returns a C-contiguous (F, T, M) stack with F = n_fft/2 + 1 and
+    Returns a C-contiguous (F, M, T) stack with F = n_fft/2 + 1 and
     T = ceil(n_samples / hop) + n_fft/hop - 1.  Frame t covers padded
     samples [t hop, t hop + n_fft).
     """
@@ -73,18 +73,18 @@ def stft_forward(samples, cfg: StftConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=1)
     frames = frames[:, :: cfg.hop, :]
     window = periodic_hann(cfg.n_fft)
-    spec_FTM = np.empty((cfg.n_freq, frames.shape[1], x.shape[0]), dtype=np.complex128)
+    spec_FMT = np.empty((cfg.n_freq, x.shape[0], frames.shape[1]), dtype=np.complex128)
 
     def frame_block(block):  # as many frames as the per-thread budget holds
-        spec_FTM[:, block] = np.fft.rfft(frames[:, block] * window, axis=-1).transpose(2, 1, 0)
+        spec_FMT[:, :, block] = np.fft.rfft(frames[:, block] * window, axis=-1).transpose(2, 0, 1)
     map_blocks(frame_block, frames.shape[1], 8 * cfg.n_fft * x.shape[0])
-    return spec_FTM
+    return spec_FMT
 
 
 def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
     """Weighted overlap-add inverse: the first `length` analyzed samples.
 
-    Takes an (F, T, M) stack and returns (M, length), which reconstructs
+    Takes an (F, M, T) stack and returns (M, length), which reconstructs
     the analyzed signal to rounding error.  Raises ValueError when hop ==
     n_fft, or when `length` exceeds the (T - 1) hop + n_fft - 2 pad
     samples the frames cover.
@@ -92,13 +92,13 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
     spec = np.asarray(spec)
     if spec.ndim != 3 or spec.shape[0] != cfg.n_freq:
         raise ValueError(
-            f"expected (F, T, M) spectrogram with {cfg.n_freq} frequency rows,"
+            f"expected (F, M, T) spectrogram with {cfg.n_freq} frequency rows,"
             f" got shape {spec.shape}"
         )
     if cfg.hop == cfg.n_fft:
         raise ValueError(f"hop == n_fft ({cfg.n_fft}) cannot be inverted: the"
                          " window is zero at every frame start")
-    (_, n_frames, n_chan), overlap, hop = spec.shape, cfg.n_fft // cfg.hop, cfg.hop
+    (_, n_chan, n_frames), overlap, hop = spec.shape, cfg.n_fft // cfg.hop, cfg.hop
     covered = (n_frames + 1 - overlap) * hop
     if not 1 <= length <= covered:
         raise ValueError(f"length must lie in [1, {covered}], the samples"
@@ -107,7 +107,7 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
     frames_MTn = np.empty((n_chan, n_frames, cfg.n_fft))
 
     def frame_block(block):
-        np.fft.irfft(spec[:, block].transpose(2, 1, 0), n=cfg.n_fft, out=frames_MTn[:, block])
+        np.fft.irfft(spec[:, :, block].transpose(1, 2, 0), n=cfg.n_fft, out=frames_MTn[:, block])
         frames_MTn[:, block] *= window
     map_blocks(frame_block, n_frames, 8 * cfg.n_fft * n_chan)
 

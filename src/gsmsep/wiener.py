@@ -8,16 +8,17 @@ The per-source gains sum to one in every bin by construction, so the
 images partition the mixture exactly.
 
 The filter runs over `map_blocks`, frequency blocks that the caller and
-one helper thread share, each within the per-thread cache budget.  A
-first pass forms, block by block, the source-independent ratio
-Q_f x_ft / sum_n lambda_nft g~_n (unfloored, so the gains sum to exactly
-one) and the mask of the entries where that total vanishes.  Then each
-source in turn is built block by block and back-projected through
-Q_f^-1; its energy, the mean |x^|^2 over (f, t, m) of the whole image, is
-summed per block in cache and added up in block order, and only the
-channel rows that are written are kept.  At most one source's kept rows are alive
-at a time, and besides them the ratio and the mask are the only whole
-arrays.
+one helper thread share, each within the per-thread cache budget, on
+channel-major (F, M, T) arrays, so every gain and Q_f product runs along
+contiguous rows of t.  A first pass forms, block by block, the
+source-independent ratio Q_f x_ft / sum_n lambda_nft g~_n (unfloored, so
+the gains sum to exactly one) and the mask of the entries where that
+total vanishes.  Then each source in turn is built block by block and
+back-projected through Q_f^-1; its energy, the mean |x^|^2 over
+(f, m, t) of the whole image, is summed per block in cache and added up
+in block order, and only the channel rows that are written are kept.  At
+most one source's kept rows are alive at a time, and besides them the
+ratio and the mask are the only whole arrays.
 """
 
 from __future__ import annotations
@@ -31,38 +32,37 @@ from .model import ModelParams, map_blocks, source_psd
 from .stft import StftConfig, stft_inverse
 
 
-def source_images(X_FTM: np.ndarray, params: ModelParams,
+def source_images(X_FMT: np.ndarray, params: ModelParams,
                   all_channels: bool) -> Iterator[tuple[float, np.ndarray]]:
     """Conditional-mean source images x^_nft = Q_f^-1 (gain_n * Q_f x_ft).
 
     Yields one (energy, image) pair per source in model order: energy is
-    the mean |x^|^2 over (f, t, m) of the whole (F, T, M) image, and image
+    the mean |x^|^2 over (f, m, t) of the whole (F, M, T) image, and image
     holds its rows that are written: all M under `all_channels`, else
-    channel 1 alone, (F, T, 1).
+    channel 1 alone, (F, 1, T).
     gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Entries
     where every source variance vanishes get the uniform 1/N gain so the
     images still partition the mixture.  The shape check runs on the
     first ``next``.
     """
-    X_FTM = np.asarray(X_FTM, dtype=np.complex128)
-    expected = (params.n_freq, params.n_frames, params.n_channels)
-    if X_FTM.shape != expected:
+    X_FMT = np.asarray(X_FMT, dtype=np.complex128)
+    expected = (params.n_freq, params.n_channels, params.n_frames)
+    if X_FMT.shape != expected:
         raise ValueError(
-            f"mixture shape {X_FTM.shape} inconsistent with params {expected}"
+            f"mixture shape {X_FMT.shape} inconsistent with params {expected}"
         )
     n_sources = params.n_sources
     channels = slice(None) if all_channels else slice(0, 1)
     if n_sources == 1:
-        yield np.vdot(X_FTM, X_FTM).real / X_FTM.size, X_FTM[:, :, channels].copy()
+        yield np.vdot(X_FMT, X_FMT).real / X_FMT.size, X_FMT[:, channels].copy()
         return
 
     Qinv_FMM = linalg.invert(params.Q)
     # bytes of one frequency's temporaries in either pass, ~4 complex
     # (M, T) arrays
     per_freq = 64 * params.n_frames * params.n_channels
-    # Q x over the unfloored total, channel-major so that every elementwise
-    # product runs along t; the total is 1 where it vanishes, so the ratio
-    # there is Q x itself
+    # Q x over the unfloored total; the total is 1 where it vanishes, so the
+    # ratio there is Q x itself
     ratio_FMT = np.empty((params.n_freq, params.n_channels, params.n_frames),
                          dtype=np.complex128)
     dead_FMT = np.empty(ratio_FMT.shape, dtype=bool)
@@ -72,7 +72,7 @@ def source_images(X_FTM: np.ndarray, params: ModelParams,
                               source_psd(params, block).transpose(1, 0, 2))
         np.equal(total_BMT, 0.0, out=dead_FMT[block])
         total_BMT[dead_FMT[block]] = 1.0
-        np.divide(np.matmul(params.Q[block], X_FTM[block].transpose(0, 2, 1)),
+        np.divide(np.matmul(params.Q[block], X_FMT[block]),
                   total_BMT, out=ratio_FMT[block])
     map_blocks(ratio_block, params.n_freq, per_freq)
 
@@ -89,8 +89,7 @@ def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
     # Q^-1 diag(lambda_n g~_n) ratio, with g~_n folded into the columns of
     # Q^-1 and lambda_nft scaling column t.  Where the total vanishes every
     # lambda_n g~_nm is 0, so those entries add their 1/N share instead.
-    kept_FTC = np.empty((params.n_freq, params.n_frames,
-                         ratio_FMT[0, channels].shape[0]), dtype=np.complex128)
+    kept_FCT = np.empty_like(ratio_FMT[:, channels])
 
     def image_block(block):
         image_BMT = np.matmul(Qinv_FMM[block] * params.Gtilde[n], ratio_FMT[block])
@@ -101,14 +100,14 @@ def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
             image_BMT += np.matmul(Qinv_FMM[block],
                                    np.where(dead_BMT, ratio_FMT[block], 0.0)
                                    ) / params.n_sources
-        kept_FTC[block] = image_BMT[:, channels].transpose(0, 2, 1)
+        kept_FCT[block] = image_BMT[:, channels]
         return np.vdot(image_BMT, image_BMT).real
     power = np.zeros(())
     map_blocks(image_block, params.n_freq, per_freq, fold=power.__iadd__)
-    return power[()] / ratio_FMT.size, kept_FTC
+    return power[()] / ratio_FMT.size, kept_FCT
 
 
-def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
+def separate(X_FMT: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
              n_samples: int, all_channels: bool) -> list:
     """Render every source image, loudest first.
 
@@ -118,13 +117,13 @@ def separate(X_FTM: np.ndarray, params: ModelParams, stft_cfg: StftConfig,
     inverse-STFT'd as soon as it is built and then dropped, so at most one
     source's kept rows are alive at a time.  Returns one (M, n_samples)
     array per source, or (1, n_samples) without `all_channels`, ordered by
-    decreasing mean |x^|^2 over (f, t, m) of the whole image either way;
+    decreasing mean |x^|^2 over (f, m, t) of the whole image either way;
     ties keep the lower index first.
     """
     energies, rendered = [], []
-    for energy, image_FTC in source_images(X_FTM, params, all_channels):
+    for energy, image_FCT in source_images(X_FMT, params, all_channels):
         energies.append(energy)
-        rendered.append(stft_inverse(image_FTC, stft_cfg, n_samples))
-        del image_FTC  # not held while the next source is built
+        rendered.append(stft_inverse(image_FCT, stft_cfg, n_samples))
+        del image_FCT  # not held while the next source is built
     order = np.argsort(-np.array(energies), kind="stable")
     return [rendered[n] for n in order]

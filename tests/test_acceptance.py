@@ -53,10 +53,12 @@ def report_line(num: int, ok: bool, detail: str) -> None:
 
 
 def random_mixture(rng, n_freq, n_frames, n_chan):
-    return (
+    """An (F, M, T) mixture: the (F, T, M) draw, channel-major."""
+    draw = (
         rng.standard_normal((n_freq, n_frames, n_chan))
         + 1j * rng.standard_normal((n_freq, n_frames, n_chan))
     ) / np.sqrt(2.0)
+    return np.ascontiguousarray(draw.transpose(0, 2, 1))
 
 
 def unit_quadratic_deviation(params, S, cache) -> float:
@@ -93,13 +95,13 @@ def instrumented_runs():
     X_scene = stft_forward(
         scene.mixture.samples[:, :1504], StftConfig(n_fft=128, hop=32)
     )
-    assert X_scene.shape == (65, 50, 2)
+    assert X_scene.shape == (65, 2, 50)
     datasets["scene"] = X_scene
 
     real_update_q = optimizer.update_q
     results = []
     for vname, variant in ALL_VARIANTS:
-        for dname, X_FTM in datasets.items():
+        for dname, X_FMT in datasets.items():
             cfg = SeparationConfig(
                 n_sources=2, n_bases=2, iterations=100, variant=variant,
                 seed=0,
@@ -113,10 +115,10 @@ def instrumented_runs():
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(optimizer, "update_q", recording_update_q)
-                params, trace = optimizer.run(X_FTM, cfg)
+                params, trace = optimizer.run(X_FMT, cfg)
             assert len(ip_devs) == cfg.iterations
             results.append(SimpleNamespace(
-                variant=vname, dataset=dname, X=X_FTM, params=params,
+                variant=vname, dataset=dname, X=X_FMT, params=params,
                 trace=np.asarray(trace), ip_dev=max(ip_devs),
             ))
     return results, time.perf_counter() - started
@@ -211,13 +213,13 @@ def test_criterion_03_gh_density_normalization():
 def test_criterion_04_limit_consistency():
     started = time.perf_counter()
     rng = np.random.default_rng(4)
-    X_FTM = random_mixture(rng, 33, 40, 2)
+    X_FMT = random_mixture(rng, 33, 40, 2)
 
     def fit(variant):
         cfg = SeparationConfig(
             n_sources=2, n_bases=2, iterations=10, variant=variant, seed=7
         )
-        return optimizer.run(X_FTM, cfg)[0]
+        return optimizer.run(X_FMT, cfg)[0]
 
     base = fit(Gaussian())
     worst = 0.0
@@ -276,9 +278,9 @@ def test_criterion_07_wiener_partition(instrumented_runs):
     results, _ = instrumented_runs
     worst = 0.0
     for result in results:
-        total_FTM = sum(image for _, image in wiener.source_images(
+        total_FMT = sum(image for _, image in wiener.source_images(
             result.X, result.params, all_channels=True))
-        diff = np.abs(total_FTM - result.X)
+        diff = np.abs(total_FMT - result.X)
         mag = np.abs(result.X)
         zero = mag == 0.0
         rel = np.where(zero, diff, diff / np.where(zero, 1.0, mag))
@@ -323,11 +325,11 @@ def test_criterion_09_normalization_invariance():
         k = int(rng.integers(1, 4))
         f, t = 7, 9
         params = random_params(rng, n, k, f, t, m)
-        X_FTM = random_mixture(rng, f, t, m)
+        X_FMT = random_mixture(rng, f, t, m)
         variant = ALL_VARIANTS[trial % len(ALL_VARIANTS)][1]
         floor = optimizer.DEFAULT_FLOOR
-        before = optimizer.log_likelihood(X_FTM, params, variant, floor)[0]
-        after = optimizer.log_likelihood(X_FTM, normalize(params), variant, floor)[0]
+        before = optimizer.log_likelihood(X_FMT, params, variant, floor)[0]
+        after = optimizer.log_likelihood(X_FMT, normalize(params), variant, floor)[0]
         worst = max(worst, abs(after - before) / abs(before))
 
     ok = worst <= 1e-9
@@ -378,16 +380,16 @@ def test_criterion_10_bessel_accuracy():
 def test_criterion_11_per_iteration_throughput():
     n_freq, n_frames, n_sources, n_chan, n_bases = 513, 200, 8, 8, 16
     rng = np.random.default_rng(11)
-    X_FTM = random_mixture(rng, n_freq, n_frames, n_chan)
+    X_FMT = random_mixture(rng, n_freq, n_frames, n_chan)
 
     def one_iteration(variant) -> float:
         cfg = SeparationConfig(
             n_sources=n_sources, n_bases=n_bases, iterations=1,
             variant=variant, seed=0,
         )
-        params = init_params(cfg, X_FTM)
+        params = init_params(cfg, X_FMT)
         started = time.perf_counter()
-        next(optimizer.iterate(X_FTM, params, cfg))
+        next(optimizer.iterate(X_FMT, params, cfg))
         return time.perf_counter() - started
 
     best = {}

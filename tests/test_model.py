@@ -5,6 +5,8 @@ over every index; normalization is checked against hand-computed pushes
 of each scale ambiguity.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,8 +34,9 @@ from oracles import gh_from_ab
 
 
 def unit_mixture(f, t, m):
-    # mean bin power 1, so init_params draws W at unit scale
-    return np.ones((f, t, m), dtype=np.complex128)
+    # an (F, M, T) mixture of mean bin power 1, so init_params draws W at
+    # unit scale
+    return np.ones((f, m, t), dtype=np.complex128)
 
 
 def random_params(rng, n, k, f, t, m) -> ModelParams:
@@ -167,6 +170,7 @@ class TestInitParams:
     def test_w_follows_the_mixture_level(self, k):
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=1, seed=4)
         X = np.random.default_rng(4).standard_normal((5, 7, 2)) * (1 + 1j)
+        X = np.ascontiguousarray(X.transpose(0, 2, 1))  # (F, M, T)
         base = init_params(cfg, X)
         scaled = init_params(cfg, 2.0 ** k * X)
         np.testing.assert_array_equal(scaled.W, 4.0 ** k * base.W)
@@ -184,6 +188,20 @@ class TestInitParams:
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1)
         with pytest.raises(ValueError, match="underdetermined"):
             init_params(cfg, unit_mixture(5, 7, 2))
+
+    def test_frame_major_mixture_refused_before_allocating(self):
+        # an (F, T, M) array read as (F, M, T) has T "channels": it is
+        # refused before Q's (F, T, T) identity stack is allocated
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1)
+        X_FTM = np.ones((5, 40, 2), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"40 channels.*\(F, M, T\)"):
+                init_params(cfg, X_FTM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 40 * 40 * 16
 
 
 class TestPowerScale:
@@ -375,7 +393,7 @@ class TestComputeYtilde:
             Gtilde=np.ones((1, 2)),
         )
         np.testing.assert_allclose(
-            compute_ytilde(params, 1e-10), np.ones((2, 3, 2))
+            compute_ytilde(params, 1e-10), np.ones((2, 2, 3))
         )
 
     def test_rank1_identity_gives_psd_per_channel(self):
@@ -384,7 +402,7 @@ class TestComputeYtilde:
         lam = source_psd(params)
         y = compute_ytilde(params, 1e-30)
         for m in range(2):
-            np.testing.assert_allclose(y[:, :, m], lam[m], rtol=1e-14)
+            np.testing.assert_allclose(y[:, m], lam[m], rtol=1e-14)
 
     def test_quadruple_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -397,7 +415,7 @@ class TestComputeYtilde:
                     expected = sum(
                         lam[n, f, t] * params.Gtilde[n, m] for n in range(2)
                     )
-                    assert y[f, t, m] == pytest.approx(expected, rel=1e-12)
+                    assert y[f, m, t] == pytest.approx(expected, rel=1e-12)
 
     def test_floor_applied(self):
         params = ModelParams(
@@ -407,7 +425,7 @@ class TestComputeYtilde:
             Gtilde=np.ones((1, 2)),
         )
         np.testing.assert_array_equal(
-            compute_ytilde(params, 1e-6), np.full((2, 3, 2), 1e-6)
+            compute_ytilde(params, 1e-6), np.full((2, 2, 3), 1e-6)
         )
 
     def test_bad_floor(self):

@@ -63,7 +63,14 @@ VARIANT_IDS = ["gaussian", "t", "gg", "gh", "nig"]
 
 
 def random_mixture(rng, f, t, m):
-    return rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+    """An (F, M, T) mixture: the (f, t, m) draw, channel-major."""
+    draw = rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+    return np.ascontiguousarray(draw.transpose(0, 2, 1))
+
+
+def ftm(A_FMT):
+    """The (F, T, M) view that the whole-array oracles take and give."""
+    return A_FMT.transpose(0, 2, 1)
 
 
 def make_setup(seed=0, n=2, k=2, f=6, t=8, m=2):
@@ -98,16 +105,17 @@ class TestBlockedStages:
         cfg = SeparationConfig(n_sources=n, n_bases=2, iterations=1,
                                rank1=rank1, seed=n + m)
         params = init_params(cfg, X)
-        params.Q[:] += 0.3 * random_mixture(rng, f, m, m)
+        params.Q[:] += 0.3 * (rng.standard_normal((f, m, m))
+                              + 1j * rng.standard_normal((f, m, m)))
         variant, floor = StudentT(nu=4.0), 1e-3
 
         ll, cache = log_likelihood(X, params, variant, floor)
         value, y_tilde, inv_phi, z_hat = oracles.whole_likelihood(
-            X, params, variant, floor)
+            ftm(X), params, variant, floor)
         assert ll == pytest.approx(value, rel=1e-13)
-        for got, want in ((cache.y_tilde, y_tilde), (cache.inv_phi, inv_phi),
-                          (cache.z_hat, z_hat),
-                          (compute_ytilde(params, floor), y_tilde)):
+        for got, want in ((ftm(cache.y_tilde), y_tilde), (cache.inv_phi, inv_phi),
+                          (ftm(cache.z_hat), z_hat),
+                          (ftm(compute_ytilde(params, floor)), y_tilde)):
             np.testing.assert_allclose(got, want, rtol=1e-13)
         fresh = e_step(X, params, variant, floor)
         np.testing.assert_array_equal(fresh.z_hat, cache.z_hat)
@@ -115,13 +123,13 @@ class TestBlockedStages:
 
         np.testing.assert_allclose(
             update_w(params, cache).W,
-            oracles.whole_update_w(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+            oracles.whole_update_w(params, ftm(cache.y_tilde), ftm(cache.z_hat)), rtol=1e-13)
         np.testing.assert_allclose(
             update_h(params, cache).H,
-            oracles.whole_update_h(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+            oracles.whole_update_h(params, ftm(cache.y_tilde), ftm(cache.z_hat)), rtol=1e-13)
         np.testing.assert_allclose(
             update_g(params, cache).Gtilde,
-            oracles.whole_update_g(params, cache.y_tilde, cache.z_hat), rtol=1e-13)
+            oracles.whole_update_g(params, ftm(cache.y_tilde), ftm(cache.z_hat)), rtol=1e-13)
 
 
 class TestProjectMixture:
@@ -132,7 +140,7 @@ class TestProjectMixture:
         out = project_mixture(X, Q)
         for f in range(3):
             for t in range(4):
-                np.testing.assert_allclose(out[f, t], Q[f] @ X[f, t], rtol=1e-14)
+                np.testing.assert_allclose(out[f, :, t], Q[f] @ X[f, :, t], rtol=1e-14)
 
 
 class TestEStep:
@@ -158,7 +166,7 @@ class TestEStep:
         for f in range(params.n_freq):
             for t in range(params.n_frames):
                 s = sum(
-                    z_tilde[f, t, m] / cache.y_tilde[f, t, m]
+                    z_tilde[f, m, t] / cache.y_tilde[f, m, t]
                     for m in range(params.n_channels)
                 )
                 expected = (half_nu + params.n_channels) / (half_nu + s)
@@ -169,13 +177,13 @@ class TestEStep:
         cache = e_step(X, params, StudentT(nu=3.0), DEFAULT_FLOOR)
         z_tilde = np.abs(project_mixture(X, params.Q)) ** 2
         np.testing.assert_allclose(
-            cache.z_hat, cache.inv_phi[:, :, None] * z_tilde, rtol=1e-14
+            cache.z_hat, cache.inv_phi[:, None, :] * z_tilde, rtol=1e-14
         )
 
     def test_shape_mismatch(self):
         params, X = make_setup()
         with pytest.raises(ValueError, match="inconsistent"):
-            e_step(X[:, :4], params, Gaussian(), DEFAULT_FLOOR)
+            e_step(X[:, :, :4], params, Gaussian(), DEFAULT_FLOOR)
 
 
 class TestMultiplicativeUpdates:
@@ -248,7 +256,7 @@ class TestUpdateQ:
         params.W[:] = 1.0
         params.H[:] = 1.0
         cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
-        out = update_q(params, outer_products(X), cache)
+        out = update_q(params, outer_products(X)[0], cache)
         np.testing.assert_allclose(out.Q, params.Q, atol=1e-14)
 
     def test_single_channel_unit_scale(self):
@@ -257,9 +265,9 @@ class TestUpdateQ:
         X = random_mixture(np.random.default_rng(8), 4, 16, 1)
         params = init_params(cfg, X)
         cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
-        out = update_q(params, outer_products(X), cache)
-        weight = cache.inv_phi / cache.y_tilde[:, :, 0]
-        V_F = np.mean(weight * np.abs(X[:, :, 0]) ** 2, axis=1)
+        out = update_q(params, outer_products(X)[0], cache)
+        weight = cache.inv_phi / cache.y_tilde[:, 0]
+        V_F = np.mean(weight * np.abs(X[:, 0]) ** 2, axis=1)
         np.testing.assert_allclose(
             np.abs(out.Q[:, 0, 0]) ** 2 * V_F, 1.0, rtol=1e-12
         )
@@ -267,11 +275,11 @@ class TestUpdateQ:
     def test_unit_quadratic_form_postcondition(self):
         params, X = make_setup(seed=9, f=5, t=24, m=2)
         cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
-        out = update_q(params, outer_products(X), cache)
+        out = update_q(params, outer_products(X)[0], cache)
         for m in range(params.n_channels):
-            weight = cache.inv_phi / cache.y_tilde[:, :, m]
+            weight = cache.inv_phi / cache.y_tilde[:, m]
             V = (
-                np.matmul((X * weight[:, :, None]).transpose(0, 2, 1), X.conj())
+                np.matmul(X * weight[:, None, :], X.conj().transpose(0, 2, 1))
                 / params.n_frames
             )
             q = out.Q[:, m, :].conj()
@@ -283,7 +291,7 @@ class TestUpdateQ:
         X[:] = 0.0  # V collapses, every system is singular
         cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
-            out = update_q(params, outer_products(X), cache)
+            out = update_q(params, outer_products(X)[0], cache)
         np.testing.assert_array_equal(out.Q, params.Q)
 
     def test_partly_singular_batch_matches_per_frequency_oracle(self):
@@ -295,10 +303,10 @@ class TestUpdateQ:
         X[dead] = 0.0  # V_f = 0 there: only those systems are singular
         cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
         with pytest.warns(RuntimeWarning, match="singular diagonalizer system"):
-            out = update_q(params, outer_products(X), cache)
+            out = update_q(params, outer_products(X)[0], cache)
 
         Q = params.Q.copy()
-        V_FMMM = weighted_covariances(outer_products(X), cache)
+        V_FMMM = weighted_covariances(outer_products(X)[0], cache)
         for m in range(3):
             V = V_FMMM[:, m]
             QV = np.matmul(Q, V)
@@ -322,10 +330,10 @@ class TestUpdateQ:
         params.Q[:] += 0.3 * (rng.standard_normal((7, m, m))
                               + 1j * rng.standard_normal((7, m, m)))
         cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
-        out = update_q(params, outer_products(X), cache)
+        out = update_q(params, outer_products(X)[0], cache)
 
         Q = params.Q.copy()
-        V_FMMM = weighted_covariances(outer_products(X), cache)
+        V_FMMM = weighted_covariances(outer_products(X)[0], cache)
         for row in range(m):
             V = V_FMMM[:, row]
             q = np.linalg.solve(np.matmul(Q, V), np.eye(m)[:, row:row + 1])[..., 0]
@@ -337,7 +345,7 @@ class TestUpdateQ:
         params, X = make_setup(seed=11)
         Q0 = params.Q.copy()
         cache = e_step(X, params, Gaussian(), DEFAULT_FLOOR)
-        update_q(params, outer_products(X), cache)
+        update_q(params, outer_products(X)[0], cache)
         np.testing.assert_array_equal(params.Q, Q0)
 
 
@@ -346,15 +354,15 @@ def longdouble_covariances(X, cache):
     # precision, and the same sum over w |x_i| |x_j| for the error bound
     re = X.real.astype(np.longdouble)
     im = X.imag.astype(np.longdouble)
-    w = (cache.inv_phi.astype(np.longdouble)[:, :, None]
+    w = (cache.inv_phi.astype(np.longdouble)[:, None, :]
          / cache.y_tilde.astype(np.longdouble))
-    n_frames = X.shape[1]
-    real = (np.einsum("ftm,fti,ftj->fmij", w, re, re)
-            + np.einsum("ftm,fti,ftj->fmij", w, im, im)) / n_frames
-    imag = (np.einsum("ftm,fti,ftj->fmij", w, im, re)
-            - np.einsum("ftm,fti,ftj->fmij", w, re, im)) / n_frames
+    n_frames = X.shape[2]
+    real = (np.einsum("fmt,fit,fjt->fmij", w, re, re)
+            + np.einsum("fmt,fit,fjt->fmij", w, im, im)) / n_frames
+    imag = (np.einsum("fmt,fit,fjt->fmij", w, im, re)
+            - np.einsum("fmt,fit,fjt->fmij", w, re, im)) / n_frames
     mag = np.abs(X).astype(np.longdouble)
-    scale = np.einsum("ftm,fti,ftj->fmij", w, mag, mag) / n_frames
+    scale = np.einsum("fmt,fit,fjt->fmij", w, mag, mag) / n_frames
     return real, imag, scale
 
 
@@ -363,11 +371,12 @@ class TestOuterProducts:
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_weighted_covariances_match_longdouble(self, m, t):
         params, X = make_setup(seed=40 + m, n=m, f=5, t=t, m=m)
-        X *= np.logspace(-3, 3, m)  # channels of very different power
+        X *= np.logspace(-3, 3, m)[:, None]  # channels of very different power
         cache = e_step(X, params, StudentT(nu=4.0), DEFAULT_FLOOR)
-        S = outer_products(X)
+        S, gram = outer_products(X)
         assert S.shape == (5, m * m, t)
         assert np.all(S[:, :m] >= 0)
+        np.testing.assert_allclose(gram, S.sum(axis=(0, 2)), rtol=1e-13)
 
         V = weighted_covariances(S, cache)
         assert V.shape == (5, m, m, m)
@@ -386,10 +395,10 @@ class TestOuterProducts:
         # |x_i|^2 first, then (Re, Im) of x_i conj(x_j) for i < j; none
         # of the latter for a single channel
         X = random_mixture(np.random.default_rng(42), 3, 5, m)
-        S = outer_products(X)
-        rows = [X[:, :, i].real ** 2 + X[:, :, i].imag ** 2 for i in range(m)]
+        S = outer_products(X)[0]
+        rows = [X[:, i].real ** 2 + X[:, i].imag ** 2 for i in range(m)]
         for i, j in itertools.combinations(range(m), 2):
-            cross = X[:, :, i] * X[:, :, j].conj()
+            cross = X[:, i] * X[:, j].conj()
             rows += [cross.real, cross.imag]
         np.testing.assert_allclose(S, np.stack(rows, axis=1),
                                    rtol=1e-15, atol=1e-15)
@@ -410,7 +419,7 @@ class TestLogLikelihood:
         oracle = 0.0
         for f in range(3):
             for t in range(4):
-                oracle += log_marginal_density(z[f, t], y[f, t], variant)
+                oracle += log_marginal_density(z[f, :, t], y[f, :, t], variant)
         for f in range(3):
             gram = params.Q[f] @ params.Q[f].conj().T
             sign, logdet = np.linalg.slogdet(gram)
@@ -423,7 +432,7 @@ class TestLogLikelihood:
         z = np.abs(X) ** 2
         y = compute_ytilde(params, 1e-12)
         oracle = sum(
-            log_marginal_density(z[f, t], y[f, t], Gaussian())
+            log_marginal_density(z[f, :, t], y[f, :, t], Gaussian())
             for f in range(3)
             for t in range(4)
         )
@@ -465,7 +474,7 @@ class TestPerUpdateMonotonicity:
             "w": lambda p, c: update_w(p, c),
             "h": lambda p, c: update_h(p, c),
             "g": lambda p, c: update_g(p, c),
-            "q": lambda p, c: update_q(p, outer_products(X), c),
+            "q": lambda p, c: update_q(p, outer_products(X)[0], c),
         }
         for name, step in steps.items():
             before = log_likelihood(X, params, variant, floor=floor)[0]
@@ -556,7 +565,7 @@ class TestRunGuards:
                                variant=NIG(rho=15.0, eta=1.0))
         X = random_mixture(np.random.default_rng(25), 65, 40, 2)
         params = init_params(cfg, X)
-        X[3, 4, 0] = np.nan
+        X[3, 0, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run(X, cfg)
         # from given parameters the channel guard's power scale refuses it
@@ -641,19 +650,19 @@ def bad_layout(kind):
     # 3-channel mixture with one whole-clip layout fault, and the message
     X = random_mixture(np.random.default_rng(44), 17, 20, 3)
     if kind == "silent":
-        X[:, :, 1] = 0.0
+        X[:, 1] = 0.0
         return X, "channel 2 is silent"
     if kind == "duplicate":
-        X[:, :, 2] = X[:, :, 0]
+        X[:, 2] = X[:, 0]
         return X, "channels 1 and 3 are linearly dependent"
     if kind == "scaled":
-        X[:, :, 2] = (0.3 - 2.0j) * X[:, :, 1]
+        X[:, 2] = (0.3 - 2.0j) * X[:, 1]
         return X, "channels 2 and 3 are linearly dependent"
     if kind == "upmix":
-        X[:, :, 2] = (X[:, :, 0] + X[:, :, 1]) / 2
+        X[:, 2] = (X[:, 0] + X[:, 1]) / 2
         return X, "channels 1, 2 and 3 are linearly dependent"
     if kind == "upmix-diff":
-        X[:, :, 2] = X[:, :, 0] - X[:, :, 1] / 2
+        X[:, 2] = X[:, 0] - X[:, 1] / 2
         return X, "channels 1, 2 and 3 are linearly dependent"
     return np.zeros_like(X), "channel 1 is silent; channel 2 is silent; channel 3"
 
@@ -681,16 +690,16 @@ class TestChannelGuard:
         # |G_12|^2 and G_11 G_22 both under- or overflow at these scales,
         # so a copy is told from independent channels without forming them
         X = scale * random_mixture(np.random.default_rng(47), 9, 12, 2)
-        optimizer.check_channel_layout(outer_products(X))
-        X[:, :, 1] = -3.0 * X[:, :, 0]
+        optimizer.check_channel_layout(outer_products(X)[1], 9 * 12)
+        X[:, 1] = -3.0 * X[:, 0]
         with pytest.raises(optimizer.ChannelLayoutError,
                            match="channels 1 and 2 are linearly dependent"):
-            optimizer.check_channel_layout(outer_products(X))
+            optimizer.check_channel_layout(outer_products(X)[1], 9 * 12)
 
     def test_channel_silent_in_half_the_bins_reaches_the_optimizer(self, monkeypatch):
         calls = counter(monkeypatch, "e_step")
         X = random_mixture(np.random.default_rng(45), 17, 20, 2)
-        X[:9, :, 1] = 0.0
+        X[:9, 1] = 0.0
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -703,9 +712,16 @@ class TestChannelGuard:
         solved = counter(monkeypatch, "update_q")
         m = linalg.MAX_DIM + 1
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=1, seed=0)
+        X = random_mixture(np.random.default_rng(46), 5, 6, m)
+        with pytest.raises(ValueError, match=f"{m} channels in .*, over {m - 1}"):
+            run(X, cfg)
+        # from given parameters, iterate's check of Q refuses them
+        params = init_params(cfg, X[:, :m - 1])
+        params = dataclasses.replace(params, Q=np.tile(np.eye(m, dtype=complex), (5, 1, 1)),
+                                     Gtilde=np.ones((2, m)))
         with pytest.raises(ValueError, match=f"matrix dimension {m} exceeds"
                                              f" the supported maximum {m - 1}"):
-            run(random_mixture(np.random.default_rng(46), 5, 6, m), cfg)
+            next(iterate(X, params, cfg))
         assert (len(built), len(solved)) == (0, 0)
 
 
@@ -716,13 +732,37 @@ class TestUpdateQWarnings:
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0,
                                variant=NIG(rho=15.0, eta=1.0))
         X = random_mixture(np.random.default_rng(28), 65, 40, 2)
-        X[:33, :, 1] = 0.0
+        X[:33, 1] = 0.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run(X, cfg)
         assert 0 < len(caught) <= 2 * cfg.iterations
         for w in caught:
             assert "(f, m) rows" in str(w.message)
+
+
+class TestGoldenTrace:
+    """3-iteration traces on 1 s `synth_scene` mixtures, recorded when
+    every per-bin array was frame-major, (F, T, M).  The channel-major
+    layout reorders a few sums (G~'s over (f, t), Q_f x_ft, the guard's
+    Gram), so the traces agree to rounding."""
+
+    CASES = [  # (N = M, variant, K, trace)
+        (2, NIG(rho=15.0, eta=1.0), 8,
+         [-515982.6695777887, -506030.72069325845, -498086.6580607103]),
+        (4, StudentT(nu=40.0), 8,
+         [-1057917.7628508443, -1049141.4834113738, -1044442.8172064458]),
+        (8, GH(gamma=-2.0, rho=15.0, eta=1.0), 16,
+         [-2278192.169595834, -2254276.9779635356, -2242477.431265306]),
+    ]
+
+    @pytest.mark.parametrize("n,variant,k,expected", CASES, ids=["2x2-nig", "4x4-t", "8x8-gh"])
+    def test_matches_the_frame_major_trace(self, n, variant, k, expected):
+        scene = synth_scene(n, n, 1.0, seed=0)
+        X = stft_forward(scene.mixture.samples, StftConfig())
+        cfg = SeparationConfig(n_sources=n, n_bases=k, iterations=3, variant=variant)
+        _, trace = run(X, cfg)
+        np.testing.assert_allclose(trace, expected, rtol=1e-12, atol=0)
 
 
 class TestLevelInvariance:
@@ -795,7 +835,7 @@ class TestFusedLoop:
                 expected_params = update_g(expected_params, cache)
                 cache = dataclasses.replace(
                     cache, y_tilde=compute_ytilde(expected_params, floor))
-            expected_params = update_q(expected_params, outer_products(X), cache)
+            expected_params = update_q(expected_params, outer_products(X)[0], cache)
             expected_params = normalize(expected_params)
             expected.append(
                 log_likelihood(X, expected_params, variant, floor=floor)[0])
@@ -853,7 +893,7 @@ class TestBufferReuse:
         variant = StudentT(nu=4.0)
         params, X = make_setup(seed=31, f=9, t=11, m=3)
         _, spent = log_likelihood(X, params, variant, DEFAULT_FLOOR)
-        moved = update_q(update_w(params, spent), outer_products(X), spent)
+        moved = update_q(update_w(params, spent), outer_products(X)[0], spent)
         fresh_ll, fresh = log_likelihood(X, moved, variant, DEFAULT_FLOOR)
         ll, cache = log_likelihood(X, moved, variant, DEFAULT_FLOOR, spent)
         assert ll == fresh_ll
@@ -885,7 +925,7 @@ class TestBufferReuse:
             if not rank1:
                 params = update_g(params, cache)
                 cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
-            params = normalize(update_q(params, outer_products(X), cache))
+            params = normalize(update_q(params, outer_products(X)[0], cache))
             ll, cache = log_likelihood(X, params, variant, floor)
             assert got_ll == ll
             for name in ("W", "H", "Q", "Gtilde"):
@@ -908,7 +948,7 @@ class TestBufferReuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_freq, n_frames, n_chan = X.shape
+        n_freq, n_chan, n_frames = X.shape
         y_tilde_bytes = 8 * X.size
         s_bytes = 8 * n_freq * n_chan * n_chan * n_frames
         assert peak - s_bytes <= 4.0 * y_tilde_bytes

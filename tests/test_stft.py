@@ -91,7 +91,7 @@ class TestForward:
     def test_zeros_map_to_zeros(self):
         cfg = StftConfig(n_fft=64, hop=16)
         spec = stft_forward(np.zeros((1, 256)), cfg)
-        assert spec.shape == (33, (256 + 2 * 48 - 64) // 16 + 1, 1)
+        assert spec.shape == (33, 1, (256 + 2 * 48 - 64) // 16 + 1)
         np.testing.assert_array_equal(spec, 0.0)
 
     def test_matches_dft_summation_oracle(self):
@@ -99,7 +99,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         signal = rng.standard_normal(40)
         np.testing.assert_allclose(
-            stft_forward(signal[None], cfg)[:, :, 0], dft_oracle(signal, cfg),
+            stft_forward(signal[None], cfg)[:, 0], dft_oracle(signal, cfg),
             atol=1e-10)
 
     def test_bin_center_exponential(self):
@@ -109,7 +109,7 @@ class TestForward:
         k = 5
         i = np.arange(cfg.n_fft)
         signal = np.cos(2 * np.pi * k * i / cfg.n_fft)
-        spec = stft_forward(signal[None], cfg)[:, :, 0]
+        spec = stft_forward(signal[None], cfg)[:, 0]
         window = periodic_hann(cfg.n_fft)
         # direct evaluation of the windowed DFT at each bin
         expected = np.array(
@@ -130,18 +130,18 @@ class TestForward:
             # off-grid lengths are padded up to the next whole hop
             n_grid = -(-n_samples // cfg.hop) * cfg.hop
             expected_t = (n_grid + 2 * cfg.pad - cfg.n_fft) // cfg.hop + 1
-            assert spec.shape == (cfg.n_freq, expected_t, 2)
+            assert spec.shape == (cfg.n_freq, 2, expected_t)
 
     def test_multichannel_shape(self):
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 200))
         spec = stft_forward(x, cfg)
-        assert spec.shape[0] == 33 and spec.shape[2] == 3
+        assert spec.shape[0] == 33 and spec.shape[1] == 3
         assert spec.flags.c_contiguous
         for m in range(3):
-            np.testing.assert_array_equal(spec[:, :, m],
-                                          stft_forward(x[m:m + 1], cfg)[:, :, 0])
+            np.testing.assert_array_equal(spec[:, m],
+                                          stft_forward(x[m:m + 1], cfg)[:, 0])
 
     def test_too_short_signal(self):
         cfg = StftConfig(n_fft=64, hop=16)
@@ -182,7 +182,7 @@ class TestInverse:
         rng = np.random.default_rng(6)
         signal = rng.standard_normal((1, 1000))
         spec = stft_forward(signal, cfg)
-        n_frames = spec.shape[1]
+        n_frames = spec.shape[2]
         covered = (n_frames - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
         assert covered == 1008
         with warnings.catch_warnings():
@@ -210,7 +210,7 @@ class TestInverse:
 
     def test_zero_spectrogram(self):
         cfg = StftConfig(n_fft=64, hop=16)
-        out = stft_inverse(np.zeros((33, 10, 2), dtype=np.complex128), cfg, 100)
+        out = stft_inverse(np.zeros((33, 2, 10), dtype=np.complex128), cfg, 100)
         np.testing.assert_array_equal(out, np.zeros((2, 100)))
 
     def test_refuses_hop_equal_to_n_fft(self):
@@ -227,7 +227,7 @@ class TestInverse:
         cfg = StftConfig(n_fft=64, hop=16)
         rng = np.random.default_rng(5)
         signal = rng.standard_normal(500)
-        spec = stft_forward(signal[None], cfg)[:, :, 0]
+        spec = stft_forward(signal[None], cfg)[:, 0]
         weights = np.full(cfg.n_freq, 2.0)
         weights[0] = weights[-1] = 1.0
         spectral = np.sum(weights[:, None] * np.abs(spec) ** 2) / cfg.n_fft
@@ -251,7 +251,7 @@ class TestInverse:
         cfg = StftConfig(n_fft=64, hop=16)
         signal = np.random.default_rng(8).standard_normal((1, 96))
         spec = stft_forward(signal, cfg)
-        covered = (spec.shape[1] - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
+        covered = (spec.shape[2] - 1) * cfg.hop + cfg.n_fft - 2 * cfg.pad
         assert covered == 96
         np.testing.assert_allclose(stft_inverse(spec, cfg, covered), signal,
                                    atol=1e-10)
@@ -259,14 +259,14 @@ class TestInverse:
     def test_wrong_frequency_count(self):
         cfg = StftConfig(n_fft=64, hop=16)
         # an unstacked (F, T) spectrogram is refused too
-        for shape in [(32, 5, 1), (33, 5)]:
-            with pytest.raises(ValueError, match=r"expected \(F, T, M\).*frequency rows"):
+        for shape in [(32, 1, 5), (33, 5)]:
+            with pytest.raises(ValueError, match=r"expected \(F, M, T\).*frequency rows"):
                 stft_inverse(np.zeros(shape, dtype=np.complex128), cfg, 64)
 
     def test_bad_length(self):
         cfg = StftConfig(n_fft=64, hop=16)
         with pytest.raises(ValueError, match="length"):
-            stft_inverse(np.zeros((33, 5, 1), dtype=np.complex128), cfg, 0)
+            stft_inverse(np.zeros((33, 1, 5), dtype=np.complex128), cfg, 0)
 
 
 @given(

@@ -15,7 +15,7 @@ CFG = StftConfig(n_fft=64, hop=16)
 
 
 def images_of(X, params):
-    """Every whole (F, T, M) image `source_images` yields, in model order."""
+    """Every whole (F, M, T) image `source_images` yields, in model order."""
     return [image for _, image in source_images(X, params, all_channels=True)]
 
 
@@ -28,6 +28,7 @@ def random_setup(seed=0, n=2, k=2, f=5, t=7, m=2):
         + 2.0 * m * np.eye(m)
     )
     X = rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
+    X = np.ascontiguousarray(X.transpose(0, 2, 1))  # (F, M, T)
     params = init_params(cfg, X)
     params.Q[:] = Q
     return params, X
@@ -48,7 +49,7 @@ class TestSeparate:
         np.testing.assert_allclose(total, X, rtol=1e-10, atol=1e-12)
         # the dead frame is split uniformly after back-projection
         np.testing.assert_allclose(
-            images[0][:, 3], images[1][:, 3], rtol=1e-10
+            images[0][:, :, 3], images[1][:, :, 3], rtol=1e-10
         )
 
     def test_partition_with_dead_channel(self):
@@ -58,11 +59,11 @@ class TestSeparate:
         params.Gtilde[:, 1] = 0.0
         images = images_of(X, params)
         np.testing.assert_allclose(sum(images), X, rtol=1e-10, atol=1e-12)
-        Qx = np.matmul(X, params.Q.transpose(0, 2, 1))
+        Qx = np.matmul(params.Q, X)
         for image in images:
             np.testing.assert_allclose(
-                np.matmul(image, params.Q.transpose(0, 2, 1))[:, :, 1],
-                Qx[:, :, 1] / 3.0, rtol=1e-10, atol=1e-12)
+                np.matmul(params.Q, image)[:, 1],
+                Qx[:, 1] / 3.0, rtol=1e-10, atol=1e-12)
 
     def test_single_source_returns_mixture(self):
         params, X = random_setup(seed=3, n=1)
@@ -100,12 +101,13 @@ class TestSeparate:
     def test_shape_mismatch(self):
         params, X = random_setup(seed=7)
         with pytest.raises(ValueError, match="inconsistent"):
-            images_of(X[:, :3], params)
+            images_of(X[:, :, :3], params)
 
     def test_after_optimizer_run(self):
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=8, seed=8)
         rng = np.random.default_rng(9)
         X = rng.standard_normal((6, 10, 2)) + 1j * rng.standard_normal((6, 10, 2))
+        X = np.ascontiguousarray(X.transpose(0, 2, 1))  # (F, M, T)
         params, _ = run(X, cfg)
         images = images_of(X, params)
         np.testing.assert_allclose(
@@ -118,7 +120,7 @@ def spectral_setup(seed, n, m=2, length=256):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, length))
     X = stft_forward(x, CFG)
-    params, _ = random_setup(seed=seed, n=n, f=X.shape[0], t=X.shape[1], m=m)
+    params, _ = random_setup(seed=seed, n=n, f=X.shape[0], t=X.shape[2], m=m)
     return params, X, x
 
 
@@ -146,6 +148,7 @@ class TestRanking:
         rng = np.random.default_rng(11)
         shape = (CFG.n_freq, 11, 2)  # the STFT grid of 128 samples
         base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        base = np.ascontiguousarray(base.transpose(0, 2, 1))  # (F, M, T)
         images = [base, 3.0 * base, 1j * base]
         energies = [float(np.mean(np.abs(image) ** 2)) for image in images]
         assert energies[0] == energies[2]
@@ -172,7 +175,7 @@ class TestRanking:
         widths = []
         inverse = wiener.stft_inverse
         monkeypatch.setattr(wiener, "stft_inverse", lambda spec, cfg, length: (
-            widths.append(spec.shape[2]), inverse(spec, cfg, length))[1])
+            widths.append(spec.shape[1]), inverse(spec, cfg, length))[1])
         rendered = separate(X, params, CFG, 256, all_channels=False)
         assert widths == [1, 1, 1]
         np.testing.assert_array_equal(rendered, [image[0:1] for image in expected])
@@ -206,19 +209,19 @@ class TestBlockedFilter:
             params.Gtilde[:, -1] = 0.0
         elif dead == "frequency":  # dead entries in the first block alone
             params.W[:, :, 0] = 0.0
-        expected = oracles.whole_source_images(X, params)
+        expected = oracles.whole_source_images(X.transpose(0, 2, 1), params)
 
         pairs = list(source_images(X, params, all_channels=True))
         for (_, image), want in zip(pairs, expected):
-            np.testing.assert_allclose(image, want, rtol=1e-13)
+            np.testing.assert_allclose(image.transpose(0, 2, 1), want, rtol=1e-13)
         np.testing.assert_allclose(
             [energy for energy, _ in pairs],
             [np.mean(np.abs(want) ** 2) for want in expected], rtol=1e-13)
         # channel 1 alone is the same rows of the same images
         for (_, row), (_, image) in zip(
                 source_images(X, params, all_channels=False), pairs):
-            assert row.shape == (f, t, 1)
-            np.testing.assert_array_equal(row, image[:, :, 0:1])
+            assert row.shape == (f, 1, t)
+            np.testing.assert_array_equal(row, image[:, 0:1])
 
         # each render is replaced by its model index to read off the order
         calls = iter(range(n))
@@ -249,4 +252,4 @@ class TestRenderTimeDomain:
     def test_shape_mismatch(self):
         params, X, _ = spectral_setup(seed=15, n=2)
         with pytest.raises(ValueError, match="inconsistent"):
-            separate(X[:, :3], params, CFG, 256, all_channels=True)
+            separate(X[:, :, :3], params, CFG, 256, all_channels=True)
