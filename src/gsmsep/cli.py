@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import sys
@@ -18,6 +17,7 @@ import sys
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .harness import (
     SeparationReport,
+    check_scene,
     config_hash,
     config_to_dict,
     run_experiment,
@@ -26,7 +26,8 @@ from .harness import (
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import NIG, VARIANTS, SeparationConfig, run_blocks_serially, variant_from_dict
+from .model import (NIG, SETTINGS, VARIANTS, SeparationConfig, run_blocks_serially,
+                    variant_from_dict)
 from .stft import StftConfig, stft_forward
 
 
@@ -38,49 +39,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _checked(kind, name, ok, requirement):
-    """argparse type: kind(text), rejected unless ok(value)."""
+def _add_setting(parser, name: str, *flags: str) -> None:
+    """The option `flags` for the model.SETTINGS entry `name`: its type,
+    default, range and help.  A refusal is a usage error naming the long
+    flag: "argument --<flag>: <flag> <requirement>, got <value>"."""
+    setting, flag = SETTINGS[name], flags[-1].lstrip("-")
+
     def convert(text):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{name} {requirement}, got {text}")
-        return value
+        try:
+            return setting.check(flag, setting.kind(text))
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"argument --{flag}: {exc}") from None
 
-    return convert
-
-
-def _positive_float(name):
-    return _checked(float, name, lambda v: math.isfinite(v) and v > 0, "must be > 0 and finite")
-
-
-def _finite_float(name):
-    return _checked(float, name, math.isfinite, "must be finite")
-
-
-_beta_value = _checked(float, "beta", lambda value: 0.0 < value <= 2.0,
-                       "must lie in (0, 2]")
-
-
-def _positive_int(name):
-    return _checked(int, name, lambda value: value >= 1, "must be >= 1")
-
-
-def _nonneg_int(name):
-    return _checked(int, name, lambda value: value >= 0, "must be >= 0")
+    shown = "" if setting.default is None else \
+        f" (default: %(default){'g' if setting.kind is float else 's'})"
+    parser.add_argument(*flags, type=convert, default=setting.default, help=setting.help + shown)
 
 
 # `separate`'s defaults, keyed by SeparationConfig and variant field names;
 # the option definitions and the bench grid entries both read them
-DEFAULTS = {
-    "model": NIG.name, "nu": 40.0, "beta": 1.0, "gamma": -0.5, "rho": 15.0,
-    "eta": 1.0, "n_sources": 2, "n_bases": 8, "iterations": 300,
-    "rank1": False, "seed": 0,
-}
+DEFAULTS = {"model": NIG.name, "rank1": SeparationConfig.rank1,
+            **{name: SETTINGS[name].default for name in (
+                "nu", "beta", "gamma", "rho", "eta", "n_sources", "n_bases",
+                "iterations", "seed")}}
 
 
-# bench grid keys that describe the scene, not the run, and their types
-SCENE_KEYS = {"n_mics": int, "duration_s": float, "scene_seed": int,
-              "noise_snr_db": float}
+# bench grid keys that describe the scene, not the run, and their settings
+SCENE_KEYS = {"n_mics": SETTINGS["n_mics"], "duration_s": SETTINGS["duration_s"],
+              "scene_seed": SETTINGS["seed"], "noise_snr_db": SETTINGS["noise_snr_db"]}
 
 
 def _typed(name: str, value, kind: type):
@@ -101,42 +87,8 @@ def _separation_config(settings: dict) -> SeparationConfig:
     ones take the DEFAULTS value, and other keys are ignored."""
     settings = {**DEFAULTS, **{name: _typed(name, value, type(DEFAULTS[name]))
                                for name, value in settings.items() if name in DEFAULTS}}
-    return SeparationConfig(
-        n_sources=settings["n_sources"],
-        n_bases=settings["n_bases"],
-        iterations=settings["iterations"],
-        variant=variant_from_dict(settings),
-        rank1=settings["rank1"],
-        seed=settings["seed"],
-    )
-
-
-def _add_model_args(sub):
-    sub.add_argument("--model", choices=tuple(VARIANTS), default=DEFAULTS["model"],
-                     help="tail model (default: %(default)s)")
-    sub.add_argument("--nu", type=_positive_float("nu"), default=DEFAULTS["nu"],
-                     help="t-distribution degrees of freedom (default: %(default)g)")
-    sub.add_argument("--beta", type=_beta_value, default=DEFAULTS["beta"],
-                     help="generalized-Gaussian shape in (0, 2] (default: %(default)g)")
-    sub.add_argument("--gamma", type=_finite_float("gamma"), default=DEFAULTS["gamma"],
-                     help="generalized-hyperbolic index (default: %(default)g)")
-    sub.add_argument("--rho", type=_positive_float("rho"), default=DEFAULTS["rho"],
-                     help="tail sharpness (default: %(default)g)")
-    sub.add_argument("--eta", type=_positive_float("eta"), default=DEFAULTS["eta"],
-                     help="tail scale (default: %(default)g)")
-
-
-def _add_run_args(sub):
-    sub.add_argument("-K", "--bases", type=_positive_int("K"), default=DEFAULTS["n_bases"],
-                     help="NMF bases per source (default: %(default)s)")
-    sub.add_argument("-N", "--sources", type=_positive_int("N"), default=DEFAULTS["n_sources"],
-                     help="number of sources (default: %(default)s)")
-    sub.add_argument("--iters", type=_nonneg_int("iters"), default=DEFAULTS["iterations"],
-                     help="optimizer iterations (default: %(default)s)")
-    sub.add_argument("--rank1", action="store_true", default=DEFAULTS["rank1"],
-                     help="freeze the spatial weights at identity (needs N = M)")
-    sub.add_argument("--seed", type=_nonneg_int("seed"), default=DEFAULTS["seed"],
-                     help="RNG seed (default: %(default)s)")
+    return SeparationConfig(variant=variant_from_dict(settings), **{
+        name: settings[name] for name in ("n_sources", "n_bases", "iterations", "rank1", "seed")})
 
 
 def cmd_separate(args) -> int:
@@ -227,19 +179,19 @@ def _parse_bench_entry(entry: dict):
         raise ValueError(f"malformed grid entry {entry!r}: unknown keys {unknown}")
     try:
         cfg = _separation_config(entry)
-        scene = {name: _typed(name, entry[name], kind)
-                 for name, kind in SCENE_KEYS.items()
+        scene = {name: setting.check(name, _typed(name, entry[name], setting.kind))
+                 for name, setting in SCENE_KEYS.items()
                  if entry.get(name) is not None}
+        scene_args = {
+            "n_sources": cfg.n_sources,
+            "n_mics": scene.get("n_mics", cfg.n_sources),
+            "duration_s": scene.get("duration_s", SETTINGS["duration_s"].default),
+            "noise_snr_db": scene.get("noise_snr_db"),
+        }
+        check_scene(**scene_args)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid entry {entry!r}: {exc}") from exc
-    scene_args = {
-        "n_sources": cfg.n_sources,
-        "n_mics": scene.get("n_mics", cfg.n_sources),
-        "duration_s": scene.get("duration_s", 3.0),
-        "seed": scene.get("scene_seed", cfg.seed),
-        "noise_snr_db": scene.get("noise_snr_db"),
-    }
-    return cfg, scene_args
+    return cfg, {**scene_args, "seed": scene.get("scene_seed", cfg.seed)}
 
 
 def _run_bench_entry(parsed: tuple) -> SeparationReport:
@@ -302,8 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sep = subparsers.add_parser("separate", help="separate a multichannel WAV")
     sep.add_argument("input", help="input mixture WAV")
-    _add_model_args(sep)
-    _add_run_args(sep)
+    sep.add_argument("--model", choices=tuple(VARIANTS), default=DEFAULTS["model"],
+                     help="tail model (default: %(default)s)")
+    for name in ("nu", "beta", "gamma", "rho", "eta"):
+        _add_setting(sep, name, f"--{name}")
+    _add_setting(sep, "n_bases", "-K", "--bases")
+    _add_setting(sep, "n_sources", "-N", "--sources")
+    _add_setting(sep, "iterations", "--iters")
+    sep.add_argument("--rank1", action="store_true", default=DEFAULTS["rank1"],
+                     help="freeze the spatial weights at identity (needs N = M)")
+    _add_setting(sep, "seed", "--seed")
     sep.add_argument("--out-dir", default=".", help="output directory")
     sep.add_argument("--report", default=None, help="JSON report path")
     sep.add_argument("--multichannel", action="store_true",
@@ -311,12 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sep.set_defaults(func=cmd_separate)
 
     synth = subparsers.add_parser("synth", help="write a synthetic scene")
-    synth.add_argument("-N", "--sources", type=_positive_int("N"), default=2)
-    synth.add_argument("-M", "--mics", type=_positive_int("M"), default=2)
-    synth.add_argument("--duration", type=_positive_float("duration"),
-                       default=3.0, help="seconds (default: 3)")
-    synth.add_argument("--seed", type=_nonneg_int("seed"), default=0)
-    synth.add_argument("--noise-snr-db", type=_finite_float("noise-snr-db"), default=None)
+    _add_setting(synth, "n_sources", "-N", "--sources")
+    _add_setting(synth, "n_mics", "-M", "--mics")
+    _add_setting(synth, "duration_s", "--duration")
+    _add_setting(synth, "seed", "--seed")
+    _add_setting(synth, "noise_snr_db", "--noise-snr-db")
     synth.add_argument("--out-dir", default=".", help="output directory")
     synth.set_defaults(func=cmd_synth)
 
@@ -332,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser("bench", help="run a JSON grid into a CSV")
     bench.add_argument("grid", help="JSON list of config objects")
     bench.add_argument("--out", default="bench.csv", help="CSV output path")
-    bench.add_argument("--workers", type=_positive_int("workers"), default=1,
-                       help="parallel experiment processes (default: 1)")
+    _add_setting(bench, "workers", "--workers")
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import optimizer, wiener
+from . import linalg, optimizer, wiener
 from .audio_io import AudioBuffer
 from .metrics import permutation_si_sdr
-from .model import SeparationConfig, variant_to_dict
+from .model import SETTINGS, SeparationConfig, variant_to_dict
 from .stft import StftConfig, stft_forward, stft_inverse
 
 SCENE_SAMPLE_RATE = 16000
@@ -101,16 +101,22 @@ def _smooth_random_steering(rng: np.random.Generator, n_freq: int,
     return a_FM / np.linalg.norm(a_FM, axis=1, keepdims=True)
 
 
+def check_scene(n_sources: int, n_mics: int, duration_s: float,
+                noise_snr_db: Optional[float]) -> None:
+    """Refuse a scene that synth_scene would not build, before any work."""
+    if not 1 <= n_sources <= n_mics <= linalg.MAX_DIM:
+        raise ValueError(
+            f"need 1 <= n_sources <= n_mics <= {linalg.MAX_DIM},"
+            f" got n_sources={n_sources}, n_mics={n_mics}"
+        )
+    for name, value in (("duration_s", duration_s), ("noise_snr_db", noise_snr_db)):
+        SETTINGS[name].check(name, value)
+
+
 def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
                 noise_snr_db: Optional[float] = None) -> SyntheticScene:
     """Random anechoic scene: x_nft = a_nf s_nft with unit-norm a_nf."""
-    if not 1 <= n_sources <= n_mics <= 8:
-        raise ValueError(
-            f"need 1 <= n_sources <= n_mics <= 8,"
-            f" got n_sources={n_sources}, n_mics={n_mics}"
-        )
-    if duration_s < 1.0:
-        raise ValueError(f"duration must be >= 1 s, got {duration_s}")
+    check_scene(n_sources, n_mics, duration_s, noise_snr_db)
 
     sample_rate = SCENE_SAMPLE_RATE
     rng = np.random.default_rng(seed)

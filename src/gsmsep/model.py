@@ -21,7 +21,7 @@ import dataclasses
 import math
 import os
 import threading
-from typing import ClassVar, Union, get_args
+from typing import Callable, ClassVar, Union, get_args
 
 import numpy as np
 
@@ -36,6 +36,66 @@ GTILDE_INIT_OFF = 1e-2
 
 
 # ---------------------------------------------------------------------------
+# User-settable values, read by the constructors, CLI flags and bench grids.
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One user-settable value: its type, default, range test, refusal and help."""
+
+    kind: type
+    default: object
+    ok: Callable[[object], bool]
+    requirement: str  # the refusal's words: "<name> <requirement>, got <value>"
+    help: str
+
+    def check(self, name: str, value):
+        """value, or ValueError if out of range; None passes where it is the default."""
+        if (value is None and self.default is None) or self.ok(value):
+            return value
+        raise ValueError(f"{name} {self.requirement}, got {value}")
+
+
+_AT_LEAST_0 = (lambda value: value >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda value: value >= 1, "must be >= 1")
+_POSITIVE = (lambda value: math.isfinite(value) and value > 0, "must be > 0 and finite")
+_FINITE = (math.isfinite, "must be finite")
+
+SETTINGS = {
+    # run settings: SeparationConfig's fields
+    "n_sources": Setting(int, 2, *_AT_LEAST_1, "number of sources"),
+    "n_bases": Setting(int, 8, *_AT_LEAST_1, "NMF bases per source"),
+    "iterations": Setting(int, 300, *_AT_LEAST_0, "optimizer iterations"),
+    "seed": Setting(int, 0, *_AT_LEAST_0, "RNG seed"),
+    # tail parameters: the variants' fields
+    "nu": Setting(float, 40.0, *_POSITIVE, "t-distribution degrees of freedom"),
+    "beta": Setting(float, 1.0, lambda value: 0 < value <= 2, "must lie in (0, 2]",
+                    "generalized-Gaussian shape in (0, 2]"),
+    "gamma": Setting(float, -0.5, *_FINITE, "generalized-hyperbolic index"),
+    "rho": Setting(float, 15.0, *_POSITIVE, "tail sharpness"),
+    "eta": Setting(float, 1.0, *_POSITIVE, "tail scale"),
+    # scene settings: harness.check_scene's per-field values
+    "n_mics": Setting(int, 2, lambda value: 1 <= value <= linalg.MAX_DIM,
+                      f"must be in [1, {linalg.MAX_DIM}]", "microphones"),
+    "duration_s": Setting(float, 3.0, lambda value: math.isfinite(value) and value >= 1,
+                          "must be >= 1 and finite", "seconds"),
+    "noise_snr_db": Setting(float, None, *_FINITE,
+                            "clean-to-noise power ratio in dB (default: no noise)"),
+    # `gsmsep bench --workers`
+    "workers": Setting(int, 1, *_AT_LEAST_1, "parallel experiment processes"),
+}
+
+
+class _Checked:
+    """A dataclass base: __post_init__ checks the init fields SETTINGS names."""
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            if field.init and field.name in SETTINGS:
+                SETTINGS[field.name].check(field.name, getattr(self, field.name))
+
+
+# ---------------------------------------------------------------------------
 # Bin-density variants (the impulse prior selects the family member).
 # ---------------------------------------------------------------------------
 
@@ -47,45 +107,29 @@ class Gaussian:
 
 
 @dataclasses.dataclass(frozen=True)
-class StudentT:
+class StudentT(_Checked):
     """Inverse-gamma impulse prior with shape = scale = nu / 2."""
 
     name: ClassVar[str] = "t"
     nu: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"nu must be finite and > 0, got {self.nu}")
-
 
 @dataclasses.dataclass(frozen=True)
-class LeptokurticGG:
+class LeptokurticGG(_Checked):
     """Heavy-tailed generalized Gaussian bins, shape beta in (0, 2]."""
 
     name: ClassVar[str] = "gg"
     beta: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and 0 < self.beta <= 2):
-            raise ValueError(f"beta must lie in (0, 2], got {self.beta}")
-
 
 @dataclasses.dataclass(frozen=True)
-class GH:
+class GH(_Checked):
     """Generalized-inverse-Gaussian impulse prior GIG(gamma, rho, eta)."""
 
     name: ClassVar[str] = "gh"
     gamma: float
     rho: float
     eta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,23 +188,13 @@ def power_scale(total: float, n_values: int) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class SeparationConfig:
+class SeparationConfig(_Checked):
     n_sources: int
     n_bases: int
     iterations: int
     variant: GsmVariant = Gaussian()
     rank1: bool = False
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_sources < 1:
-            raise ValueError(f"n_sources must be >= 1, got {self.n_sources}")
-        if self.n_bases < 1:
-            raise ValueError(f"n_bases must be >= 1, got {self.n_bases}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    seed: int = SETTINGS["seed"].default
 
 
 class DegenerateParameterError(ValueError):

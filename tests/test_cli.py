@@ -14,6 +14,9 @@ import gsmsep
 from gsmsep import cli, optimizer
 from gsmsep.audio_io import AudioBuffer, read_wav, write_wav
 from gsmsep.cli import build_parser, main
+from gsmsep.harness import check_scene, synth_scene
+from gsmsep.linalg import MAX_DIM
+from gsmsep.model import GH, NIG, SETTINGS, LeptokurticGG, SeparationConfig, StudentT
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +518,29 @@ class TestBenchCommand:
         assert f"unknown keys ['{key}']" in captured.err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"duration_s": 0.5}, "duration_s must be >= 1 and finite, got 0.5"),
+        ({"noise_snr_db": float("nan")}, "noise_snr_db must be finite, got nan"),
+        ({"n_mics": 9}, f"n_mics must be in [1, {MAX_DIM}], got 9"),
+        ({"n_sources": 3, "n_mics": 2}, "need 1 <= n_sources <= n_mics"),
+        ({"scene_seed": -1}, "scene_seed must be >= 0, got -1"),
+    ], ids=["short", "snr-nan", "mics-over-cap", "more-sources-than-mics",
+            "scene-seed-neg"])
+    def test_out_of_range_entry_runs_nothing(self, bad, message, tmp_path, capsys,
+                                             monkeypatch):
+        # every entry is checked in full before the first experiment runs
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: runs.append(args))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([self.GRID_ENTRY, dict(self.GRID_ENTRY, **bad)]))
+        code = main(["bench", str(grid_path), "--out", str(tmp_path / "b.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "malformed grid entry" in captured.err
+        assert message in captured.err
+        assert runs == []
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestUsageErrors:
     def test_floor_option_is_gone(self, capsys):
@@ -562,14 +588,57 @@ class TestUsageErrors:
         (["synth", "--duration", "inf"], "duration"),
         (["synth", "--noise-snr-db", "nan"], "noise-snr-db"),
         (["synth", "--seed", "-1"], "seed"),
+        (["synth", "--duration", "0.5"], "duration"),
+        (["synth", "-M", "9"], "mics"),
     ], ids=["rho-inf", "nu-inf", "gamma-nan", "separate-seed-neg",
-            "duration-inf", "snr-nan", "synth-seed-neg"])
+            "duration-inf", "snr-nan", "synth-seed-neg", "duration-short",
+            "mics-over-cap"])
     def test_non_finite_or_negative_knob_exits_one(self, argv, option, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         captured = capsys.readouterr()
         assert exc_info.value.code == 1
         assert f"error: argument --{option}: {option} must be" in captured.err
+
+
+class TestRefusalText:
+    # per model.SETTINGS entry: a value outside its range, the library check
+    # that owns the value, and the long flag that reads the same entry
+    CASES = {
+        "n_sources": (0, lambda v: SeparationConfig(v, 1, 1), ["separate", "in.wav", "--sources"]),
+        "n_bases": (0, lambda v: SeparationConfig(1, v, 1), ["separate", "in.wav", "--bases"]),
+        "iterations": (-1, lambda v: SeparationConfig(1, 1, v),
+                       ["separate", "in.wav", "--iters"]),
+        "seed": (-1, lambda v: SeparationConfig(1, 1, 1, seed=v), ["separate", "in.wav", "--seed"]),
+        "nu": (0.0, StudentT, ["separate", "in.wav", "--nu"]),
+        "beta": (2.5, LeptokurticGG, ["separate", "in.wav", "--beta"]),
+        "gamma": (float("nan"), lambda v: GH(v, 1.0, 1.0), ["separate", "in.wav", "--gamma"]),
+        "rho": (-1.0, lambda v: NIG(rho=v, eta=1.0), ["separate", "in.wav", "--rho"]),
+        "eta": (float("inf"), lambda v: GH(0.0, 1.0, v), ["separate", "in.wav", "--eta"]),
+        # check_scene's rule 1 <= N <= M <= cap refuses a bad n_mics first,
+        # in its own words; the grid check reads the entry
+        "n_mics": (MAX_DIM + 1, lambda v: cli._parse_bench_entry({"n_mics": v}),
+                   ["synth", "--mics"]),
+        "duration_s": (0.5, lambda v: synth_scene(1, 1, v, seed=0), ["synth", "--duration"]),
+        "noise_snr_db": (float("nan"), lambda v: check_scene(1, 1, 1.0, v),
+                         ["synth", "--noise-snr-db"]),
+        # only the flag reads it
+        "workers": (0, None, ["bench", "grid.json", "--workers"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_library_and_flag_share_the_text(self, name, capsys):
+        value, owner, argv = self.CASES[name]
+        requirement = SETTINGS[name].requirement
+        if owner is not None:
+            with pytest.raises(ValueError) as refused:
+                owner(value)
+            assert f"{name} {requirement}, got" in str(refused.value)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + [str(value)])
+        flag = argv[-1][2:]
+        assert exc_info.value.code == 1
+        assert f"argument --{flag}: {flag} {requirement}, got" in capsys.readouterr().err
 
 
 class TestParserDefaults:
