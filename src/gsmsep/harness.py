@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, optimizer, wiener
+from . import optimizer, wiener
 from .audio_io import AudioBuffer
 from .metrics import permutation_si_sdr
 from .model import SETTINGS, SeparationConfig, variant_to_dict
@@ -54,7 +54,6 @@ class SyntheticScene:
 
     mixture: AudioBuffer
     references: list
-    spec: dict
     images: list
     noise: Optional[np.ndarray] = None
 
@@ -104,12 +103,8 @@ def _smooth_random_steering(rng: np.random.Generator, n_freq: int,
 def check_scene(n_sources: int, n_mics: int, duration_s: float,
                 noise_snr_db: Optional[float]) -> None:
     """Refuse a scene that synth_scene would not build, before any work."""
-    if not 1 <= n_sources <= n_mics <= linalg.MAX_DIM:
-        raise ValueError(
-            f"need 1 <= n_sources <= n_mics <= {linalg.MAX_DIM},"
-            f" got n_sources={n_sources}, n_mics={n_mics}"
-        )
-    for name, value in (("duration_s", duration_s), ("noise_snr_db", noise_snr_db)):
+    for name, value in (("n_sources", n_sources), ("n_mics", n_mics),
+                        ("duration_s", duration_s), ("noise_snr_db", noise_snr_db)):
         SETTINGS[name].check(name, value)
 
 
@@ -128,8 +123,6 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
     n_frames = (n_samples + 2 * gen_cfg.pad - gen_cfg.n_fft) // gen_cfg.hop + 1
     profiles_NF = _spectral_profiles(n_sources, gen_cfg.n_freq)
 
-    steering_NFM = np.empty((n_sources, gen_cfg.n_freq, n_mics),
-                            dtype=np.complex128)
     images = []
     for n in range(n_sources):
         envelope_T = _temporal_envelope(rng, n_frames)
@@ -139,7 +132,6 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
             + 1j * rng.standard_normal((gen_cfg.n_freq, n_frames))
         )
         a_FM = _smooth_random_steering(rng, gen_cfg.n_freq, n_mics)
-        steering_NFM[n] = a_FM
 
         image_FMT = a_FM[:, :, None] * S_FT[:, None, :]
         image_ML = stft_inverse(image_FMT, gen_cfg, n_samples)
@@ -170,12 +162,6 @@ def synth_scene(n_sources: int, n_mics: int, duration_s: float, seed: int,
     return SyntheticScene(
         mixture=AudioBuffer(samples=mixture_ML, sample_rate=sample_rate),
         references=references,
-        spec={
-            "n_sources": n_sources,
-            "n_mics": n_mics,
-            "steering": steering_NFM,
-            "noise_snr_db": noise_snr_db,
-        },
         images=images,
         noise=noise_ML,
     )

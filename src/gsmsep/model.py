@@ -19,6 +19,7 @@ import concurrent.futures
 import contextvars
 import dataclasses
 import math
+import numbers
 import os
 import threading
 from typing import Callable, ClassVar, Union, get_args
@@ -39,6 +40,10 @@ GTILDE_INIT_OFF = 1e-2
 # User-settable values, read by the constructors, CLI flags and bench grids.
 # ---------------------------------------------------------------------------
 
+# the values each Setting.kind takes (bool excepted)
+_KINDS = {int: numbers.Integral, float: numbers.Real}
+
+
 @dataclasses.dataclass(frozen=True)
 class Setting:
     """One user-settable value: its type, default, range test, refusal and help."""
@@ -50,8 +55,14 @@ class Setting:
     help: str
 
     def check(self, name: str, value):
-        """value, or ValueError if out of range; None passes where it is the default."""
-        if (value is None and self.default is None) or self.ok(value):
+        """value, or ValueError if not of `kind` or out of range; None passes
+        where it is the default.  A bool is neither int nor float, numpy
+        integers are ints, and ints are floats."""
+        if value is None and self.default is None:
+            return value
+        if isinstance(value, bool) or not isinstance(value, _KINDS[self.kind]):
+            raise ValueError(f"{name} must be {self.kind.__name__}, got {value!r}")
+        if self.ok(value):
             return value
         raise ValueError(f"{name} {self.requirement}, got {value}")
 
@@ -255,8 +266,9 @@ def init_params(cfg: SeparationConfig, X_FMT: np.ndarray) -> ModelParams:
     W and H are |standard normal| draws from numpy's PCG64 generator
     seeded with cfg.seed (W first, times the mixture's `power_scale`, then
     H).  Q_f starts at the identity.  Gtilde row n has weight 1 at the
-    channels m with m mod N == n and GTILDE_INIT_OFF elsewhere; under the
-    rank-1 constraint (N == M) it is frozen to the exact identity instead.
+    channels m with m mod N == n and GTILDE_INIT_OFF elsewhere, so sources
+    n >= M start at GTILDE_INIT_OFF on every channel; under the rank-1
+    constraint (N == M) it is frozen to the exact identity instead.
     """
     n, k, (n_freq, m, n_frames) = cfg.n_sources, cfg.n_bases, X_FMT.shape
     if m > linalg.MAX_DIM:
@@ -266,8 +278,6 @@ def init_params(cfg: SeparationConfig, X_FMT: np.ndarray) -> ModelParams:
             f"rank-1 spatial model: rank1 needs as many sources as channels,"
             f" got N={n}, M={m}"
         )
-    if n > m:
-        raise ValueError(f"underdetermined model not supported: N={n} > M={m}")
     total = np.vdot(X_FMT, X_FMT).real
     rng = np.random.default_rng(cfg.seed)
     W_NKF = power_scale(total, X_FMT.size) * np.abs(rng.standard_normal((n, k, n_freq)))

@@ -6,13 +6,14 @@ windows, slides a periodic Hann window in hop steps, and keeps the
 n_fft/2 + 1 nonnegative-frequency bins in a channel-major (F, M, T)
 stack.  Synthesis is weighted overlap-add with the same window, each
 hop-sample output chunk adding its frames' parts in frame order, divided
-by the summed squared-window envelope.  Both pass blocks (of frames, then
-of output chunks) within the per-thread cache budget to the caller and
-one helper thread (`model.map_blocks`), which gives the bits one thread
-would.  Every sample synthesis returns lies under at least n_fft/hop >= 2
-frames, where that envelope is at least 1/2; it refuses hop == n_fft (the
-window is zero at every frame start) and a length beyond what the frames
-cover, rather than return samples it cannot invert.
+by the summed squared-window envelope.  Both pass blocks (of frames, and
+of output chunks, each transforming only the frames it reads) within the
+per-thread cache budget to the caller and one helper thread
+(`model.map_blocks`), which gives the bits one thread would.  Every
+sample synthesis returns lies under at least n_fft/hop >= 2 frames,
+where that envelope is at least 1/2; it refuses hop == n_fft (the window
+is zero at every frame start) and a length beyond what the frames cover,
+rather than return samples it cannot invert.
 """
 
 from __future__ import annotations
@@ -104,23 +105,20 @@ def stft_inverse(spec, cfg: StftConfig, length: int) -> np.ndarray:
         raise ValueError(f"length must lie in [1, {covered}], the samples"
                          f" {n_frames} frames cover; got {length}")
     window = periodic_hann(cfg.n_fft)
-    frames_MTn = np.empty((n_chan, n_frames, cfg.n_fft))
-
-    def frame_block(block):
-        np.fft.irfft(spec[:, :, block].transpose(1, 2, 0), n=cfg.n_fft, out=frames_MTn[:, block])
-        frames_MTn[:, block] *= window
-    map_blocks(frame_block, n_frames, 8 * cfg.n_fft * n_chan)
-
-    # kept chunk k (samples pad + k hop on) is 0.0 plus sub-chunk overlap-1-u
-    # of frame k + u for u = 0, 1, ...: a frame-by-frame overlap-add's order
-    subs_MToh = frames_MTn.reshape(n_chan, n_frames, overlap, hop)
     envelope = sum((window * window).reshape(overlap, hop)[::-1], np.zeros(hop))
     out = np.empty((n_chan, length))
 
+    # kept chunk k (samples pad + k hop on) is 0.0 plus sub-chunk overlap-1-u
+    # of frame k + u for u = 0, 1, ...: a frame-by-frame overlap-add's order
     def chunk_block(block):
-        sum_MKh = np.zeros((n_chan, block.stop - block.start, hop))
+        n_kept = block.stop - block.start
+        frames_MTn = np.fft.irfft(spec[:, :, block.start : block.stop + overlap - 1]
+                                  .transpose(1, 2, 0), n=cfg.n_fft)
+        frames_MTn *= window
+        subs_MToh = frames_MTn.reshape(n_chan, -1, overlap, hop)
+        sum_MKh = np.zeros((n_chan, n_kept, hop))
         for u in range(overlap):
-            sum_MKh += subs_MToh[:, block.start + u : block.stop + u, overlap - 1 - u]
+            sum_MKh += subs_MToh[:, u : u + n_kept, overlap - 1 - u]
         kept = out[:, block.start * hop : block.stop * hop]
         kept[:] = (sum_MKh / envelope).reshape(n_chan, -1)[:, : kept.shape[1]]
     map_blocks(chunk_block, -(-length // hop), 8 * cfg.n_fft * n_chan)

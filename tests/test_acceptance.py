@@ -80,13 +80,44 @@ def unit_quadratic_deviation(params, S, cache) -> float:
     return worst
 
 
+def instrumented_run(X_FMT, cfg):
+    """optimizer.run with update_q wrapped to record the diagonalizer
+    quadratic form right after each call: (params, trace, worst deviation)."""
+    real_update_q = optimizer.update_q
+    ip_devs = []
+
+    def recording_update_q(params, S, cache):
+        params = real_update_q(params, S, cache)
+        ip_devs.append(unit_quadratic_deviation(params, S, cache))
+        return params
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "update_q", recording_update_q)
+        params, trace = optimizer.run(X_FMT, cfg)
+    assert len(ip_devs) == cfg.iterations
+    return params, np.asarray(trace), max(ip_devs)
+
+
+def worst_relative_drop(trace) -> float:
+    return float(np.max((trace[:-1] - trace[1:]) / np.abs(trace[:-1])))
+
+
+def worst_partition_error(X_FMT, params) -> float:
+    """Largest |sum of Wiener images - X| relative to |X| (absolute where X is 0)."""
+    total_FMT = sum(image for _, image in wiener.source_images(
+        X_FMT, params, all_channels=True))
+    diff = np.abs(total_FMT - X_FMT)
+    mag = np.abs(X_FMT)
+    zero = mag == 0.0
+    return float(np.max(np.where(zero, diff, diff / np.where(zero, 1.0, mag))))
+
+
 @pytest.fixture(scope="module")
 def instrumented_runs():
-    """100 optimizer.run iterations per variant on two datasets.
+    """100 `instrumented_run` iterations per variant on two datasets.
 
-    optimizer.update_q is wrapped to record the diagonalizer quadratic
-    form right after each call.  Shared by the monotonicity, projection
-    post-condition, and Wiener partition checks.
+    Shared by the monotonicity, projection post-condition, and Wiener
+    partition checks.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -98,7 +129,6 @@ def instrumented_runs():
     assert X_scene.shape == (65, 2, 50)
     datasets["scene"] = X_scene
 
-    real_update_q = optimizer.update_q
     results = []
     for vname, variant in ALL_VARIANTS:
         for dname, X_FMT in datasets.items():
@@ -106,20 +136,10 @@ def instrumented_runs():
                 n_sources=2, n_bases=2, iterations=100, variant=variant,
                 seed=0,
             )
-            ip_devs = []
-
-            def recording_update_q(params, S, cache):
-                params = real_update_q(params, S, cache)
-                ip_devs.append(unit_quadratic_deviation(params, S, cache))
-                return params
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(optimizer, "update_q", recording_update_q)
-                params, trace = optimizer.run(X_FMT, cfg)
-            assert len(ip_devs) == cfg.iterations
+            params, trace, ip_dev = instrumented_run(X_FMT, cfg)
             results.append(SimpleNamespace(
                 variant=vname, dataset=dname, X=X_FMT, params=params,
-                trace=np.asarray(trace), ip_dev=max(ip_devs),
+                trace=trace, ip_dev=ip_dev,
             ))
     return results, time.perf_counter() - started
 
@@ -249,9 +269,7 @@ def test_criterion_05_monotone_likelihood(instrumented_runs):
     worst_label = "-"
     for result in results:
         assert len(result.trace) == 100
-        prev = result.trace[:-1]
-        drops = (prev - result.trace[1:]) / np.abs(prev)
-        drop = float(np.max(drops))
+        drop = worst_relative_drop(result.trace)
         if drop > worst_drop:
             worst_drop, worst_label = drop, f"{result.variant}/{result.dataset}"
 
@@ -276,20 +294,31 @@ def test_criterion_06_projection_postcondition(instrumented_runs):
 
 def test_criterion_07_wiener_partition(instrumented_runs):
     results, _ = instrumented_runs
-    worst = 0.0
-    for result in results:
-        total_FMT = sum(image for _, image in wiener.source_images(
-            result.X, result.params, all_channels=True))
-        diff = np.abs(total_FMT - result.X)
-        mag = np.abs(result.X)
-        zero = mag == 0.0
-        rel = np.where(zero, diff, diff / np.where(zero, 1.0, mag))
-        worst = max(worst, float(np.max(rel)))
+    worst = max(worst_partition_error(result.X, result.params) for result in results)
 
     ok = worst <= 1e-10
     report_line(7, ok, f"sum of images vs mixture, all bins of 10 fitted"
                        f" runs: max rel err {worst:.2e} (tol 1e-10)")
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("n_sources,n_mics", [(3, 2), (8, 4)])
+@pytest.mark.parametrize("vname,variant", ALL_VARIANTS, ids=[name for name, _ in ALL_VARIANTS])
+def test_criteria_05_to_07_more_sources_than_mics(n_sources, n_mics, vname, variant):
+    # nothing in the model needs N <= M: the same invariants hold beyond it
+    X_FMT = random_mixture(np.random.default_rng(11), 65, 50, n_mics)
+    cfg = SeparationConfig(n_sources=n_sources, n_bases=2, iterations=100,
+                           variant=variant, seed=0)
+    params, trace, ip_dev = instrumented_run(X_FMT, cfg)
+    drop, partition = worst_relative_drop(trace), worst_partition_error(X_FMT, params)
+    ok = drop <= 1e-8 and ip_dev <= 1e-10 and partition <= 1e-10
+    report_line(5, ok, f"{vname} N={n_sources} on M={n_mics}: worst relative drop"
+                       f" {drop:.2e} (slack 1e-8); criterion 06 |q^H V q - 1| max"
+                       f" {ip_dev:.2e}, criterion 07 max rel err {partition:.2e}"
+                       f" (tol 1e-10)")
+    assert drop <= 1e-8
+    assert ip_dev <= 1e-10
+    assert partition <= 1e-10
 
 
 def test_criterion_08_end_to_end_separation():

@@ -179,16 +179,15 @@ class TestSeparateCommand:
         assert report_path.exists()
         assert not (tmp_path / "report.json").exists()
 
-    def test_underdetermined_is_runtime_error(self, scene_dir, tmp_path,
-                                              capsys):
+    def test_more_sources_than_channels(self, scene_dir, tmp_path):
         code = main([
             "separate", str(scene_dir / "mixture.wav"),
             "-N", "3", "--iters", "1", "--out-dir", str(tmp_path),
         ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "gsmsep: error:" in captured.err
-        assert "underdetermined" in captured.err
+        assert code == 0
+        for n in (1, 2, 3):
+            assert read_wav(tmp_path / f"source{n}.wav").n_channels == 1
+        assert not (tmp_path / "source4.wav").exists()
 
     def test_rank1_requires_square(self, scene_dir, tmp_path, capsys):
         code = main([
@@ -522,9 +521,10 @@ class TestBenchCommand:
         ({"duration_s": 0.5}, "duration_s must be >= 1 and finite, got 0.5"),
         ({"noise_snr_db": float("nan")}, "noise_snr_db must be finite, got nan"),
         ({"n_mics": 9}, f"n_mics must be in [1, {MAX_DIM}], got 9"),
-        ({"n_sources": 3, "n_mics": 2}, "need 1 <= n_sources <= n_mics"),
+        # n_mics defaults to n_sources, and is refused in its own name
+        ({"n_sources": 9}, f"n_mics must be in [1, {MAX_DIM}], got 9"),
         ({"scene_seed": -1}, "scene_seed must be >= 0, got -1"),
-    ], ids=["short", "snr-nan", "mics-over-cap", "more-sources-than-mics",
+    ], ids=["short", "snr-nan", "mics-over-cap", "derived-mics-over-cap",
             "scene-seed-neg"])
     def test_out_of_range_entry_runs_nothing(self, bad, message, tmp_path, capsys,
                                              monkeypatch):
@@ -615,10 +615,7 @@ class TestRefusalText:
         "gamma": (float("nan"), lambda v: GH(v, 1.0, 1.0), ["separate", "in.wav", "--gamma"]),
         "rho": (-1.0, lambda v: NIG(rho=v, eta=1.0), ["separate", "in.wav", "--rho"]),
         "eta": (float("inf"), lambda v: GH(0.0, 1.0, v), ["separate", "in.wav", "--eta"]),
-        # check_scene's rule 1 <= N <= M <= cap refuses a bad n_mics first,
-        # in its own words; the grid check reads the entry
-        "n_mics": (MAX_DIM + 1, lambda v: cli._parse_bench_entry({"n_mics": v}),
-                   ["synth", "--mics"]),
+        "n_mics": (MAX_DIM + 1, lambda v: check_scene(1, v, 1.0, None), ["synth", "--mics"]),
         "duration_s": (0.5, lambda v: synth_scene(1, 1, v, seed=0), ["synth", "--duration"]),
         "noise_snr_db": (float("nan"), lambda v: check_scene(1, 1, 1.0, v),
                          ["synth", "--noise-snr-db"]),

@@ -5,6 +5,7 @@ over every index; normalization is checked against hand-computed pushes
 of each scale ambiguity.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsmsep import model
+from gsmsep.harness import synth_scene
 from gsmsep.model import (
     GH,
     NIG,
@@ -118,6 +120,26 @@ class TestSeparationConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SeparationConfig(n_sources=2, n_bases=4, iterations=1, seed=-1)
 
+    @pytest.mark.parametrize("make,refusal", [
+        (lambda: SeparationConfig(2, 2, 1.5), "iterations must be int, got 1.5"),
+        (lambda: SeparationConfig(2.5, 2, 1), "n_sources must be int, got 2.5"),
+        (lambda: synth_scene(2.0, 2, 1.0, seed=0), "n_sources must be int, got 2.0"),
+        (lambda: SeparationConfig(True, 2, 1), "n_sources must be int, got True"),
+        (lambda: SeparationConfig(2, 2, 1, seed=np.float64(1)), "seed must be int, got"),
+        (lambda: StudentT(nu=False), "nu must be float, got False"),
+        (lambda: GH(-0.5, "15", 1.0), "rho must be float, got '15'"),
+        # numpy integers are ints, and ints are floats
+        (lambda: SeparationConfig(np.int64(2), np.int32(2), np.uint8(1)), None),
+        (lambda: NIG(rho=15, eta=np.int64(1)), None),
+    ], ids=["float-iterations", "float-sources", "float-scene-sources", "bool-sources",
+            "float-seed", "bool-nu", "str-rho", "numpy-ints", "int-floats"])
+    def test_wrong_kind_is_refused_by_name(self, make, refusal):
+        if refusal is None:
+            make()
+        else:
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                make()
+
     def test_defaults(self):
         cfg = SeparationConfig(n_sources=2, n_bases=8, iterations=10)
         assert cfg.variant == Gaussian()
@@ -184,10 +206,11 @@ class TestInitParams:
         with pytest.raises(ValueError, match="rank-1"):
             init_params(cfg, unit_mixture(5, 7, 4))
 
-    def test_underdetermined_rejected(self):
+    def test_sources_beyond_the_channels_start_off_everywhere(self):
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1)
-        with pytest.raises(ValueError, match="underdetermined"):
-            init_params(cfg, unit_mixture(5, 7, 2))
+        params = init_params(cfg, unit_mixture(5, 7, 2))
+        assert params.W.shape == (3, 2, 5) and params.H.shape == (3, 2, 7)
+        np.testing.assert_array_equal(params.Gtilde, [[1.0, 0.01], [0.01, 1.0], [0.01, 0.01]])
 
     def test_frame_major_mixture_refused_before_allocating(self):
         # an (F, T, M) array read as (F, M, T) has T "channels": it is
@@ -441,8 +464,6 @@ class TestComputeYtilde:
     m=st.integers(1, 4),
 )
 def test_property_normalize_postconditions(seed, n, m):
-    if n > m:
-        m = n
     rng = np.random.default_rng(seed)
     params = normalize(random_params(rng, n, 2, 3, 4, m))
     trace = np.einsum("fij,fij->f", params.Q, params.Q.conj()).real

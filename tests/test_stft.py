@@ -7,6 +7,7 @@ work on stacks: (channels, samples) in, (F, T, M) out, and back; a
 single-channel signal is a stack of one.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsmsep import model
 from gsmsep.stft import StftConfig, periodic_hann, stft_forward, stft_inverse
 
 
@@ -212,6 +214,20 @@ class TestInverse:
         cfg = StftConfig(n_fft=64, hop=16)
         out = stft_inverse(np.zeros((33, 2, 10), dtype=np.complex128), cfg, 100)
         np.testing.assert_array_equal(out, np.zeros((2, 100)))
+
+    def test_peak_is_a_few_blocks_above_the_output(self):
+        # each output-chunk block transforms only the frames it reads, so
+        # the (M, T, n_fft) stack of all windowed frames (18.75 block
+        # budgets here) is never held
+        cfg = StftConfig()
+        spec = np.ones((cfg.n_freq, 4, 600), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            out = stft_inverse(spec, cfg, (600 + 1 - cfg.n_fft // cfg.hop) * cfg.hop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 6 * model._BLOCK_BYTES
 
     def test_refuses_hop_equal_to_n_fft(self):
         # the periodic Hann window is zero at every frame start, and with
