@@ -139,8 +139,9 @@ def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
         raise ValueError(f"mixture shape {X_FMT.shape} inconsistent with params {expected}")
     if cache is None:
         z_tilde, y_tilde, s, _ = _project(X_FMT, params, floor, log_y=False)
-        cache = _cache(z_tilde, y_tilde,
-                       inv_phi_from_s(s, params.n_channels, variant))
+        # E[1/phi] is written over s, and the unused log marginal over zeros
+        cache = _cache(z_tilde, y_tilde, inv_phi_from_s(
+            s, params.n_channels, variant, np.zeros(s.shape)))
     return cache
 
 
@@ -232,10 +233,11 @@ def outer_products(X_FMT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S_FPT, gram_P
 
 
-def _unpack_hermitian(R_P: np.ndarray) -> np.ndarray:
-    # (..., M^2) `outer_products` rows -> (..., M, M), mirrored exactly
+def _unpack_hermitian(R_P: np.ndarray, out=None) -> np.ndarray:
+    # (..., M^2) `outer_products` rows -> (..., M, M), mirrored exactly, into
+    # `out` if given: complex, of that shape, with a real diagonal
     n_chan = round(R_P.shape[-1] ** 0.5)
-    A_MM = np.zeros(R_P.shape[:-1] + (n_chan, n_chan), dtype=np.complex128)
+    A_MM = np.zeros(R_P.shape[:-1] + (n_chan, n_chan), dtype=np.complex128) if out is None else out
     diag = np.arange(n_chan)
     upper, lower = np.triu_indices(n_chan, k=1)
     A_MM.real[..., diag, diag] = R_P[..., :n_chan]
@@ -268,31 +270,30 @@ def check_channel_layout(gram_P: np.ndarray, n_bins: int) -> float:
 
 
 def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
-    """V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm for every m.
-
-    One batched real product S @ (inv_phi / y~) gives the (F, M^2, M)
-    weighted sums of the `outer_products` rows; they are unpacked into an
-    (F, M, M, M) stack indexed [f, m, i, j] that is Hermitian bit for bit,
-    with real nonnegative diagonals.
-    """
+    """V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm for every m, as
+    (F, M^2, M) `outer_products` rows, from one batched real product
+    S @ (inv_phi / y~) per frequency block.  Column m, unpacked by
+    `_unpack_hermitian`, is the (F, M, M) stack of V_fm: Hermitian bit for
+    bit, with real nonnegative diagonals."""
     n_freq, n_chan, n_frames = cache.y_tilde.shape
+    R_FPM = np.empty((n_freq, n_chan * n_chan, n_chan))
 
     def block_body(block):  # no (F, M, T) weight is formed
         weight_BMT = cache.inv_phi[block, None] / cache.y_tilde[block]
-        return np.matmul(S_FPT[block], weight_BMT.transpose(0, 2, 1))
-    R_FPM = np.concatenate(map_blocks(block_body, n_freq, 8 * n_frames * n_chan * (n_chan + 1)))
-    return _unpack_hermitian((R_FPM / n_frames).transpose(0, 2, 1))
+        np.matmul(S_FPT[block], weight_BMT.transpose(0, 2, 1), out=R_FPM[block])
+        R_FPM[block] /= n_frames
+    map_blocks(block_body, n_freq, 8 * n_frames * n_chan * (n_chan + 1))
+    return R_FPM
 
 
 def update_q(params: ModelParams, S_FPT: np.ndarray,
              cache: EStepCache) -> ModelParams:
     """Iterative projection on every row of every Q_f.
 
-    V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm comes from the
-    per-run statistics S_FPT = `outer_products(X)` through
-    `weighted_covariances`, then
-    q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, applied
-    for m = 1..M in order.  The rescale factor is evaluated in compensated
+    V_fm comes from the per-run statistics S_FPT = `outer_products(X)`
+    through `weighted_covariances`, one row m's stack unpacked at a time,
+    then q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, for
+    m = 1..M in order.  The rescale factor is evaluated in compensated
     arithmetic so the unit quadratic form survives ill-conditioned V.  A
     singular system or a degenerate scale leaves that row untouched; each
     kind is reported in at most one warning per call, with its row count.
@@ -300,9 +301,10 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
     n_freq, n_chan = params.n_freq, params.n_channels
     Q_FMM = params.Q.copy()
     kept = {"singular diagonalizer system": [], "degenerate projection scale": []}
-    V_FMMM = weighted_covariances(S_FPT, cache)
+    R_FPM = weighted_covariances(S_FPT, cache)
+    V_FMM = np.zeros_like(Q_FMM)
     for m in range(n_chan):
-        V_FMM = V_FMMM[:, m]
+        _unpack_hermitian(R_FPM[:, :, m], out=V_FMM)
         QV_FMM = np.matmul(Q_FMM, V_FMM)
         e_M1 = np.eye(n_chan, dtype=np.complex128)[:, m:m + 1]
         bad_F = np.zeros(n_freq, dtype=bool)
@@ -348,12 +350,12 @@ def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
     The cache equals, bit for bit, a fresh `e_step(X_FMT, params, variant,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
     as the marginal.  `buffers`, when given, is a cache of the same shape
-    that nothing reads any more: its arrays are overwritten, and its y~ and
-    z^ arrays become the returned cache's.
+    that nothing reads any more: its arrays become the returned cache's.
+    The bin terms are written over the sum_m log y~ array, so the call
+    holds two (F, T) arrays, E[1/phi] and that one.
     """
     z_tilde, y_tilde, s, log_y = _project(X_FMT, params, floor, buffers)
-    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant)
-    bin_terms -= log_y
+    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant, log_y)
     det_F = linalg.log_abs_det_gram(params.Q)
     value = float(bin_terms.sum() + params.n_frames * det_F.sum())
     return value, _cache(z_tilde, y_tilde, inv_phi)

@@ -95,53 +95,48 @@ def _ladder(order: float, x: np.ndarray):
         return log_k, (ratio if order >= 0 else 1.0 / prev)
 
 
-def _checked_ladder(order: float, x):
+def log_bessel_k(order: float, x) -> float | np.ndarray:
+    """log K_order(x), symmetric in the sign of the order; x > 0."""
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(x_arr <= 0):
         raise ValueError("x must be > 0")
-    log_k, ratio = _ladder(float(order), np.atleast_1d(x_arr))
-    if x_arr.ndim == 0:
-        return float(log_k[0]), float(ratio[0])
-    return log_k, ratio
-
-
-def log_bessel_k(order: float, x) -> float | np.ndarray:
-    """log K_order(x), symmetric in the sign of the order."""
-    return _checked_ladder(order, x)[0]
-
-
-def bessel_k_ratio(order: float, x) -> float | np.ndarray:
-    """K_{order+1}(x) / K_order(x), scalar or array x."""
-    return _checked_ladder(order, x)[1]
+    log_k = _ladder(float(order), np.atleast_1d(x_arr))[0]
+    return float(log_k[0]) if x_arr.ndim == 0 else log_k
 
 
 # ---------------------------------------------------------------------------
 # Per-bin statistics: log marginal density and E[phi^-1 | z].
 # ---------------------------------------------------------------------------
 
-def inv_phi_from_s(s, m_dims: int, variant: GsmVariant):
-    """Vectorized E[phi^-1 | z] as a function of s; scalar in, scalar out."""
-    return log_marginal_from_s(s, m_dims, variant)[1]
+def inv_phi_from_s(s, m_dims: int, variant: GsmVariant, log_y=None):
+    """Vectorized E[phi^-1 | z] as a function of s; scalar in, scalar out.
+    With `log_y`, as for `log_marginal_from_s`, it is written over s."""
+    return log_marginal_from_s(s, m_dims, variant, log_y)[1]
 
 
-def log_marginal_from_s(s, m_dims: int, variant: GsmVariant):
+def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, log_y=None):
     """(log p(z) + sum_m log y~_m, E[phi^-1 | z]), vectorized over s.
 
     The first entry is the part of the normalized log marginal density
-    that depends on z and y~ only through s; the caller subtracts
-    sum_m log y~_m.  GH and NIG take both entries from one Bessel ladder.
-    Both come back in the shape of s, scalar for scalar s.  The values of
-    s, in C order, are taken in `map_blocks` blocks whose temporaries fit
+    that depends on z and y~ only through s.  Given `log_y`, sum_m log y~_m
+    per bin in an array of s's shape, it is log p(z) itself, written over
+    log_y, and E[phi^-1 | z] is written over s (over copies unless both
+    are C-contiguous float64); both come back in the shape of s, scalar
+    for scalar s.  GH and NIG take both entries from one Bessel ladder.
+    The values of s, in C order, are taken in `map_blocks` blocks that fit
     the per-thread cache budget; every statistic is elementwise, so the
     blocks give the bits one whole-array pass would.
     """
     statistics = _bin_statistics(m_dims, variant)
     s_arr = np.asarray(s, dtype=np.float64)
     s_flat = s_arr.reshape(-1)
-    log_p, inv_phi = np.empty(s_flat.shape), np.empty(s_flat.shape)
+    in_place = log_y is not None  # else log_y is 0, and x - 0 == x to the bit
+    log_p = log_y.reshape(-1) if in_place else np.zeros(s_flat.shape)
+    inv_phi = s_flat if in_place else np.empty(s_flat.shape)
 
     def block_body(block):
-        log_p[block], inv_phi[block] = statistics(s_flat[block])
+        log_p_block, inv_phi[block] = statistics(s_flat[block])
+        np.subtract(log_p_block, log_p[block], out=log_p[block])
     map_blocks(block_body, s_flat.size, _BYTES_PER_S)
     return log_p.reshape(s_arr.shape)[()], inv_phi.reshape(s_arr.shape)[()]
 

@@ -18,7 +18,10 @@ the production path is never checked against itself.
   frequency, as the frequency-blocked stages compute them block by block;
 - `whole_stft_forward`: the forward STFT as one `rfft` over every frame;
 - `whole_stft_inverse`: the inverse STFT as one `irfft` over every frame
-  and an overlap-add loop over frames, with the envelope summed in it.
+  and an overlap-add loop over frames, with the envelope summed in it;
+- `pairwise_dot2_quadratic_form`: Re(v^H A v) by Dot2 on (..., 2, M)
+  pairs formed afresh for each of the 2M terms, the order of operations
+  `linalg.compensated_quadratic_form` keeps on its own layout.
 """
 
 from __future__ import annotations
@@ -329,3 +332,61 @@ def whole_stft_inverse(spec: np.ndarray, cfg: StftConfig, length: int) -> np.nda
         envelope[start : start + cfg.n_fft] += win_sq
     kept = slice(cfg.pad, cfg.pad + length)
     return out[:, kept] / envelope[kept]
+
+
+# ---------------------------------------------------------------------------
+# The compensated quadratic form on the stack's own layout.
+# ---------------------------------------------------------------------------
+
+# 2**27 + 1; Dekker's constant for splitting a float64 into two 26-bit halves
+_SPLIT = 134217729.0
+
+
+def _two_prod(a, b):
+    """a * b as an exact (product, error) float64 pair."""
+    p = a * b
+    ah = _SPLIT * a
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = _SPLIT * b
+    bh = bh - (bh - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
+
+
+def _dot2(pairs):
+    """Dot2: sum of x * y over the pairs as a (hi, lo) pair, by TwoProduct
+    and TwoSum, with the rounding errors of both summed into lo."""
+    hi = lo = 0.0
+    for x, y in pairs:
+        p, err = _two_prod(x, y)
+        s = hi + p
+        z = s - hi
+        lo = lo + (((hi - (s - z)) + (p - z)) + err)
+        hi = s
+    return hi, lo
+
+
+def pairwise_dot2_quadratic_form(A, v) -> np.ndarray:
+    """Re(v^H A v) per stacked matrix by Dot2 (Ogita, Rump & Oishi, 2005).
+
+    w = A v is formed column by column as (hi, lo) pairs on (..., 2, M)
+    stacks of (Re w, Im w), every TwoProduct splitting its factors anew;
+    then sum_i Re(v_i) Re(w_i) + Im(v_i) Im(w_i) over the hi parts, with v
+    times the lo parts added to the error term.
+    """
+    A = np.asarray(A)
+    v = np.asarray(v)
+    P = np.asarray(A.real, dtype=np.float64)
+    S = np.asarray(A.imag, dtype=np.float64)
+    a = np.asarray(v.real, dtype=np.float64)
+    b = np.asarray(v.imag, dtype=np.float64)
+    # (Re w, Im w) += (P_:j, P_:j) (a_j, b_j) + (-S_:j, S_:j) (b_j, a_j)
+    blocks = ((P, P, a, b), (-S, S, b, a))
+    w_hi, w_lo = _dot2((np.stack([C[..., :, j], D[..., :, j]], axis=-2),
+                        np.stack([x[..., j], y[..., j]], axis=-1)[..., None])
+                       for j in range(a.shape[-1]) for C, D, x, y in blocks)
+    hi, lo = _dot2((x[..., i], w_hi[..., k, i])
+                   for k, x in enumerate((a, b)) for i in range(a.shape[-1]))
+    return hi + (lo + (a * w_lo[..., 0, :] + b * w_lo[..., 1, :]).sum(axis=-1))

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import pairwise_dot2_quadratic_form
+
 from gsmsep.linalg import (
     COND_LIMIT,
     MAX_DIM,
@@ -174,6 +176,24 @@ def exact_quadratic_form(A, v) -> float:
     return float(total)
 
 
+def ill_conditioned_stack(dim: int):
+    """50 Hermitian (dim, dim) matrices with eigenvalue spread up to 1e20,
+    and v along each one's smallest eigenvector: the form is up to 1e-20
+    of the largest terms, so every digit it keeps comes from the
+    compensation."""
+    rng = np.random.default_rng(40 + dim)
+    A, v = [], []
+    for _ in range(50):
+        spread = rng.uniform(0.0, 20.0)
+        eigvals = 10.0 ** rng.uniform(-spread, 0.0, dim)
+        eigvals[0], eigvals[-1] = 10.0 ** -spread, 1.0
+        Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        U = np.linalg.qr(Z)[0]
+        A.append((U * eigvals) @ U.conj().T)
+        v.append(U[:, 0])
+    return np.array(A), np.array(v)
+
+
 class TestCompensatedQuadraticForm:
     def test_identity_gives_squared_norm(self):
         v = np.array([3.0 + 4.0j, 1.0 - 2.0j])
@@ -209,20 +229,8 @@ class TestCompensatedQuadraticForm:
 
     @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
     def test_ill_conditioned_hermitian_matches_exact_oracle(self, dim):
-        # Hermitian with eigenvalue spread up to 1e20 and v along the
-        # smallest eigenvector: the form is up to 1e-20 of the largest
-        # terms, so every digit it keeps comes from the compensation
-        rng = np.random.default_rng(40 + dim)
-        A, v = [], []
-        for _ in range(50):
-            spread = rng.uniform(0.0, 20.0)
-            eigvals = 10.0 ** rng.uniform(-spread, 0.0, dim)
-            eigvals[0], eigvals[-1] = 10.0 ** -spread, 1.0
-            Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            U = np.linalg.qr(Z)[0]
-            A.append((U * eigvals) @ U.conj().T)
-            v.append(U[:, 0])
-        got = compensated_quadratic_form(np.array(A), np.array(v))
+        A, v = ill_conditioned_stack(dim)
+        got = compensated_quadratic_form(A, v)
         for k in range(len(A)):
             want = exact_quadratic_form(A[k], v[k])
             assert abs(got[k] - want) <= 1e-12 * abs(want)
@@ -248,6 +256,35 @@ class TestCompensatedQuadraticForm:
             compensated_quadratic_form(np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match="shape mismatch"):
             compensated_quadratic_form(np.ones((2, 3)), np.ones(3))
+
+
+class TestSameBitsAsPairwiseDot2:
+    """The stack-innermost kernel against Dot2 on the matrices' own
+    (..., 2, M) layout (`oracles.pairwise_dot2_quadratic_form`): the same
+    operations in the same order, so the same bits, not a tolerance."""
+
+    @pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    @pytest.mark.parametrize("complex_input", [True, False])
+    def test_random_stacks(self, dim, shape, complex_input):
+        rng = np.random.default_rng(dim + 10 * len(shape))
+        # entries over 16 decades, so the error terms carry real digits
+        A = rng.standard_normal(shape + (dim, dim)) * 10.0 ** rng.integers(
+            -8, 8, shape + (dim, dim))
+        v = rng.standard_normal(shape + (dim,))
+        if complex_input:
+            A = A + 1j * rng.standard_normal(shape + (dim, dim))
+            v = v + 1j * rng.standard_normal(shape + (dim,))
+        got = compensated_quadratic_form(A, v)
+        want = pairwise_dot2_quadratic_form(A, v)
+        assert np.shape(got) == np.shape(want) == shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+    def test_ill_conditioned_stacks(self, dim):
+        A, v = ill_conditioned_stack(dim)
+        assert np.array_equal(compensated_quadratic_form(A, v),
+                              pairwise_dot2_quadratic_form(A, v))
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, MAX_DIM))

@@ -48,6 +48,7 @@ from gsmsep.optimizer import (
     update_q,
     update_w,
     weighted_covariances,
+    _unpack_hermitian,
 )
 from gsmsep.stft import StftConfig, stft_forward
 from oracles import log_marginal_density
@@ -306,9 +307,9 @@ class TestUpdateQ:
             out = update_q(params, outer_products(X)[0], cache)
 
         Q = params.Q.copy()
-        V_FMMM = weighted_covariances(outer_products(X)[0], cache)
+        R_FPM = weighted_covariances(outer_products(X)[0], cache)
         for m in range(3):
-            V = V_FMMM[:, m]
+            V = _unpack_hermitian(R_FPM[:, :, m])
             QV = np.matmul(Q, V)
             for f in range(9):
                 try:
@@ -333,9 +334,9 @@ class TestUpdateQ:
         out = update_q(params, outer_products(X)[0], cache)
 
         Q = params.Q.copy()
-        V_FMMM = weighted_covariances(outer_products(X)[0], cache)
+        R_FPM = weighted_covariances(outer_products(X)[0], cache)
         for row in range(m):
-            V = V_FMMM[:, row]
+            V = _unpack_hermitian(R_FPM[:, :, row])
             q = np.linalg.solve(np.matmul(Q, V), np.eye(m)[:, row:row + 1])[..., 0]
             scale = linalg.compensated_quadratic_form(V, q)
             Q[:, row] = (q / np.sqrt(scale)[:, None]).conj()
@@ -378,7 +379,7 @@ class TestOuterProducts:
         assert np.all(S[:, :m] >= 0)
         np.testing.assert_allclose(gram, S.sum(axis=(0, 2)), rtol=1e-13)
 
-        V = weighted_covariances(S, cache)
+        V = _unpack_hermitian(weighted_covariances(S, cache).transpose(0, 2, 1))
         assert V.shape == (5, m, m, m)
         np.testing.assert_array_equal(V, V.conj().swapaxes(-1, -2))
         diagonal = V[..., np.arange(m), np.arange(m)]
@@ -602,9 +603,9 @@ class TestRunGuards:
         calls = []
         real = optimizer.log_marginal_from_s
 
-        def nan_on_third(s, m_dims, variant):
+        def nan_on_third(s, m_dims, variant, *log_y):
             calls.append(None)
-            value, inv_phi = real(s, m_dims, variant)
+            value, inv_phi = real(s, m_dims, variant, *log_y)
             return (value * np.nan if len(calls) == 3 else value), inv_phi
 
         monkeypatch.setattr(optimizer, "log_marginal_from_s", nan_on_third)
