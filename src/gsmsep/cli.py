@@ -200,8 +200,9 @@ def _run_bench_entry(parsed: tuple) -> SeparationReport:
 
 
 def _worker_pool(workers: int):
-    """`bench --workers` processes, spawned; each runs frequency blocks on
-    one thread (`model.run_blocks_serially`), so N do not oversubscribe."""
+    """`bench --workers` processes, spawned; each runs frequency blocks and
+    `update_q` on one thread (`model.run_blocks_serially`), so N do not
+    oversubscribe."""
     import concurrent.futures
     import multiprocessing
 

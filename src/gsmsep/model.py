@@ -342,7 +342,8 @@ def freq_blocks(n_freq: int, bytes_per_freq: int) -> list[slice]:
 
 
 def run_blocks_serially() -> None:
-    """Turn the helper thread off: `map_blocks` runs every block on its caller."""
+    """Turn the helper thread off: `map_blocks` runs every block on its
+    caller, and `optimizer.iterate` forks no `update_q` twin."""
     global _HELPER
     _HELPER = None
 

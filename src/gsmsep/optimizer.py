@@ -13,11 +13,21 @@ next E-step takes it as it is.  The Q update's weighted covariances V_fm
 are weighted sums of the outer products x_ft x_ft^H, which do not change
 during a run: `iterate` builds their real statistics once, checks the
 channel layout from their sums, and each `update_q` weighs them for every
-m with one real matrix product.  The mixture and every per-bin array are
+m with one real matrix product.  Wherever `map_blocks` has its helper
+thread (Linux, two or more CPUs, not a forked or spawned worker),
+`iterate` forks one twin process after building them, and each
+`update_q` sweeps the lower half of the frequencies (V, solves, scales)
+on the caller and the upper half in the twin, each on one thread.  Its
+~4,400 short numpy calls per iteration at M = 8 each take the GIL, so
+two threads ran slower than one; two processes have a GIL each.  The
+twin reads S through the fork's copy-on-write pages and y~ and E[1/phi]
+from the run's cache arrays, which are allocated once in shared
+anonymous memory before the fork; Q's rows go in and out through a small
+shared buffer.  The mixture and every per-bin array are
 channel-major, (F, M, T), so each contraction over m or n (G~ against
 the ratios, G~ transposed against lambda, Q_f against x) is a batched
 matrix product on contiguous rows of t.  Every other per-bin stage (y~, the W, H
-and G~ updates, the outer products and V, the likelihood's projection,
+and G~ updates, the outer products, the likelihood's projection,
 |Q x|^2, s and sum_m log y~, and the prior's statistics of s) runs over
 `map_blocks`: the caller and one helper thread take blocks whose
 temporaries fit the per-thread cache budget.  The H and G~ updates add
@@ -39,17 +49,24 @@ never swallowed, and a non-finite likelihood raises ArithmeticError.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import mmap
+import os
+import pickle
+import signal
 import warnings
 from typing import Iterator
 
 import numpy as np
 
-from . import linalg
+from . import linalg, model
 from .model import (
     ModelParams,
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
+    freq_blocks,
     init_params,
     map_blocks,
     normalize,
@@ -127,18 +144,21 @@ def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
 
 
 def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
-           floor: float, cache: EStepCache | None = None) -> EStepCache:
+           floor: float, cache: EStepCache | None = None,
+           buffers: EStepCache | None = None) -> EStepCache:
     """Posterior E[1/phi] and z^ at params, with y~ floored at `floor`
     (a run's is DEFAULT_FLOOR times the mixture's `power_scale`).
 
     `cache`, when given, must be the one `log_likelihood` returned for the
-    same (X_FMT, params, floor); it is returned as it is.
+    same (X_FMT, params, floor); it is returned as it is.  Otherwise the
+    new cache is written into the arrays of `buffers`, when given, as in
+    `log_likelihood`.
     """
     expected = (params.n_freq, params.n_channels, params.n_frames)
     if X_FMT.shape != expected:
         raise ValueError(f"mixture shape {X_FMT.shape} inconsistent with params {expected}")
     if cache is None:
-        z_tilde, y_tilde, s, _ = _project(X_FMT, params, floor, log_y=False)
+        z_tilde, y_tilde, s, _ = _project(X_FMT, params, floor, buffers, log_y=False)
         # E[1/phi] is written over s, and the unused log marginal over zeros
         cache = _cache(z_tilde, y_tilde, inv_phi_from_s(
             s, params.n_channels, variant, np.zeros(s.shape)))
@@ -218,7 +238,7 @@ def outer_products(X_FMT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     it is in cache and folded in block order, are the channel guard's Gram.
     """
     n_freq, n_chan, n_frames = X_FMT.shape
-    upper, lower = np.triu_indices(n_chan, k=1)
+    _, upper, lower = _hermitian_indices(n_chan)
     S_FPT = np.empty((n_freq, n_chan * n_chan, n_frames))
     gram_P = np.zeros(n_chan * n_chan)
 
@@ -233,13 +253,23 @@ def outer_products(X_FMT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S_FPT, gram_P
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_indices(n_chan: int) -> tuple:
+    # (diagonal, upper, lower) index arrays of an M x M matrix, formed once
+    # per M (forming them took a fixed few tens of us per unpacked row) and
+    # read-only, as every caller shares them
+    indices = (np.arange(n_chan),) + np.triu_indices(n_chan, k=1)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
 def _unpack_hermitian(R_P: np.ndarray, out=None) -> np.ndarray:
     # (..., M^2) `outer_products` rows -> (..., M, M), mirrored exactly, into
     # `out` if given: complex, of that shape, with a real diagonal
     n_chan = round(R_P.shape[-1] ** 0.5)
     A_MM = np.zeros(R_P.shape[:-1] + (n_chan, n_chan), dtype=np.complex128) if out is None else out
-    diag = np.arange(n_chan)
-    upper, lower = np.triu_indices(n_chan, k=1)
+    diag, upper, lower = _hermitian_indices(n_chan)
     A_MM.real[..., diag, diag] = R_P[..., :n_chan]
     A_MM.real[..., upper, lower] = A_MM.real[..., lower, upper] = R_P[..., n_chan::2]
     A_MM.imag[..., upper, lower] = R_P[..., n_chan + 1::2]
@@ -272,34 +302,24 @@ def check_channel_layout(gram_P: np.ndarray, n_bins: int) -> float:
 def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
     """V_fm = (1/T) sum_t inv_phi_ft x_ft x_ft^H / y~_ftm for every m, as
     (F, M^2, M) `outer_products` rows, from one batched real product
-    S @ (inv_phi / y~) per frequency block.  Column m, unpacked by
+    S @ (inv_phi / y~) per frequency block, all on the calling thread
+    (`update_q` runs beside a twin process).  Column m, unpacked by
     `_unpack_hermitian`, is the (F, M, M) stack of V_fm: Hermitian bit for
     bit, with real nonnegative diagonals."""
     n_freq, n_chan, n_frames = cache.y_tilde.shape
     R_FPM = np.empty((n_freq, n_chan * n_chan, n_chan))
-
-    def block_body(block):  # no (F, M, T) weight is formed
-        weight_BMT = cache.inv_phi[block, None] / cache.y_tilde[block]
+    for block in freq_blocks(n_freq, 8 * n_frames * n_chan * (n_chan + 1)):
+        weight_BMT = cache.inv_phi[block, None] / cache.y_tilde[block]  # no (F, M, T) weight
         np.matmul(S_FPT[block], weight_BMT.transpose(0, 2, 1), out=R_FPM[block])
         R_FPM[block] /= n_frames
-    map_blocks(block_body, n_freq, 8 * n_frames * n_chan * (n_chan + 1))
     return R_FPM
 
 
-def update_q(params: ModelParams, S_FPT: np.ndarray,
-             cache: EStepCache) -> ModelParams:
-    """Iterative projection on every row of every Q_f.
-
-    V_fm comes from the per-run statistics S_FPT = `outer_products(X)`
-    through `weighted_covariances`, one row m's stack unpacked at a time,
-    then q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, for
-    m = 1..M in order.  The rescale factor is evaluated in compensated
-    arithmetic so the unit quadratic form survives ill-conditioned V.  A
-    singular system or a degenerate scale leaves that row untouched; each
-    kind is reported in at most one warning per call, with its row count.
-    """
-    n_freq, n_chan = params.n_freq, params.n_channels
-    Q_FMM = params.Q.copy()
+def _project_rows(Q_FMM: np.ndarray, S_FPT: np.ndarray, cache: EStepCache) -> dict:
+    # `update_q`'s sweep over the frequencies of its arguments, writing Q_FMM
+    # in place; returns the frequencies of the kept rows per kind, one
+    # entry per (f, m) row
+    n_freq, n_chan, _ = Q_FMM.shape
     kept = {"singular diagonalizer system": [], "degenerate projection scale": []}
     R_FPM = weighted_covariances(S_FPT, cache)
     V_FMM = np.zeros_like(Q_FMM)
@@ -321,15 +341,48 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
         # cond(V) past ~1e6
         scale_F = linalg.compensated_quadratic_form(V_FMM, q_FM)
         degenerate_F = ~(np.isfinite(scale_F) & (scale_F > 0)) & ~bad_F
-        kept["singular diagonalizer system"].extend(np.nonzero(bad_F)[0])
-        kept["degenerate projection scale"].extend(np.nonzero(degenerate_F)[0])
+        kept["singular diagonalizer system"].extend(np.nonzero(bad_F)[0].tolist())
+        kept["degenerate projection scale"].extend(np.nonzero(degenerate_F)[0].tolist())
         keep_F = bad_F | degenerate_F
         safe_scale_F = np.where(keep_F, 1.0, scale_F)
         row_FM = (q_FM / np.sqrt(safe_scale_F)[:, None]).conj()
         Q_FMM[:, m, :] = np.where(keep_F[:, None], Q_FMM[:, m, :], row_FM)
+    return kept
+
+
+def update_q(params: ModelParams, S_FPT: np.ndarray, cache: EStepCache,
+             twin: _Twin | None = None) -> ModelParams:
+    """Iterative projection on every row of every Q_f.
+
+    V_fm comes from the per-run statistics S_FPT = `outer_products(X)`
+    through `weighted_covariances`, one row m's stack unpacked at a time,
+    then q_fm <- (Q_f V_fm)^-1 e_m rescaled to q_fm^H V_fm q_fm = 1, for
+    m = 1..M in order.  The rescale factor is evaluated in compensated
+    arithmetic so the unit quadratic form survives ill-conditioned V.  A
+    singular system or a degenerate scale leaves that row untouched; each
+    kind is reported in at most one warning per call, with its row count.
+
+    With `twin`, the `_Twin` forked for S_FPT and this cache's arrays, the
+    frequencies from twin.start on are swept in the twin while the caller
+    sweeps those below.  Every frequency's arithmetic is the same, so the
+    bits are too, and the warnings are those of the whole sweep.
+    """
+    Q_FMM = params.Q.copy()
+    if twin is None:
+        kept, caught = _project_rows(Q_FMM, S_FPT, cache), []
+    else:
+        twin.start_sweep(Q_FMM)
+        below = slice(0, twin.start)
+        kept = _project_rows(Q_FMM[below], S_FPT[below], EStepCache(
+            cache.y_tilde[below], cache.inv_phi[below], cache.z_hat[below]))
+        twin_kept, caught = twin.finish_sweep(Q_FMM)
+        for kind, rows_f in twin_kept.items():
+            kept[kind].extend(rows_f)
+    for category, message in caught:  # numpy's warnings in the twin's sweep
+        warnings.warn(message, category, stacklevel=2)
     for kind, rows_f in kept.items():
         if rows_f:
-            freqs = sorted({int(f) for f in rows_f})
+            freqs = sorted(set(rows_f))
             shown = ", ".join(map(str, freqs[:5])) + (", ..." if len(freqs) > 5 else "")
             warnings.warn(
                 f"{kind} at {len(rows_f)} (f, m) rows (f = {shown});"
@@ -338,6 +391,123 @@ def update_q(params: ModelParams, S_FPT: np.ndarray,
                 stacklevel=2,
             )
     return dataclasses.replace(params, Q=Q_FMM)
+
+
+def _shared_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
+    # an array in shared anonymous memory: a process forked after this
+    # sees the caller's writes to it, and the caller the process's
+    size = math.prod(shape)
+    pages = mmap.mmap(-1, max(1, size * np.dtype(dtype).itemsize))
+    return np.frombuffer(pages, dtype, size).reshape(shape)
+
+
+def _shared_buffers(shape: tuple) -> EStepCache:
+    """An E-step cache's arrays for an (F, M, T) mixture, y~ and E[1/phi] in
+    shared memory (`_Twin` reads them), z^ private; unwritten."""
+    return EStepCache(_shared_empty(shape), _shared_empty(shape[::2]), np.empty(shape))
+
+
+class _Twin:
+    """A forked process that runs `update_q`'s sweep over the upper half of
+    the frequencies, [F // 2, F), while the caller sweeps the lower half.
+
+    It is forked once per run, after `outer_products`: it reads S_FPT
+    through the fork's copy-on-write pages, and y~ and E[1/phi] from
+    `buffers`, which `_shared_buffers` allocated in shared memory and which
+    the run's E-step caches are written into.  Q's upper rows go in and
+    out through a small shared buffer.  One pipe carries go (the caller's
+    numpy error state) to the twin, the other done (the kept rows and
+    numpy's warnings, or the exception raised) back.  The twin ignores
+    SIGINT, never warns or prints, and leaves by os._exit once the caller
+    sends None or closes its pipe; `close` does both and reaps it.  After
+    an exception in `update_q` the twin is only closed, not used again.
+    """
+
+    def __init__(self, S_FPT: np.ndarray, buffers: EStepCache):
+        n_freq, n_chan, _ = buffers.y_tilde.shape
+        self.start = n_freq // 2
+        self.Q = _shared_empty((n_freq - self.start, n_chan, n_chan), np.complex128)
+        # SIGINT stays blocked until the twin ignores it, so a Ctrl-C at the
+        # fork cannot raise KeyboardInterrupt in the twin
+        self.pid, fds = None, []
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns of a fork in a multi-threaded process.
+                # It is safe here: every map_blocks returns only after its
+                # helper thread finished, so the helper is idle and holds no
+                # lock, and the twin runs only numpy and LAPACK and imports
+                # nothing
+                warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        finally:
+            if self.pid != 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        go_read, go_write, done_read, done_write = fds
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                os.close(go_write)
+                os.close(done_read)
+                upper = slice(self.start, None)
+                self._serve(os.fdopen(go_read, "rb"), os.fdopen(done_write, "wb"),
+                            S_FPT[upper], EStepCache(buffers.y_tilde[upper],
+                                                     buffers.inv_phi[upper], None))
+            finally:
+                os._exit(0)
+        os.close(go_read)
+        os.close(done_write)
+        self._go, self._done = os.fdopen(go_write, "wb"), os.fdopen(done_read, "rb")
+
+    def _serve(self, go, done, S_FPT, cache) -> None:
+        # the twin's loop: one sweep of its rows per go, until None or EOF
+        while (errors := pickle.load(go)) is not None:
+            try:
+                with np.errstate(**errors), warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    kept = _project_rows(self.Q, S_FPT, cache)
+                reply = kept, [(w.category, str(w.message)) for w in caught]
+            except Exception as error:  # re-raised by the caller
+                reply = error
+            pickle.dump(reply, done)
+            done.flush()
+
+    def start_sweep(self, Q_FMM: np.ndarray) -> None:
+        """Hand the twin Q_FMM's rows from self.start on, and let it sweep them."""
+        self.Q[...] = Q_FMM[self.start:]
+        pickle.dump(np.geterr(), self._go)
+        self._go.flush()
+
+    def finish_sweep(self, Q_FMM: np.ndarray) -> tuple[dict, list]:
+        """Wait for the twin's sweep and write its rows into Q_FMM; returns
+        the frequencies of its kept rows per kind and numpy's warnings as
+        (category, message), or raises what the twin raised."""
+        try:
+            reply = pickle.load(self._done)
+        except EOFError:
+            raise ChildProcessError(f"update_q's twin process {self.pid} exited") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        Q_FMM[self.start:] = self.Q
+        kept, caught = reply
+        return {kind: [f + self.start for f in rows_f] for kind, rows_f in kept.items()}, caught
+
+    def close(self) -> None:
+        """Stop the twin and wait for it to exit."""
+        try:
+            pickle.dump(None, self._go)
+            self._go.close()
+        except BrokenPipeError:  # it has gone already
+            pass
+        self._done.close()
+        os.waitpid(self.pid, 0)
 
 
 def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
@@ -370,44 +540,59 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
     linearly dependent channels ChannelLayoutError; zero iterations solve no
     Q and check nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
     `power_scale`.  Under cfg.rank1 the G~ update, and the y~ refresh after
-    it, are skipped.  A non-finite likelihood raises ArithmeticError naming
+    it, are skipped.  Where `map_blocks` has its helper thread, `update_q`
+    shares its rows with a `_Twin` process, reaped when the generator ends,
+    raises or is closed.  A non-finite likelihood raises ArithmeticError naming
     its iteration; a decrease beyond the monotone slack warns.
     """
-    previous = cache = S_FPT = None
+    previous = cache = S_FPT = buffers = twin = None
     if cfg.iterations > 0:
         linalg.as_square_stack(params.Q)  # the channel cap, before any work
         with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses overflow
             S_FPT, gram_P = outer_products(X_FMT)  # update_q's statistics, the guard's Gram
             floor = DEFAULT_FLOOR * check_channel_layout(gram_P, X_FMT.shape[0] * X_FMT.shape[2])
-    for iteration in range(cfg.iterations):
-        # e_step opens and log_likelihood closes every iteration, both
-        # looked up in this module's globals (as are inv_phi_from_s and
-        # log_marginal_from_s): sepbench's tracer wraps them by name and
-        # delimits iterations by these two calls
-        cache = e_step(X_FMT, params, cfg.variant, floor, cache=cache)
+        if model._HELPER is not None and X_FMT.shape[0] >= 2:
+            # where map_blocks has its helper, update_q shares its rows with
+            # a twin process, forked before the run's private arrays exist
+            buffers = _shared_buffers(X_FMT.shape)
+            try:
+                twin = _Twin(S_FPT, buffers)
+            except OSError:  # no process could be forked: the same bits serially
+                pass
+    try:
+        for iteration in range(cfg.iterations):
+            # e_step opens and log_likelihood closes every iteration, both
+            # looked up in this module's globals (as are inv_phi_from_s and
+            # log_marginal_from_s): sepbench's tracer wraps them by name and
+            # delimits iterations by these two calls
+            cache = e_step(X_FMT, params, cfg.variant, floor, cache=cache, buffers=buffers)
 
-        # each refresh writes over the y~ the update before it read, and the
-        # likelihood over the whole cache, once the M-step is done with it
-        params = update_w(params, cache)
-        compute_ytilde(params, floor, out=cache.y_tilde)
-        params = update_h(params, cache)
-        compute_ytilde(params, floor, out=cache.y_tilde)
-        if not cfg.rank1:  # rank-1 keeps G~ at the identity
-            params = update_g(params, cache)
+            # each refresh writes over the y~ the update before it read, and
+            # the likelihood over the whole cache, once the M-step is done
+            # with it
+            params = update_w(params, cache)
             compute_ytilde(params, floor, out=cache.y_tilde)
-        params = update_q(params, S_FPT, cache)
+            params = update_h(params, cache)
+            compute_ytilde(params, floor, out=cache.y_tilde)
+            if not cfg.rank1:  # rank-1 keeps G~ at the identity
+                params = update_g(params, cache)
+                compute_ytilde(params, floor, out=cache.y_tilde)
+            params = update_q(params, S_FPT, cache, twin)
 
-        params = normalize(params)
-        ll, cache = log_likelihood(X_FMT, params, cfg.variant, floor, cache)
-        if not np.isfinite(ll):
-            raise ArithmeticError(
-                f"log-likelihood is {ll} at iteration {iteration}")
-        if previous is not None and ll < previous - MONOTONE_SLACK * abs(previous):
-            warnings.warn(f"log-likelihood decreased beyond slack at iteration"
-                          f" {iteration}: {previous:.6f} -> {ll:.6f}",
-                          RuntimeWarning, stacklevel=2)
-        previous = ll
-        yield params, ll
+            params = normalize(params)
+            ll, cache = log_likelihood(X_FMT, params, cfg.variant, floor, cache)
+            if not np.isfinite(ll):
+                raise ArithmeticError(
+                    f"log-likelihood is {ll} at iteration {iteration}")
+            if previous is not None and ll < previous - MONOTONE_SLACK * abs(previous):
+                warnings.warn(f"log-likelihood decreased beyond slack at iteration"
+                              f" {iteration}: {previous:.6f} -> {ll:.6f}",
+                              RuntimeWarning, stacklevel=2)
+            previous = ll
+            yield params, ll
+    finally:  # at the end, on any error, or when the caller closes the generator
+        if twin is not None:
+            twin.close()
 
 
 def run(X_FMT: np.ndarray,

@@ -87,8 +87,8 @@ def instrumented_run(X_FMT, cfg):
     real_update_q = optimizer.update_q
     ip_devs = []
 
-    def recording_update_q(params, S, cache):
-        params = real_update_q(params, S, cache)
+    def recording_update_q(params, S, cache, *args):  # args: iterate's twin
+        params = real_update_q(params, S, cache, *args)
         ip_devs.append(unit_quadratic_deviation(params, S, cache))
         return params
 

@@ -1,15 +1,19 @@
 """Tests for `model.map_blocks`: frequency blocks shared by the calling
-thread and one helper thread.
+thread and one helper thread, and for `update_q`'s twin process, which
+runs wherever the helper does.
 
 Every blocked stage must give the bits the serial loop gives.  An error
 in either thread must reach the caller only after both threads have
 stopped, the helper must see the caller's `np.errstate`, no function that
 sepbench's tracer wraps may run off the calling thread, and `gsmsep
-bench` worker processes must run their blocks on one thread.
+bench` worker processes must run their blocks on one thread.  A run with
+the twin must give the serial run's bits and warnings, and leave no
+process behind however it ends.
 """
 
 import concurrent.futures
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -332,3 +336,180 @@ def test_bench_workers_run_blocks_on_one_thread():
     with cli._worker_pool(1) as pool:
         threads, worker = pool.submit(_block_threads).result()
     assert threads == {worker}
+
+
+def random_mixture(rng, f, m, t):
+    return rng.standard_normal((f, m, t)) + 1j * rng.standard_normal((f, m, t))
+
+
+@pytest.fixture
+def twins(helper, monkeypatch):
+    """The pids of the processes forked while the helper is present; the
+    test asserts that each was reaped by the time the run ended."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def reaped(pids) -> bool:
+    # waitpid raises for a pid that is no longer a child: it was reaped.
+    # (waitpid(-1) would see the resource tracker of a spawned worker pool)
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+class TestTwin:
+    """`update_q` on two processes against the same run on one."""
+
+    CASES = [((65, 8, 50), GH(gamma=-2.0, rho=15.0, eta=1.0)),  # odd F
+             ((64, 3, 40), StudentT(nu=4.0))]  # even F
+
+    @staticmethod
+    def both_runs(X, cfg, monkeypatch):
+        # (params, trace, warning messages) with the twin, then serially
+        runs = []
+        for pool in (model._HELPER, None):
+            monkeypatch.setattr(model, "_HELPER", pool)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                params, trace = optimizer.run(X, cfg)
+            runs.append((params, trace, [str(w.message) for w in caught]))
+        return runs
+
+    @pytest.mark.parametrize("shape,variant", CASES, ids=["65x8x50-gh", "64x3x40-t"])
+    def test_same_bits_as_one_process(self, shape, variant, twins, monkeypatch):
+        X = random_mixture(np.random.default_rng(shape[0]), *shape)
+        cfg = SeparationConfig(n_sources=shape[1], n_bases=2, iterations=4,
+                               variant=variant, seed=1)
+        (params, trace, caught), (params1, trace1, caught1) = self.both_runs(
+            X, cfg, monkeypatch)
+        assert trace == trace1
+        for name in ("W", "H", "Q", "Gtilde"):
+            assert np.array_equal(getattr(params, name), getattr(params1, name))
+        assert caught == caught1
+        assert len(twins) == 1 and reaped(twins)
+
+    def test_run_on_another_thread(self, twins, monkeypatch):
+        # the twin of a run started off the main thread sets up its signals too
+        X = random_mixture(np.random.default_rng(2), 9, 3, 12)
+        cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=2, seed=0)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            _, trace = pool.submit(optimizer.run, X, cfg).result(timeout=60)
+        monkeypatch.setattr(model, "_HELPER", None)
+        assert trace == optimizer.run(X, cfg)[1]
+        assert len(twins) == 1 and reaped(twins)
+
+    def test_kept_rows_in_both_halves_warn_as_one_process(self, twins, monkeypatch):
+        X = random_mixture(np.random.default_rng(3), 65, 4, 30)
+        X[[3, 50]] = 0.0  # f = 3 is the caller's, f = 50 the twin's
+        cfg = SeparationConfig(n_sources=4, n_bases=2, iterations=3, seed=0)
+        (_, trace, caught), (_, trace1, caught1) = self.both_runs(X, cfg, monkeypatch)
+        assert trace == trace1
+        assert caught == caught1
+        singular = [message for message in caught if message.startswith("singular")]
+        assert len(singular) == cfg.iterations  # one per update_q call
+        assert all("at 8 (f, m) rows (f = 3, 50)" in message for message in singular)
+        assert len(twins) == 1 and reaped(twins)
+
+    def test_twin_warnings_reach_the_caller_and_nothing_prints(self, twins, monkeypatch,
+                                                               capfd):
+        caller, real = os.getpid(), linalg.compensated_quadratic_form
+
+        def warn_in_twin(*args):
+            if os.getpid() != caller:
+                np.log(np.zeros(1))  # numpy's divide warning, under the caller's errstate
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "compensated_quadratic_form", warn_in_twin)
+        X = random_mixture(np.random.default_rng(4), 9, 2, 12)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        steps = optimizer.iterate(X, model.init_params(cfg, X), cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            next(steps)  # forks the twin under the default errstate
+        assert [str(w.message) for w in caught] == ["divide by zero encountered in log"] * 2
+        with np.errstate(divide="raise"):  # the twin follows each call's errstate
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                next(steps)
+        assert capfd.readouterr() == ("", "")
+        assert len(twins) == 1 and reaped(twins)
+
+    @pytest.mark.parametrize("where", ["both", "twin"])
+    def test_error_in_update_q_reaps_the_twin(self, where, twins, monkeypatch):
+        caller, real = os.getpid(), linalg.compensated_quadratic_form
+
+        def fail(*args):
+            if where == "both" or os.getpid() != caller:
+                raise LookupError(f"failed in {where}")
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "compensated_quadratic_form", fail)
+        X = random_mixture(np.random.default_rng(5), 9, 2, 12)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        with pytest.raises(LookupError, match=f"^failed in {where}$"):
+            optimizer.run(X, cfg)
+        assert len(twins) == 1 and reaped(twins)
+
+    def test_non_finite_likelihood_reaps_the_twin(self, twins, monkeypatch):
+        real = optimizer.log_marginal_from_s
+
+        def nan(s, m_dims, variant, *log_y):
+            value, inv_phi = real(s, m_dims, variant, *log_y)
+            return value * np.nan, inv_phi
+
+        monkeypatch.setattr(optimizer, "log_marginal_from_s", nan)
+        X = random_mixture(np.random.default_rng(6), 9, 2, 12)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        with pytest.raises(ArithmeticError, match="at iteration 0"):
+            optimizer.run(X, cfg)
+        assert len(twins) == 1 and reaped(twins)
+
+    def test_closing_the_generator_reaps_the_twin(self, twins):
+        X = random_mixture(np.random.default_rng(7), 9, 2, 12)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        steps = optimizer.iterate(X, model.init_params(cfg, X), cfg)
+        next(steps)
+        assert len(twins) == 1 and not reaped(twins)
+        steps.close()
+        assert reaped(twins)
+
+    def test_no_fork_runs_serially(self, helper, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        X = random_mixture(np.random.default_rng(9), 9, 2, 12)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=2, seed=0)
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", no_fork)
+        _, trace = optimizer.run(X, cfg)
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe left open
+        monkeypatch.setattr(model, "_HELPER", None)
+        assert trace == optimizer.run(X, cfg)[1]
+
+    def test_twin_ignores_sigint(self, helper):
+        X = random_mixture(np.random.default_rng(8), 9, 3, 12)
+        cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
+        params = model.init_params(cfg, X)
+        S = optimizer.outer_products(X)[0]
+        buffers = optimizer._shared_buffers(X.shape)
+        cache = optimizer.e_step(X, params, cfg.variant, 1e-10, buffers=buffers)
+        twin = optimizer._Twin(S, buffers)
+        try:
+            os.kill(twin.pid, signal.SIGINT)
+            time.sleep(0.05)
+            with_twin = optimizer.update_q(params, S, cache, twin)
+        finally:
+            twin.close()
+        assert np.array_equal(with_twin.Q, optimizer.update_q(params, S, cache).Q)
+        assert reaped([twin.pid])
