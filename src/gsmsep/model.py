@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextvars
 import dataclasses
+import functools
 import math
 import numbers
 import os
@@ -343,7 +344,7 @@ def freq_blocks(n_freq: int, bytes_per_freq: int) -> list[slice]:
 
 def run_blocks_serially() -> None:
     """Turn the helper thread off: `map_blocks` runs every block on its
-    caller, and `optimizer.iterate` forks no `update_q` twin."""
+    caller, and `optimizer.iterate` forks no twin process."""
     global _HELPER
     _HELPER = None
 
@@ -355,7 +356,7 @@ if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
     os.register_at_fork(after_in_child=run_blocks_serially)  # threads are not forked
 
 
-def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None) -> list:
+def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None, twin=None) -> list:
     """[body(block) for block in freq_blocks(n_freq, bytes_per_freq)], the
     blocks taken in turn by the caller and the helper thread (the caller
     alone without a helper or with one block).  With `fold`,
@@ -364,8 +365,14 @@ def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None) -> list:
     blocks' terms, not all of them, and has the serial loop's bits.  The
     helper runs in a copy of the caller's context (its `np.errstate`).  After
     a body or fold raises, no thread takes another block, and the helper
-    has stopped before the error propagates."""
+    has stopped before the error propagates.
+
+    With `twin`, an `optimizer._Twin`, the caller takes the lower blocks on
+    its own thread and the twin process the upper ones (`_Twin.map`); body
+    and fold must then pickle, and write only into the twin's memory."""
     blocks, results = freq_blocks(n_freq, bytes_per_freq), []
+    if twin is not None:
+        return twin.map(body, blocks, fold)
     fold = fold or results.append
     lock, order = threading.Lock(), iter(range(len(blocks)))
     done, passed = {}, [0]  # results not yet passed on, and how many were
@@ -407,18 +414,31 @@ def source_psd(params: ModelParams, freqs: slice = slice(None),
                      params.H[sources])
 
 
-def compute_ytilde(params: ModelParams, floor: float,
+def floored_ytilde(params: ModelParams, lambda_BNT: np.ndarray, floor: float,
                    out: np.ndarray | None = None) -> np.ndarray:
+    """y~_BMT = sum_n g~_nm lambda_nbt floored at `floor`, from the (B, N, T)
+    lambda of a frequency block: the one formula of every y~."""
+    return np.maximum(np.matmul(params.Gtilde.T, lambda_BNT), floor, out=out)
+
+
+def _ytilde_block(params: ModelParams, floor: float, y_FMT: np.ndarray, block: slice) -> None:
+    floored_ytilde(params, source_psd(params, block).transpose(1, 0, 2), floor, out=y_FMT[block])
+
+
+def ytilde_bytes(params: ModelParams) -> int:
+    """Bytes per frequency of a block that forms y~ and its reciprocals."""
+    return 8 * params.n_frames * (params.n_sources + params.n_channels)
+
+
+def compute_ytilde(params: ModelParams, floor: float,
+                   out: np.ndarray | None = None, twin=None) -> np.ndarray:
     """y~_FMT = sum_n g~_nm lambda_nft, floored elementwise at `floor`;
-    written into `out` (an (F, M, T) float64 array) when it is given."""
+    written into `out` (an (F, M, T) float64 array) when it is given, which
+    with `twin` must be in the twin's memory (`map_blocks`)."""
     if floor <= 0:
         raise ValueError(f"floor must be > 0, got {floor}")
-    n_frames = params.n_frames
-    y_FMT = np.empty((params.n_freq, params.n_channels, n_frames)) if out is None else out
-
-    def block_body(block):
-        np.maximum(np.matmul(params.Gtilde.T, source_psd(params, block).transpose(1, 0, 2)),
-                   floor, out=y_FMT[block])
-    map_blocks(block_body, params.n_freq,
-               8 * n_frames * (params.n_sources + params.n_channels))
+    y_FMT = np.empty((params.n_freq, params.n_channels, params.n_frames)) if out is None else out
+    shared = params if twin is None else twin.share(params)
+    map_blocks(functools.partial(_ytilde_block, shared, floor, y_FMT), params.n_freq,
+               ytilde_bytes(params), twin=twin)
     return y_FMT

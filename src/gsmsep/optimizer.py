@@ -4,61 +4,74 @@ projection for the diagonalizers, normalization, likelihood tracking.
 `iterate` is the one loop; `run` initializes and collects what it yields.
 Each iteration computes the E-step once (the posterior expectation of the
 inverse impulse variable is held fixed through the M-step), then applies
-the updates of W, H, G~ (not under rank-1) and Q in that order, with the
-model variances y~ refreshed after each, then normalizes and records
-the marginal log-likelihood.  One `log_marginal_from_s` pass gives the
-likelihood both per-bin statistics of the prior, so `log_likelihood` also
-returns the E-step cache (y~, E[1/phi] and z^) at its parameters, and the
-next E-step takes it as it is.  The Q update's weighted covariances V_fm
-are weighted sums of the outer products x_ft x_ft^H, which do not change
-during a run: `iterate` builds their real statistics once, checks the
-channel layout from their sums, and each `update_q` weighs them for every
-m with one real matrix product.  Wherever `map_blocks` has its helper
-thread (Linux, two or more CPUs, not a forked or spawned worker),
-`iterate` forks one twin process after building them, and each
-`update_q` sweeps the lower half of the frequencies (V, solves, scales)
-on the caller and the upper half in the twin, each on one thread.  Its
-~4,400 short numpy calls per iteration at M = 8 each take the GIL, so
-two threads ran slower than one; two processes have a GIL each.  The
-twin reads S through the fork's copy-on-write pages and y~ and E[1/phi]
-from the run's cache arrays, which are allocated once in shared
-anonymous memory before the fork; Q's rows go in and out through a small
-shared buffer.  The mixture and every per-bin array are
-channel-major, (F, M, T), so each contraction over m or n (G~ against
-the ratios, G~ transposed against lambda, Q_f against x) is a batched
-matrix product on contiguous rows of t.  Every other per-bin stage (y~, the W, H
-and G~ updates, the outer products, the likelihood's projection,
-|Q x|^2, s and sum_m log y~, and the prior's statistics of s) runs over
-`map_blocks`: the caller and one helper thread take blocks whose
-temporaries fit the per-thread cache budget.  The H and G~ updates add
-their blocks' sums over f in block order, so two threads give the bits
-one would; the only (F, M, T) arrays a stage holds whole are the cache's
-y~ and z^, and a run allocates them once.  `iterate` is a generator, not
-a step function returning its state, so the E-step cache outlives each
-iteration and its arrays are written over instead of allocated anew:
-each y~ refresh over the y~ the update before it read, and the
-likelihood's y~, z~ (scaled into z^) and s over the cache the M-step has
-finished with.  Freeing the cache every iteration made the allocator
-return its pages to the OS and fault them back in.  Every update
-is an exact maximizer or a multiplicative step on the same minorizing
-bound, so the trace is non-decreasing up to rounding; violations beyond a
-1e-8 relative slack are reported as warnings with their iteration index,
-never swallowed, and a non-finite likelihood raises ArithmeticError.
+the updates of W, H, G~ (not under rank-1) and Q in that order, then
+normalizes and records the marginal log-likelihood.  The H and G~ updates
+form the model variances y~ they read from their own parameters, block by
+block (G~ from the lambda its sums use), so one y~ refresh, before the Q
+update, writes over the y~ the W update read.  One `log_marginal_from_s`
+pass gives the likelihood both per-bin statistics of the prior, so
+`log_likelihood` also returns the E-step cache (y~, E[1/phi] and z^) at
+its parameters, and the next E-step takes it as it is.  The Q update's
+weighted covariances V_fm are weighted sums of the outer products
+x_ft x_ft^H, which do not change during a run: `iterate` builds their
+real statistics once, checks the channel layout from their sums, and each
+`update_q` weighs them for every m with one real matrix product.  The
+mixture and every per-bin array are channel-major, (F, M, T), so each
+contraction over m or n (G~ against the ratios, G~ transposed against
+lambda, Q_f against x) is a batched matrix product on contiguous rows of t.
+
+Every per-bin stage runs over `map_blocks`, in frequency blocks whose
+temporaries fit the per-thread cache budget; only the H and G~ sums over
+f, the normalization and the likelihood's total couple frequencies.
+Wherever `map_blocks` has its helper thread (Linux, two or more CPUs, not
+a forked or spawned worker), `iterate` forks one `_Twin` process after the
+outer products, and during the iterations the caller and the twin each
+run on one thread: of every stage (y~, the W, H and G~ updates, the
+likelihood's projection, prior statistics and cache) the caller takes the
+lower half of the blocks and the twin the upper, and `update_q` sweeps
+frequencies [0, F // 2) on the caller and the rest in the twin.  Its
+~4,400 short numpy calls per iteration at M = 8 each take the GIL, as do
+the few per block of the other stages, so two threads gained little; two
+processes have a GIL each.  The twin reads X and S through the fork's
+copy-on-write pages; the cache, the bin terms, a copy of the parameters
+and the stages' outputs and sums sit in shared memory allocated before
+the fork.  The caller folds each sum over f in block order, and for H the
+twin continues from the caller's partial with the parts it held, so every
+value keeps the bits of one thread; the caller sums the bin terms.  The
+helper thread keeps the STFTs, `outer_products` and the Wiener stage.  The
+only (F, M, T) arrays a stage holds whole are the cache's y~ and z^, and
+a run allocates them once: `iterate` is a generator, not a step function
+returning its state, so the E-step cache outlives each iteration and its
+arrays are written over instead of allocated anew: the y~ refresh over
+the y~ the W update read, and the likelihood's y~, z~ (scaled into z^)
+and s over the cache the M-step has finished with.  Freeing the cache
+every iteration made the allocator return its pages to the OS and fault
+them back in.  Every update is an exact maximizer or a multiplicative step
+on the same minorizing bound, so the trace is non-decreasing up to
+rounding; violations beyond a 1e-8 relative slack are reported as warnings
+with their iteration index, never swallowed, and a non-finite likelihood
+raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import math
 import mmap
+import operator
 import os
 import pickle
 import signal
+import threading
+import time
+import types
 import warnings
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from . import linalg, model
 from .model import (
@@ -66,12 +79,14 @@ from .model import (
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
+    floored_ytilde,
     freq_blocks,
     init_params,
     map_blocks,
     normalize,
     power_scale,
     source_psd,
+    ytilde_bytes,
 )
 from .priors import inv_phi_from_s, log_marginal_from_s
 
@@ -83,6 +98,13 @@ DEFAULT_FLOOR = 1e-10
 # pure guard against 0/0 in the multiplicative ratios; small enough to
 # never alter a denominator that carries information
 _DEN_TINY = np.finfo(np.float64).tiny
+
+# how long the twin and the caller poll for the other's next message
+# before they block on its pipe
+_POLL_S = 2e-3
+
+# distinct commands each side of the twin's pipe keeps pickled
+_MEMO_SIZE = 64
 
 _RANK_TOL = 1e-10  # channel correlation eigenvalue (and eigenvector weight) taken as 0
 
@@ -112,119 +134,170 @@ def project_mixture(X_FMT: np.ndarray, Q_FMM: np.ndarray) -> np.ndarray:
 
 
 def _project(X_FMT: np.ndarray, params: ModelParams, floor: float,
-             buffers: EStepCache | None = None, log_y: bool = True):
-    # (z~, y~, s, sum_m log y~ or None) at params; Q x and the per-bin sums
-    # are formed one frequency block at a time, the sums over m adding the
-    # block's contiguous rows of t.  z~, y~ and s are written over the z^,
-    # y~ and E[1/phi] arrays of `buffers`, or of fresh ones
+             buffers: EStepCache | None = None, log_y_FT: np.ndarray | None = None,
+             twin: _Twin | None = None):
+    # (z~, y~, s) at params, and sum_m log y~ into log_y_FT if given; Q x and
+    # the per-bin sums are formed one frequency block at a time, the sums
+    # over m adding the block's contiguous rows of t.  z~, y~ and s are
+    # written over the z^, y~ and E[1/phi] arrays of `buffers`, or of fresh ones
     n_freq, n_chan, n_frames = X_FMT.shape
     if buffers is None:
         buffers = EStepCache(np.empty(X_FMT.shape), np.empty((n_freq, n_frames)),
                              np.empty(X_FMT.shape))
-    y_tilde = compute_ytilde(params, floor, out=buffers.y_tilde)
-    z_tilde, s_FT = buffers.z_hat, buffers.inv_phi
-    log_y_FT = np.empty((n_freq, n_frames)) if log_y else None
-
-    def block_body(block):
-        z_tilde[block] = np.abs(project_mixture(X_FMT[block], params.Q[block])) ** 2
-        s_FT[block] = (z_tilde[block] / y_tilde[block]).sum(axis=1)
-        if log_y:
-            log_y_FT[block] = np.log(y_tilde[block]).sum(axis=1)
-    map_blocks(block_body, n_freq, 40 * n_frames * n_chan)
-    return z_tilde, y_tilde, s_FT, log_y_FT
+    y_tilde = compute_ytilde(params, floor, buffers.y_tilde, twin)
+    shared = params if twin is None else twin.share(params)
+    map_blocks(functools.partial(_project_block, X_FMT, shared.Q, y_tilde, buffers.z_hat,
+                                 buffers.inv_phi, log_y_FT),
+               n_freq, 40 * n_frames * n_chan, twin=twin)
+    return buffers.z_hat, y_tilde, buffers.inv_phi
 
 
-def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray,
-           inv_phi: np.ndarray) -> EStepCache:
+def _project_block(X_FMT, Q_FMM, y_tilde, z_tilde, s_FT, log_y_FT, block) -> None:
+    z_tilde[block] = np.abs(project_mixture(X_FMT[block], Q_FMM[block])) ** 2
+    s_FT[block] = (z_tilde[block] / y_tilde[block]).sum(axis=1)
+    if log_y_FT is not None:
+        log_y_FT[block] = np.log(y_tilde[block]).sum(axis=1)
+
+
+def _cache(z_tilde: np.ndarray, y_tilde: np.ndarray, inv_phi: np.ndarray,
+           twin: _Twin | None = None) -> EStepCache:
     # z^ is formed in z~'s memory, which nothing else holds, block by block
-    def block_body(block):
-        z_tilde[block] *= inv_phi[block, None]
-    map_blocks(block_body, z_tilde.shape[0], 8 * z_tilde.shape[2] * (z_tilde.shape[1] + 1))
+    map_blocks(functools.partial(_scale_block, z_tilde, inv_phi), z_tilde.shape[0],
+               8 * z_tilde.shape[2] * (z_tilde.shape[1] + 1), twin=twin)
     return EStepCache(y_tilde, inv_phi, z_tilde)
+
+
+def _scale_block(z_tilde, inv_phi, block) -> None:
+    z_tilde[block] *= inv_phi[block, None]
 
 
 def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
            floor: float, cache: EStepCache | None = None,
-           buffers: EStepCache | None = None) -> EStepCache:
+           buffers: EStepCache | None = None, twin: _Twin | None = None) -> EStepCache:
     """Posterior E[1/phi] and z^ at params, with y~ floored at `floor`
     (a run's is DEFAULT_FLOOR times the mixture's `power_scale`).
 
     `cache`, when given, must be the one `log_likelihood` returned for the
     same (X_FMT, params, floor); it is returned as it is.  Otherwise the
     new cache is written into the arrays of `buffers`, when given, as in
-    `log_likelihood`.
+    `log_likelihood`, which with `twin` must be `twin.cache`.
     """
     expected = (params.n_freq, params.n_channels, params.n_frames)
     if X_FMT.shape != expected:
         raise ValueError(f"mixture shape {X_FMT.shape} inconsistent with params {expected}")
     if cache is None:
-        z_tilde, y_tilde, s, _ = _project(X_FMT, params, floor, buffers, log_y=False)
+        z_tilde, y_tilde, s = _project(X_FMT, params, floor, buffers, None, twin)
         # E[1/phi] is written over s, and the unused log marginal over zeros
+        if twin is None:
+            zeros = np.zeros(s.shape)
+        else:
+            zeros = twin.bin_terms
+            zeros.fill(0.0)
         cache = _cache(z_tilde, y_tilde, inv_phi_from_s(
-            s, params.n_channels, variant, np.zeros(s.shape)))
+            s, params.n_channels, variant, zeros, twin), twin)
     return cache
 
 
-def _mu_blocks(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
-    # map_blocks of body(block, y~^-2 z^, y~^-1) over the frequency blocks of
-    # the W, H and G~ updates; y~^-2 z^ is z^ R R with R = y~^-1, as y~^2
-    # itself would leave float64 for y~ beyond 2^+-512
-    def block_body(block):
-        R_BMT = 1.0 / cache.y_tilde[block]
-        return body(block, cache.z_hat[block] * R_BMT * R_BMT, R_BMT)
-    per_freq = 8 * params.n_frames * (params.n_sources + params.n_channels)
-    return map_blocks(block_body, params.n_freq, per_freq, fold)
+def _mu_weights(params: ModelParams, cache: EStepCache, floor: float | None,
+                block: slice, lambda_BNT: np.ndarray | None = None) -> tuple:
+    # (y~^-2 z^, y~^-1) on a block of the W, H and G~ updates, with y~ the
+    # cache's or, given floor, formed at params (from the block's lambda,
+    # if given); y~^-2 z^ is z^ R R with R = y~^-1, as y~^2 itself would
+    # leave float64 for y~ beyond 2^+-512
+    if floor is None:
+        y_BMT = cache.y_tilde[block]
+    else:
+        if lambda_BNT is None:
+            lambda_BNT = source_psd(params, block).transpose(1, 0, 2)
+        y_BMT = floored_ytilde(params, lambda_BNT, floor)
+    R_BMT = 1.0 / y_BMT
+    return cache.z_hat[block] * R_BMT * R_BMT, R_BMT
 
 
-def _mu_ratio_parts(params: ModelParams, cache: EStepCache, body, fold=None) -> list:
-    # body(block, tmp1, tmp2) over the same blocks: the (B, N, T) tmp1
-    # weights carry y~^-2 z^, tmp2 carry y~^-1, contracted over m with G~
-    return _mu_blocks(params, cache, lambda block, P_BMT, R_BMT: body(
-        block, np.matmul(params.Gtilde, P_BMT), np.matmul(params.Gtilde, R_BMT)), fold)
+def _ratio_parts(params: ModelParams, cache: EStepCache, floor: float | None,
+                 block: slice) -> tuple:
+    # the (B, N, T) weights of the W and H updates: tmp1 carries y~^-2 z^,
+    # tmp2 y~^-1, each contracted over m with G~
+    P_BMT, R_BMT = _mu_weights(params, cache, floor, block)
+    return np.matmul(params.Gtilde, P_BMT), np.matmul(params.Gtilde, R_BMT)
 
 
-def update_w(params: ModelParams, cache: EStepCache) -> ModelParams:
+def _zeroed(shape: tuple, shared: np.ndarray | None) -> np.ndarray:
+    # a sum's zeros: in `shared` (the twin's array of that shape), or fresh
+    if shared is None:
+        return np.zeros(shape)
+    shared.fill(0.0)
+    return shared
+
+
+def update_w(params: ModelParams, cache: EStepCache,
+             twin: _Twin | None = None) -> ModelParams:
     """w <- w sqrt(sum_tm h g~ y~^-2 z^ / sum_tm h g~ y~^-1)."""
-    W_NKF = np.empty_like(params.W)
-
-    def block_body(block, tmp1_BNT, tmp2_BNT):
-        numerator = np.matmul(params.H, tmp1_BNT.transpose(1, 2, 0))
-        denominator = np.matmul(params.H, tmp2_BNT.transpose(1, 2, 0))
-        W_NKF[:, :, block] = params.W[:, :, block] * np.sqrt(
-            numerator / np.maximum(denominator, _DEN_TINY))
-    _mu_ratio_parts(params, cache, block_body)
-    return dataclasses.replace(params, W=W_NKF)
+    if twin is None:
+        shared, W_NKF = params, np.empty_like(params.W)
+    else:
+        shared, W_NKF = twin.share(params), twin.W_out
+    map_blocks(functools.partial(_w_block, shared, cache, W_NKF), params.n_freq,
+               ytilde_bytes(params), twin=twin)
+    return dataclasses.replace(params, W=W_NKF if twin is None else W_NKF.copy())
 
 
-def update_h(params: ModelParams, cache: EStepCache) -> ModelParams:
-    """h <- h sqrt(sum_fm w g~ y~^-2 z^ / sum_fm w g~ y~^-1)."""
-    sums = np.zeros((2,) + params.H.shape)  # numerator, denominator
+def _w_block(params: ModelParams, cache: EStepCache, W_NKF: np.ndarray, block: slice) -> None:
+    tmp1_BNT, tmp2_BNT = _ratio_parts(params, cache, None, block)
+    numerator = np.matmul(params.H, tmp1_BNT.transpose(1, 2, 0))
+    denominator = np.matmul(params.H, tmp2_BNT.transpose(1, 2, 0))
+    W_NKF[:, :, block] = params.W[:, :, block] * np.sqrt(
+        numerator / np.maximum(denominator, _DEN_TINY))
 
-    def block_body(block, tmp1_BNT, tmp2_BNT):
-        part = np.empty_like(sums)
-        np.matmul(params.W[:, :, block], tmp1_BNT.transpose(1, 0, 2), out=part[0])
-        np.matmul(params.W[:, :, block], tmp2_BNT.transpose(1, 0, 2), out=part[1])
-        return part
-    _mu_ratio_parts(params, cache, block_body, fold=sums.__iadd__)
+
+def update_h(params: ModelParams, cache: EStepCache, floor: float | None = None,
+             twin: _Twin | None = None) -> ModelParams:
+    """h <- h sqrt(sum_fm w g~ y~^-2 z^ / sum_fm w g~ y~^-1).
+
+    y~ is the cache's or, given `floor`, formed block by block at params
+    and floored there, as `compute_ytilde(params, floor)` would: `iterate`
+    passes it, so the W update's y~ needs no refresh.
+    """
+    sums = _zeroed((2,) + params.H.shape, None if twin is None else twin.h_sums)
+    shared = params if twin is None else twin.share(params)
+    map_blocks(functools.partial(_h_block, shared, cache, floor), params.n_freq,
+               ytilde_bytes(params), functools.partial(operator.iadd, sums), twin)
     H_NKT = params.H * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
     return dataclasses.replace(params, H=H_NKT)
 
 
-def update_g(params: ModelParams, cache: EStepCache) -> ModelParams:
+def _h_block(params: ModelParams, cache: EStepCache, floor: float | None,
+             block: slice) -> np.ndarray:
+    tmp1_BNT, tmp2_BNT = _ratio_parts(params, cache, floor, block)
+    part = np.empty((2,) + params.H.shape)  # numerator, denominator
+    np.matmul(params.W[:, :, block], tmp1_BNT.transpose(1, 0, 2), out=part[0])
+    np.matmul(params.W[:, :, block], tmp2_BNT.transpose(1, 0, 2), out=part[1])
+    return part
+
+
+def update_g(params: ModelParams, cache: EStepCache, floor: float | None = None,
+             twin: _Twin | None = None) -> ModelParams:
     """g~ <- g~ sqrt(sum_ft lambda y~^-2 z^ / sum_ft lambda y~^-1).
 
-    `iterate` does not call it under the rank-1 constraint, where G~ stays
-    the identity `init_params` gave it.
+    y~ is read or formed as in `update_h`, from the same lambda as the
+    sums.  `iterate` does not call it under the rank-1 constraint, where
+    G~ stays the identity `init_params` gave it.
     """
-    sums = np.zeros((2,) + params.Gtilde.shape)  # numerator, denominator
-
-    def block_body(block, P_BMT, R_BMT):  # (B, N, M) terms, summed over b
-        lambda_BNT = source_psd(params, block).transpose(1, 0, 2)
-        return np.stack([np.matmul(lambda_BNT, P_BMT.transpose(0, 2, 1)).sum(axis=0),
-                         np.matmul(lambda_BNT, R_BMT.transpose(0, 2, 1)).sum(axis=0)])
-    _mu_blocks(params, cache, block_body, fold=sums.__iadd__)
+    sums = _zeroed((2,) + params.Gtilde.shape, None if twin is None else twin.g_sums)
+    shared = params if twin is None else twin.share(params)
+    map_blocks(functools.partial(_g_block, shared, cache, floor), params.n_freq,
+               ytilde_bytes(params), functools.partial(operator.iadd, sums), twin)
     G_NM = params.Gtilde * np.sqrt(sums[0] / np.maximum(sums[1], _DEN_TINY))
     return dataclasses.replace(params, Gtilde=G_NM)
+
+
+def _g_block(params: ModelParams, cache: EStepCache, floor: float | None,
+             block: slice) -> np.ndarray:
+    # the block's (2, N, M) numerator and denominator terms, summed over b
+    lambda_BNT = source_psd(params, block).transpose(1, 0, 2)
+    P_BMT, R_BMT = _mu_weights(params, cache, floor, block, lambda_BNT)
+    return np.stack([np.matmul(lambda_BNT, P_BMT.transpose(0, 2, 1)).sum(axis=0),
+                     np.matmul(lambda_BNT, R_BMT.transpose(0, 2, 1)).sum(axis=0)])
 
 
 def outer_products(X_FMT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,24 +435,23 @@ def update_q(params: ModelParams, S_FPT: np.ndarray, cache: EStepCache,
     singular system or a degenerate scale leaves that row untouched; each
     kind is reported in at most one warning per call, with its row count.
 
-    With `twin`, the `_Twin` forked for S_FPT and this cache's arrays, the
-    frequencies from twin.start on are swept in the twin while the caller
-    sweeps those below.  Every frequency's arithmetic is the same, so the
-    bits are too, and the warnings are those of the whole sweep.
+    With `twin`, the `_Twin` forked for S_FPT and holding this cache, the
+    frequencies from twin.q_start = F // 2 on are swept in the twin while
+    the caller sweeps those below.  Every frequency's arithmetic is the
+    same, so the bits are too, and the warnings are those of the whole sweep.
     """
     Q_FMM = params.Q.copy()
     if twin is None:
-        kept, caught = _project_rows(Q_FMM, S_FPT, cache), []
+        kept = _project_rows(Q_FMM, S_FPT, cache)
     else:
-        twin.start_sweep(Q_FMM)
-        below = slice(0, twin.start)
-        kept = _project_rows(Q_FMM[below], S_FPT[below], EStepCache(
-            cache.y_tilde[below], cache.inv_phi[below], cache.z_hat[below]))
-        twin_kept, caught = twin.finish_sweep(Q_FMM)
+        below, upper = slice(0, twin.q_start), slice(twin.q_start, None)
+        twin.q_rows[...] = Q_FMM[upper]
+        kept, twin_kept = twin.beside(
+            lambda: _project_rows(Q_FMM[below], S_FPT[below], _rows(cache, below)),
+            _project_rows, twin.q_rows, S_FPT[upper], _rows(cache, upper))
+        Q_FMM[upper] = twin.q_rows
         for kind, rows_f in twin_kept.items():
-            kept[kind].extend(rows_f)
-    for category, message in caught:  # numpy's warnings in the twin's sweep
-        warnings.warn(message, category, stacklevel=2)
+            kept[kind].extend(f + twin.q_start for f in rows_f)
     for kind, rows_f in kept.items():
         if rows_f:
             freqs = sorted(set(rows_f))
@@ -393,6 +465,10 @@ def update_q(params: ModelParams, S_FPT: np.ndarray, cache: EStepCache,
     return dataclasses.replace(params, Q=Q_FMM)
 
 
+def _rows(cache: EStepCache, freqs: slice) -> EStepCache:
+    return EStepCache(cache.y_tilde[freqs], cache.inv_phi[freqs], cache.z_hat[freqs])
+
+
 def _shared_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     # an array in shared anonymous memory: a process forked after this
     # sees the caller's writes to it, and the caller the process's
@@ -401,32 +477,152 @@ def _shared_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(pages, dtype, size).reshape(shape)
 
 
-def _shared_buffers(shape: tuple) -> EStepCache:
-    """An E-step cache's arrays for an (F, M, T) mixture, y~ and E[1/phi] in
-    shared memory (`_Twin` reads them), z^ private; unwritten."""
-    return EStepCache(_shared_empty(shape), _shared_empty(shape[::2]), np.empty(shape))
+def _poll(counts: np.ndarray, k: int, seen: int) -> bool:
+    # wait up to _POLL_S for counts[k] to pass `seen` before the pipe read
+    # that would block: on a two-vCPU VM a read that slept was woken ~70 us
+    # after the write, which delayed the twin's start of every stage
+    deadline = time.perf_counter() + _POLL_S
+    while counts[k] == seen and time.perf_counter() < deadline:
+        pass
+    return True
+
+
+def _current_cpu(cpus: list) -> int:
+    # the CPU the calling thread runs on (field 39 of its Linux stat), or
+    # else the first of `cpus`
+    try:
+        with open("/proc/thread-self/stat") as stat:
+            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return cpus[0]
+    return cpu if cpu in cpus else cpus[0]
+
+
+def _fingerprint(obj, index: dict):
+    # a hashable key shared by every command that pickles to obj's bytes,
+    # or None: the twin's own objects by index, other arrays by address and
+    # layout, partials, sequences and dataclasses by their items, slices,
+    # scalars, functions and variants by value
+    if (k := index.get(id(obj))) is not None:
+        return k
+    kind = type(obj)
+    if kind in (float, int, str, bool, type(None)):
+        return kind, obj
+    if kind is slice:
+        return kind, obj.start, obj.stop, obj.step
+    if kind in (tuple, list):
+        items = tuple(_fingerprint(item, index) for item in obj)
+        return None if None in items else (kind, items)
+    if kind is functools.partial:
+        args = _fingerprint(obj.args, index)
+        return None if args is None or obj.keywords else (kind, obj.func, args)
+    if kind is np.ndarray:
+        interface = obj.__array_interface__
+        return kind, interface["data"], interface["shape"], interface["strides"], obj.dtype
+    if kind in (EStepCache, ModelParams):
+        fields = _fingerprint(_arrays(obj), index)
+        return None if fields is None else (kind, fields)
+    try:
+        hash(obj)
+    except TypeError:
+        return None
+    return kind, obj
+
+
+def _arrays(instance) -> list:
+    # a dataclass's fields, not copied (as dataclasses.astuple would)
+    return [getattr(instance, field.name) for field in dataclasses.fields(instance)]
+
+
+class _Pickler(pickle.Pickler):
+    # pickles each of the twin's own objects as its index, any other array
+    # in the twin's memory as its address, which is the same in both
+    # processes, and refuses every other array: a copy would take the
+    # twin's writes
+    def __init__(self, file, twin: _Twin):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.twin = twin
+
+    def persistent_id(self, obj):
+        index = self.twin._index.get(id(obj))
+        if index is not None:
+            return index
+        if type(obj) is not np.ndarray or obj.size == 0:
+            return None
+        low, high = byte_bounds(obj)
+        if not any(start <= low and high <= end for start, end in self.twin._bounds):
+            raise pickle.PicklingError(f"a {obj.shape} array outside the twin's memory")
+        interface = obj.__array_interface__
+        return interface["data"], interface["shape"], interface["strides"], interface["typestr"]
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file, twin: _Twin):
+        super().__init__(file)
+        self.twin = twin
+
+    def persistent_load(self, pid):
+        if isinstance(pid, int):
+            return self.twin._objects[pid]
+        data, shape, strides, typestr = pid
+        return np.asarray(types.SimpleNamespace(__array_interface__={
+            "data": data, "shape": shape, "strides": strides, "typestr": typestr, "version": 3}))
 
 
 class _Twin:
-    """A forked process that runs `update_q`'s sweep over the upper half of
-    the frequencies, [F // 2, F), while the caller sweeps the lower half.
+    """A forked process that takes the upper share of every per-bin stage
+    of `iterate` while the caller takes the lower one, each on one thread.
 
-    It is forked once per run, after `outer_products`: it reads S_FPT
-    through the fork's copy-on-write pages, and y~ and E[1/phi] from
-    `buffers`, which `_shared_buffers` allocated in shared memory and which
-    the run's E-step caches are written into.  Q's upper rows go in and
-    out through a small shared buffer.  One pipe carries go (the caller's
-    numpy error state) to the twin, the other done (the kept rows and
-    numpy's warnings, or the exception raised) back.  The twin ignores
-    SIGINT, never warns or prints, and leaves by os._exit once the caller
-    sends None or closes its pipe; `close` does both and reaps it.  After
-    an exception in `update_q` the twin is only closed, not used again.
+    Before the fork it allocates, in shared anonymous memory, the run's
+    E-step cache (`cache`), the (F, T) bin terms, one copy each of W, H, Q
+    and G~ (`share`), the W update's output, the H and G~ sums and
+    `update_q`'s upper rows; it reads X and S through the fork's
+    copy-on-write pages.  Stages hand it work through the pipe "go":
+    `map` gives it the upper half of a stage's `freq_blocks`, `beside`
+    one call, each with the caller's numpy error state.  The twin pickles
+    back through "done" the result and numpy's warnings, which the caller
+    issues, or the exception raised, which the caller re-raises once the
+    twin is idle.  Bodies and folds go by pickle: module-level functions
+    and partials of them, whose arrays lie in the memory above; each
+    distinct command is pickled and unpickled once (`_fingerprint`), and
+    each side polls a shared count of the other's messages for up to
+    _POLL_S before it blocks on the pipe.  The twin
+    ignores SIGINT, never warns or prints, and leaves by os._exit once the
+    caller sends an empty command or closes its pipe; `close` does both and
+    reaps it.  After an exception in a stage the twin is only closed, not
+    used again.  Until `close` the calling thread keeps to the CPU it ran
+    on at the fork and the twin to another of the caller's affinity: woken
+    by a pipe, the twin was placed on its waker's CPU and stayed there, and
+    the two processes ran as one.
     """
 
-    def __init__(self, S_FPT: np.ndarray, buffers: EStepCache):
-        n_freq, n_chan, _ = buffers.y_tilde.shape
-        self.start = n_freq // 2
-        self.Q = _shared_empty((n_freq - self.start, n_chan, n_chan), np.complex128)
+    def __init__(self, X_FMT: np.ndarray, S_FPT: np.ndarray, params: ModelParams):
+        n_freq, n_chan, n_frames = X_FMT.shape
+        self.cache = EStepCache(_shared_empty(X_FMT.shape), _shared_empty((n_freq, n_frames)),
+                                _shared_empty(X_FMT.shape))
+        self.bin_terms = _shared_empty((n_freq, n_frames))
+        self._slots = ModelParams(*(_shared_empty(array.shape, array.dtype) for array in (
+            params.W, params.H, params.Q, params.Gtilde)))
+        self._copied = {}  # slot name -> the array it holds a copy of
+        self.W_out = _shared_empty(params.W.shape)
+        self.h_sums = _shared_empty((2,) + params.H.shape)
+        self.g_sums = _shared_empty((2,) + params.Gtilde.shape)
+        self.q_start = n_freq // 2
+        self.q_rows = _shared_empty((n_freq - self.q_start, n_chan, n_chan), np.complex128)
+        arrays = [X_FMT, S_FPT, *_arrays(self.cache), self.bin_terms, *_arrays(self._slots),
+                  self.W_out, self.h_sums, self.g_sums, self.q_rows]
+        self._bounds = [byte_bounds(array) for array in arrays]
+        # pickled as their index into this list, which the fork copies
+        self._objects = [*arrays, self.cache, self._slots]
+        self._index = {id(obj): index for index, obj in enumerate(self._objects)}
+        # commands the caller wrote, replies the twin wrote: each polls the
+        # other's count before it blocks on a pipe (`_poll`)
+        self._counts = _shared_empty((2,), np.int64)
+        self._pending, self._received, self._held = 0, 0, []
+        self._payloads = {}  # the caller's pickled commands, by `_fingerprint`
+        self._cpus = sorted(os.sched_getaffinity(0))
+        here = _current_cpu(self._cpus)
+        self._pinned, there = None, [cpu for cpu in self._cpus if cpu != here][:1]
         # SIGINT stays blocked until the twin ignores it, so a Ctrl-C at the
         # fork cannot raise KeyboardInterrupt in the twin
         self.pid, fds = None, []
@@ -438,8 +634,8 @@ class _Twin:
                 # Python >= 3.12 warns of a fork in a multi-threaded process.
                 # It is safe here: every map_blocks returns only after its
                 # helper thread finished, so the helper is idle and holds no
-                # lock, and the twin runs only numpy and LAPACK and imports
-                # nothing
+                # lock, and the twin runs only numpy, LAPACK and the
+                # priors' scipy functions
                 warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
                 self.pid = os.fork()
         except OSError:
@@ -453,66 +649,192 @@ class _Twin:
         if self.pid == 0:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
+                self._pin(there)
                 signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
                 os.close(go_write)
                 os.close(done_read)
-                upper = slice(self.start, None)
-                self._serve(os.fdopen(go_read, "rb"), os.fdopen(done_write, "wb"),
-                            S_FPT[upper], EStepCache(buffers.y_tilde[upper],
-                                                     buffers.inv_phi[upper], None))
+                self._serve(os.fdopen(go_read, "rb"), os.fdopen(done_write, "wb"))
             finally:
                 os._exit(0)
         os.close(go_read)
         os.close(done_write)
+        if self._pin([here]):
+            self._pinned = threading.get_ident()
         self._go, self._done = os.fdopen(go_write, "wb"), os.fdopen(done_read, "rb")
 
-    def _serve(self, go, done, S_FPT, cache) -> None:
-        # the twin's loop: one sweep of its rows per go, until None or EOF
-        while (errors := pickle.load(go)) is not None:
+    def _pin(self, cpus: list) -> bool:
+        # keep the calling thread to `cpus`, when they are one of two or more
+        if len(self._cpus) < 2 or not cpus:
+            return False
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            return False
+        return True
+
+    # -- in the twin --------------------------------------------------------
+
+    def _serve(self, go, done) -> None:
+        # the twin's loop: one command per go, until an empty one or EOF;
+        # a payload seen before is not unpickled again
+        memo = {}
+        while _poll(self._counts, 0, self._received) and (
+                size := int.from_bytes(go.read(4), "little")):
+            payload = go.read(size)
+            self._received += 1
+            if (command := memo.get(payload)) is None:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                command = memo[payload] = _Unpickler(io.BytesIO(payload), self).load()
+            errors, method, args = command
             try:
-                with np.errstate(**errors), warnings.catch_warnings(record=True) as caught:
+                with np.errstate(**dict(errors)), warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    kept = _project_rows(self.Q, S_FPT, cache)
-                reply = kept, [(w.category, str(w.message)) for w in caught]
+                    value = getattr(self, method)(*args)
+                reply = value, [(w.category, str(w.message)) for w in caught]
             except Exception as error:  # re-raised by the caller
                 reply = error
-            pickle.dump(reply, done)
+            pickle.dump(reply, done, pickle.HIGHEST_PROTOCOL)
             done.flush()
+            self._counts[1] += 1
 
-    def start_sweep(self, Q_FMM: np.ndarray) -> None:
-        """Hand the twin Q_FMM's rows from self.start on, and let it sweep them."""
-        self.Q[...] = Q_FMM[self.start:]
-        pickle.dump(np.geterr(), self._go)
+    def _call(self, fn, *args):
+        return fn(*args)
+
+    def _blocks(self, body, blocks: list, hold: bool):
+        # body over the twin's blocks; a fold's results are held for `_fold`
+        self._held = []
+        results = [body(block) for block in blocks]
+        if hold:
+            self._held = results
+            return []
+        return results
+
+    def _fold(self, fold) -> None:
+        held, self._held = self._held, []
+        for result in held:
+            fold(result)
+
+    # -- in the caller ------------------------------------------------------
+
+    def share(self, params: ModelParams) -> ModelParams:
+        """params with W, H, Q and G~ in the twin's memory: each array is
+        copied there unless it is the one copied last."""
+        for field in dataclasses.fields(params):
+            array = getattr(params, field.name)
+            if self._copied.get(field.name) is not array:
+                getattr(self._slots, field.name)[...] = array
+                self._copied[field.name] = array
+        return self._slots
+
+    def map(self, body, blocks: list, fold=None) -> list:
+        """`map_blocks` over two or more blocks: the caller takes in order
+        the blocks whose middle lies at or below the middle of the range,
+        the twin the rest.  With `fold`, the caller folds its results, then the
+        twin continues from that partial with its own, held in its memory
+        until then: block order, so the serial loop's bits."""
+        cut = sum(block.start + block.stop <= blocks[-1].stop for block in blocks)
+
+        def own() -> list:
+            results = []
+            for block in blocks[:cut]:
+                result = body(block)
+                if fold is None:
+                    results.append(result)
+                else:
+                    fold(result)
+            if fold is not None:
+                self._send("_fold", fold)
+            return results
+
+        results, theirs = self.beside(own, "_blocks", body, blocks[cut:], fold is not None)
+        if fold is not None:
+            self._reply()
+        return results + theirs
+
+    def beside(self, own, fn, *args) -> tuple:
+        """(own(), fn(*args)): fn runs in the twin while own runs here.  A
+        method name of the twin stands for fn itself.  Either error
+        propagates once the twin is idle, own's first."""
+        if isinstance(fn, str):
+            self._send(fn, *args)
+        else:
+            self._send("_call", fn, *args)
+        try:
+            mine = own()
+        except BaseException:
+            self._drain()
+            raise
+        return mine, self._reply()
+
+    def _send(self, method: str, *args) -> None:
+        # the whole command is pickled before any of it is written, so a
+        # refused array leaves the pipe as it was; a stage sends the same
+        # command every iteration, so its payload is kept by fingerprint
+        command = (tuple(np.geterr().items()), method, args)
+        key = _fingerprint(args, self._index)
+        key = None if key is None else (command[0], method, key)
+        if (payload := self._payloads.get(key)) is None:
+            buffer = io.BytesIO()
+            _Pickler(buffer, self).dump(command)
+            payload = buffer.getvalue()
+            if key is not None:
+                if len(self._payloads) >= _MEMO_SIZE:
+                    self._payloads.clear()
+                self._payloads[key] = payload
+        self._go.write(len(payload).to_bytes(4, "little") + payload)
         self._go.flush()
+        self._counts[0] += 1
+        self._pending += 1
 
-    def finish_sweep(self, Q_FMM: np.ndarray) -> tuple[dict, list]:
-        """Wait for the twin's sweep and write its rows into Q_FMM; returns
-        the frequencies of its kept rows per kind and numpy's warnings as
-        (category, message), or raises what the twin raised."""
+    def _load(self):
+        _poll(self._counts, 1, self._received)
         try:
             reply = pickle.load(self._done)
+            self._received += 1
         except EOFError:
-            raise ChildProcessError(f"update_q's twin process {self.pid} exited") from None
+            self._pending = 0
+            raise ChildProcessError(f"twin process {self.pid} exited") from None
+        self._pending -= 1
+        return reply
+
+    def _reply(self):
+        # the oldest outstanding reply's value, after issuing the twin's
+        # numpy warnings; or what the twin raised, once it is idle
+        reply = self._load()
         if isinstance(reply, BaseException):
+            self._drain()
             raise reply
-        Q_FMM[self.start:] = self.Q
-        kept, caught = reply
-        return {kind: [f + self.start for f in rows_f] for kind, rows_f in kept.items()}, caught
+        value, caught = reply
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=3)
+        return value
+
+    def _drain(self) -> None:
+        # wait for every outstanding reply and drop it
+        while self._pending:
+            try:
+                self._load()
+            except ChildProcessError:
+                return
 
     def close(self) -> None:
         """Stop the twin and wait for it to exit."""
         try:
-            pickle.dump(None, self._go)
+            self._go.write(bytes(4))
             self._go.close()
         except BrokenPipeError:  # it has gone already
             pass
         self._done.close()
         os.waitpid(self.pid, 0)
+        if self._pinned == threading.get_ident():
+            os.sched_setaffinity(0, self._cpus)
 
 
 def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
                    variant: GsmVariant, floor: float,
-                   buffers: EStepCache | None = None) -> tuple[float, EStepCache]:
+                   buffers: EStepCache | None = None,
+                   twin: _Twin | None = None) -> tuple[float, EStepCache]:
     """Marginal log-likelihood sum_ft log p(z_ft) + T sum_f log|Q_f Q_f^H|,
     and the E-step cache at the same parameters, with y~ floored at
     `floor` as in `e_step`.
@@ -520,15 +842,17 @@ def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
     The cache equals, bit for bit, a fresh `e_step(X_FMT, params, variant,
     floor)`: its E[1/phi] comes from the same `log_marginal_from_s` pass
     as the marginal.  `buffers`, when given, is a cache of the same shape
-    that nothing reads any more: its arrays become the returned cache's.
-    The bin terms are written over the sum_m log y~ array, so the call
-    holds two (F, T) arrays, E[1/phi] and that one.
+    that nothing reads any more: its arrays become the returned cache's
+    (with `twin`, they must be `twin.cache`).  The bin terms are written
+    over the sum_m log y~ array, so the call holds two (F, T) arrays,
+    E[1/phi] and that one; the caller sums them all.
     """
-    z_tilde, y_tilde, s, log_y = _project(X_FMT, params, floor, buffers)
-    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant, log_y)
+    log_y = np.empty((params.n_freq, params.n_frames)) if twin is None else twin.bin_terms
+    z_tilde, y_tilde, s = _project(X_FMT, params, floor, buffers, log_y, twin)
+    bin_terms, inv_phi = log_marginal_from_s(s, params.n_channels, variant, log_y, twin)
     det_F = linalg.log_abs_det_gram(params.Q)
     value = float(bin_terms.sum() + params.n_frames * det_F.sum())
-    return value, _cache(z_tilde, y_tilde, inv_phi)
+    return value, _cache(z_tilde, y_tilde, inv_phi, twin)
 
 
 def iterate(X_FMT: np.ndarray, params: ModelParams,
@@ -539,10 +863,10 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
     more than linalg.MAX_DIM channels raise ValueError, and silent or
     linearly dependent channels ChannelLayoutError; zero iterations solve no
     Q and check nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
-    `power_scale`.  Under cfg.rank1 the G~ update, and the y~ refresh after
-    it, are skipped.  Where `map_blocks` has its helper thread, `update_q`
-    shares its rows with a `_Twin` process, reaped when the generator ends,
-    raises or is closed.  A non-finite likelihood raises ArithmeticError naming
+    `power_scale`.  Under cfg.rank1 the G~ update is skipped.  Where
+    `map_blocks` has its helper thread, every per-bin stage shares its
+    blocks with a `_Twin` process, reaped when the generator ends, raises
+    or is closed.  A non-finite likelihood raises ArithmeticError naming
     its iteration; a decrease beyond the monotone slack warns.
     """
     previous = cache = S_FPT = buffers = twin = None
@@ -552,11 +876,12 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
             S_FPT, gram_P = outer_products(X_FMT)  # update_q's statistics, the guard's Gram
             floor = DEFAULT_FLOOR * check_channel_layout(gram_P, X_FMT.shape[0] * X_FMT.shape[2])
         if model._HELPER is not None and X_FMT.shape[0] >= 2:
-            # where map_blocks has its helper, update_q shares its rows with
-            # a twin process, forked before the run's private arrays exist
-            buffers = _shared_buffers(X_FMT.shape)
+            # where map_blocks has its helper, the iterations share their
+            # blocks with a twin process, forked before the run's private
+            # arrays exist
             try:
-                twin = _Twin(S_FPT, buffers)
+                twin = _Twin(X_FMT, S_FPT, params)
+                buffers = twin.cache
             except OSError:  # no process could be forked: the same bits serially
                 pass
     try:
@@ -565,22 +890,21 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
             # looked up in this module's globals (as are inv_phi_from_s and
             # log_marginal_from_s): sepbench's tracer wraps them by name and
             # delimits iterations by these two calls
-            cache = e_step(X_FMT, params, cfg.variant, floor, cache=cache, buffers=buffers)
+            cache = e_step(X_FMT, params, cfg.variant, floor, cache, buffers, twin)
 
-            # each refresh writes over the y~ the update before it read, and
-            # the likelihood over the whole cache, once the M-step is done
-            # with it
-            params = update_w(params, cache)
-            compute_ytilde(params, floor, out=cache.y_tilde)
-            params = update_h(params, cache)
-            compute_ytilde(params, floor, out=cache.y_tilde)
+            # the H and G~ updates form the y~ they read from their own
+            # parameters; the one refresh writes over the y~ the W update
+            # read, and the likelihood over the whole cache, once the
+            # M-step is done with it
+            params = update_w(params, cache, twin)
+            params = update_h(params, cache, floor, twin)
             if not cfg.rank1:  # rank-1 keeps G~ at the identity
-                params = update_g(params, cache)
-                compute_ytilde(params, floor, out=cache.y_tilde)
+                params = update_g(params, cache, floor, twin)
+            compute_ytilde(params, floor, cache.y_tilde, twin)
             params = update_q(params, S_FPT, cache, twin)
 
             params = normalize(params)
-            ll, cache = log_likelihood(X_FMT, params, cfg.variant, floor, cache)
+            ll, cache = log_likelihood(X_FMT, params, cfg.variant, floor, cache, twin)
             if not np.isfinite(ll):
                 raise ArithmeticError(
                     f"log-likelihood is {ll} at iteration {iteration}")

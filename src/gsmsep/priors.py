@@ -38,6 +38,7 @@ so a direct call and a shared pass agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,13 +109,13 @@ def log_bessel_k(order: float, x) -> float | np.ndarray:
 # Per-bin statistics: log marginal density and E[phi^-1 | z].
 # ---------------------------------------------------------------------------
 
-def inv_phi_from_s(s, m_dims: int, variant: GsmVariant, log_y=None):
+def inv_phi_from_s(s, m_dims: int, variant: GsmVariant, log_y=None, twin=None):
     """Vectorized E[phi^-1 | z] as a function of s; scalar in, scalar out.
     With `log_y`, as for `log_marginal_from_s`, it is written over s."""
-    return log_marginal_from_s(s, m_dims, variant, log_y)[1]
+    return log_marginal_from_s(s, m_dims, variant, log_y, twin)[1]
 
 
-def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, log_y=None):
+def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, log_y=None, twin=None):
     """(log p(z) + sum_m log y~_m, E[phi^-1 | z]), vectorized over s.
 
     The first entry is the part of the normalized log marginal density
@@ -125,22 +126,26 @@ def log_marginal_from_s(s, m_dims: int, variant: GsmVariant, log_y=None):
     for scalar s.  GH and NIG take both entries from one Bessel ladder.
     The values of s, in C order, are taken in `map_blocks` blocks that fit
     the per-thread cache budget; every statistic is elementwise, so the
-    blocks give the bits one whole-array pass would.
+    blocks give the bits one whole-array pass would.  With `twin`, s and
+    log_y must be in the twin's memory, which then takes the upper blocks.
     """
-    statistics = _bin_statistics(m_dims, variant)
+    _bin_statistics(m_dims, variant)  # refuses an unknown variant before any work
     s_arr = np.asarray(s, dtype=np.float64)
     s_flat = s_arr.reshape(-1)
     in_place = log_y is not None  # else log_y is 0, and x - 0 == x to the bit
     log_p = log_y.reshape(-1) if in_place else np.zeros(s_flat.shape)
     inv_phi = s_flat if in_place else np.empty(s_flat.shape)
-
-    def block_body(block):
-        log_p_block, inv_phi[block] = statistics(s_flat[block])
-        np.subtract(log_p_block, log_p[block], out=log_p[block])
-    map_blocks(block_body, s_flat.size, _BYTES_PER_S)
+    map_blocks(functools.partial(_statistics_block, m_dims, variant, s_flat, log_p, inv_phi),
+               s_flat.size, _BYTES_PER_S, twin=twin)
     return log_p.reshape(s_arr.shape)[()], inv_phi.reshape(s_arr.shape)[()]
 
 
+def _statistics_block(m_dims: int, variant: GsmVariant, s_flat, log_p, inv_phi, block) -> None:
+    log_p_block, inv_phi[block] = _bin_statistics(m_dims, variant)(s_flat[block])
+    np.subtract(log_p_block, log_p[block], out=log_p[block])
+
+
+@functools.lru_cache(maxsize=16)
 def _bin_statistics(m: int, variant: GsmVariant):
     # the variant's s -> (log p(z) + sum_m log y~_m, E[phi^-1 | z]) on one
     # block of s, with its constants formed once, here

@@ -16,6 +16,9 @@ the production path is never checked against itself.
   `whole_likelihood` and `whole_source_images`: the per-bin stages and the
   Wiener filter on whole (F, T, M) arrays, one product over every
   frequency, as the frequency-blocked stages compute them block by block;
+- `three_refresh_iteration`: one MU-VEM iteration from the public steps,
+  with y~ refreshed after each of the W, H and G~ updates, the sequence
+  `optimizer.iterate` ran before the H and G~ updates formed their own y~;
 - `whole_stft_forward`: the forward STFT as one `rfft` over every frame;
 - `whole_stft_inverse`: the inverse STFT as one `irfft` over every frame
   and an overlap-add loop over frames, with the envelope summed in it;
@@ -33,7 +36,9 @@ import numpy as np
 from scipy import integrate, special
 
 from gsmsep import linalg
-from gsmsep.model import GH, GsmVariant, ModelParams, StudentT
+from gsmsep.model import GH, GsmVariant, ModelParams, StudentT, compute_ytilde, normalize
+from gsmsep.optimizer import (EStepCache, log_likelihood, outer_products, update_g, update_h,
+                              update_q, update_w)
 from gsmsep.priors import inv_phi_from_s, log_marginal_from_s
 from gsmsep.stft import StftConfig, periodic_hann
 
@@ -284,6 +289,23 @@ def whole_likelihood(X_FTM, params: ModelParams, variant: GsmVariant,
     det_F = np.asarray(linalg.log_abs_det_gram(params.Q))
     value = float(bin_terms.sum() + X_FTM.shape[1] * det_F.sum())
     return value, y_tilde, inv_phi, inv_phi[:, :, None] * z_tilde
+
+
+def three_refresh_iteration(X_FMT, params: ModelParams, cache: EStepCache,
+                            variant: GsmVariant, floor: float, rank1: bool) -> tuple:
+    """(params, log-likelihood, cache) after one iteration from `cache`, the
+    E-step at params: each of the W, H and G~ updates (no G~ under rank-1)
+    is followed by a y~ refresh into a fresh cache, which the next one reads."""
+    params = update_w(params, cache)
+    cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+    params = update_h(params, cache)
+    cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+    if not rank1:
+        params = update_g(params, cache)
+        cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
+    params = normalize(update_q(params, outer_products(X_FMT)[0], cache))
+    ll, cache = log_likelihood(X_FMT, params, variant, floor)
+    return params, ll, cache
 
 
 def whole_source_images(X_FTM, params: ModelParams) -> list:

@@ -1,18 +1,22 @@
 """Tests for `model.map_blocks`: frequency blocks shared by the calling
-thread and one helper thread, and for `update_q`'s twin process, which
-runs wherever the helper does.
+thread and one helper thread, and for the iterations' twin process, which
+runs wherever the helper does and takes the upper blocks of every per-bin
+stage.
 
 Every blocked stage must give the bits the serial loop gives.  An error
 in either thread must reach the caller only after both threads have
 stopped, the helper must see the caller's `np.errstate`, no function that
 sepbench's tracer wraps may run off the calling thread, and `gsmsep
 bench` worker processes must run their blocks on one thread.  A run with
-the twin must give the serial run's bits and warnings, and leave no
-process behind however it ends.
+the twin must give the serial run's bits and warnings, the twin must take
+blocks of every stage, and no process may be left behind however the run
+ends.
 """
 
 import concurrent.futures
+import dataclasses
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -304,8 +308,10 @@ def test_probed_names_run_on_the_calling_thread(helper, monkeypatch):
 
     for module, attr in PROBED:
         monkeypatch.setattr(module, attr, recorded(getattr(module, attr), attr))
-    # not probed: shows that the helper took blocks of compute_ytilde
+    # not probed: the helper takes blocks of the Wiener stage, and every
+    # block of the iterations that this process runs runs on the caller
     monkeypatch.setattr(model, "source_psd", recorded(model.source_psd, "source_psd"))
+    monkeypatch.setattr(wiener, "source_psd", recorded(wiener.source_psd, "wiener"))
     monkeypatch.setattr(model, "_BLOCK_BYTES", 1 << 14)
     scene = synth_scene(2, 2, 1.0, seed=0)
     cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=2,
@@ -315,12 +321,13 @@ def test_probed_names_run_on_the_calling_thread(helper, monkeypatch):
     harness.separate_mixture(X, cfg, stft_cfg, scene.mixture.n_frames,
                              all_channels=False)
 
-    caller = threading.get_ident()
-    assert {name for name, ident in calls if name != "source_psd"} == {
+    caller, markers = threading.get_ident(), {"source_psd", "wiener"}
+    assert {name for name, ident in calls if name not in markers} == {
         attr for _, attr in PROBED} - {"main", "read_wav", "write_wav"}
     assert [name for name, ident in calls
-            if name != "source_psd" and ident != caller] == []
-    assert {ident for name, ident in calls if name == "source_psd"} == {caller, helper}
+            if name not in markers and ident != caller] == []
+    assert {ident for name, ident in calls if name == "source_psd"} == {caller}
+    assert {ident for name, ident in calls if name == "wiener"} == {caller, helper}
 
 
 def _block_threads():
@@ -369,11 +376,29 @@ def reaped(pids) -> bool:
     return True
 
 
-class TestTwin:
-    """`update_q` on two processes against the same run on one."""
+# the block functions of every per-bin stage of an iteration, and
+# update_q's sweep: the twin must take a share of each
+TWIN_STAGES = ["_ytilde_block", "_project_block", "_statistics_block", "_scale_block",
+               "_w_block", "_h_block", "_g_block", "_project_rows"]
 
-    CASES = [((65, 8, 50), GH(gamma=-2.0, rho=15.0, eta=1.0)),  # odd F
-             ((64, 3, 40), StudentT(nu=4.0))]  # even F
+
+def small_blocks(monkeypatch, shape, n_sources):
+    # a budget of five frequencies per W, H, G~ and y~ block, so that every
+    # stage has several blocks, the last of most of them short
+    n_freq, n_chan, n_frames = shape
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 5 * 8 * n_frames * (n_sources + n_chan))
+
+
+class TestTwin:
+    """The iterations on two processes against the same run on one."""
+
+    CASES = [((65, 8, 50), 8, GH(gamma=-2.0, rho=15.0, eta=1.0), False),  # odd F
+             ((64, 3, 40), 3, StudentT(nu=4.0), False),  # even F
+             ((33, 2, 30), 2, Gaussian(), False),
+             ((40, 2, 30), 2, NIG(rho=15.0, eta=1.0), True),  # rank-1: no G~ stage
+             ((33, 2, 30), 3, StudentT(nu=4.0), False)]  # three sources on two mics
+    IDS = ["65x8x50-gh", "64x3x40-t", "33x2x30-gaussian", "40x2x30-nig-rank1",
+           "33x2x30-t-3-on-2"]
 
     @staticmethod
     def both_runs(X, cfg, monkeypatch):
@@ -387,11 +412,13 @@ class TestTwin:
             runs.append((params, trace, [str(w.message) for w in caught]))
         return runs
 
-    @pytest.mark.parametrize("shape,variant", CASES, ids=["65x8x50-gh", "64x3x40-t"])
-    def test_same_bits_as_one_process(self, shape, variant, twins, monkeypatch):
+    @pytest.mark.parametrize("shape,n_sources,variant,rank1", CASES, ids=IDS)
+    def test_same_bits_as_one_process(self, shape, n_sources, variant, rank1, twins,
+                                      monkeypatch):
+        small_blocks(monkeypatch, shape, n_sources)
         X = random_mixture(np.random.default_rng(shape[0]), *shape)
-        cfg = SeparationConfig(n_sources=shape[1], n_bases=2, iterations=4,
-                               variant=variant, seed=1)
+        cfg = SeparationConfig(n_sources=n_sources, n_bases=2, iterations=4,
+                               variant=variant, rank1=rank1, seed=1)
         (params, trace, caught), (params1, trace1, caught1) = self.both_runs(
             X, cfg, monkeypatch)
         assert trace == trace1
@@ -399,6 +426,32 @@ class TestTwin:
             assert np.array_equal(getattr(params, name), getattr(params1, name))
         assert caught == caught1
         assert len(twins) == 1 and reaped(twins)
+
+    @pytest.mark.parametrize("rank1", [False, True], ids=["general", "rank1"])
+    def test_twin_takes_blocks_of_every_stage(self, rank1, twins, monkeypatch):
+        # the twin counts, in memory the test shares with it, the blocks
+        # (for update_q the sweeps) it ran of each stage
+        taken = optimizer._shared_empty((len(TWIN_STAGES),), np.int64)
+        real_blocks, real_call = optimizer._Twin._blocks, optimizer._Twin._call
+
+        def blocks(self, body, blocks, hold):
+            taken[TWIN_STAGES.index(body.func.__name__)] += len(blocks)
+            return real_blocks(self, body, blocks, hold)
+
+        def call(self, fn, *args):
+            taken[TWIN_STAGES.index(fn.__name__)] += 1
+            return real_call(self, fn, *args)
+
+        monkeypatch.setattr(optimizer._Twin, "_blocks", blocks)
+        monkeypatch.setattr(optimizer._Twin, "_call", call)
+        shape = (33, 2, 30)
+        small_blocks(monkeypatch, shape, 2)
+        X = random_mixture(np.random.default_rng(10), *shape)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=2, rank1=rank1, seed=0)
+        optimizer.run(X, cfg)
+        assert len(twins) == 1 and reaped(twins)
+        skipped = {"_g_block"} if rank1 else set()
+        assert {name for name, k in zip(TWIN_STAGES, taken) if k == 0} == skipped
 
     def test_run_on_another_thread(self, twins, monkeypatch):
         # the twin of a run started off the main thread sets up its signals too
@@ -409,6 +462,29 @@ class TestTwin:
         monkeypatch.setattr(model, "_HELPER", None)
         assert trace == optimizer.run(X, cfg)[1]
         assert len(twins) == 1 and reaped(twins)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs")
+    def test_the_calling_thread_gets_its_cpus_back(self):
+        # in a fresh interpreter, so no earlier run's pinning can hide it:
+        # during the run the caller and the twin keep to one CPU each
+        probe = """if True:
+            import os
+            import numpy as np
+            from gsmsep import model, optimizer
+            from gsmsep.model import SeparationConfig
+            before = os.sched_getaffinity(0)
+            X = np.random.default_rng(2).standard_normal((9, 3, 12)) + 0j
+            cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=2, seed=0)
+            steps = optimizer.iterate(X, model.init_params(cfg, X), cfg)
+            next(steps)
+            during = os.sched_getaffinity(0)
+            steps.close()
+            print(len(during), os.sched_getaffinity(0) == before)
+        """
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True, timeout=120)
+        assert result.stdout.split() == ["1", "True"]
 
     def test_kept_rows_in_both_halves_warn_as_one_process(self, twins, monkeypatch):
         X = random_mixture(np.random.default_rng(3), 65, 4, 30)
@@ -457,8 +533,42 @@ class TestTwin:
         monkeypatch.setattr(linalg, "compensated_quadratic_form", fail)
         X = random_mixture(np.random.default_rng(5), 9, 2, 12)
         cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
-        with pytest.raises(LookupError, match=f"^failed in {where}$"):
+        with pytest.raises(LookupError, match=f"^failed in {where}$") as raised:
             optimizer.run(X, cfg)
+        assert type(raised.value) is LookupError
+        assert len(twins) == 1 and reaped(twins)
+
+    @pytest.mark.parametrize("stage", ["_fold", "_statistics_block"],
+                             ids=["h-fold", "likelihood"])
+    def test_error_in_the_twins_share_reaps_it(self, stage, twins, monkeypatch):
+        # raised in the twin only: in its part of the first H fold, or in its
+        # blocks of the first likelihood's prior statistics (the second
+        # statistics pass of the run, after the first E-step's)
+        real_blocks, real_fold = optimizer._Twin._blocks, optimizer._Twin._fold
+        passes = []
+
+        def blocks(self, body, blocks, hold):
+            if body.func.__name__ == stage:
+                passes.append(None)
+                if len(passes) == 2:
+                    raise KeyError(f"failed in {stage}")
+            return real_blocks(self, body, blocks, hold)
+
+        def fold(self, fold):
+            if stage == "_fold":
+                raise KeyError(f"failed in {stage}")
+            return real_fold(self, fold)
+
+        monkeypatch.setattr(optimizer._Twin, "_blocks", blocks)
+        monkeypatch.setattr(optimizer._Twin, "_fold", fold)
+        shape = (33, 2, 30)
+        small_blocks(monkeypatch, shape, 2)
+        X = random_mixture(np.random.default_rng(11), *shape)
+        cfg = SeparationConfig(n_sources=2, n_bases=2, iterations=3, seed=0)
+        steps = optimizer.iterate(X, model.init_params(cfg, X), cfg)
+        with pytest.raises(KeyError, match=f"failed in {stage}") as raised:
+            next(steps)
+        assert type(raised.value) is KeyError
         assert len(twins) == 1 and reaped(twins)
 
     def test_non_finite_likelihood_reaps_the_twin(self, twins, monkeypatch):
@@ -497,15 +607,48 @@ class TestTwin:
         monkeypatch.setattr(model, "_HELPER", None)
         assert trace == optimizer.run(X, cfg)[1]
 
+    def test_an_array_outside_the_twin_is_refused(self, helper):
+        # the twin's writes into a copy would be lost: refused before any
+        # byte is written, and the twin still serves
+        X = random_mixture(np.random.default_rng(8), 9, 3, 12)
+        cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
+        params = model.init_params(cfg, X)
+        twin = optimizer._Twin(X, optimizer.outer_products(X)[0], params)
+        try:
+            with pytest.raises(pickle.PicklingError, match="outside the twin's memory"):
+                model.compute_ytilde(params, 1e-10, np.empty(X.shape), twin)
+            y = model.compute_ytilde(params, 1e-10, twin.cache.y_tilde, twin)
+        finally:
+            twin.close()
+        assert np.array_equal(y, model.compute_ytilde(params, 1e-10))
+        assert reaped([twin.pid])
+
+    def test_a_command_repeated_with_new_values_is_sent_anew(self, helper, monkeypatch):
+        # the twin keeps pickled commands: one that differs only in a float
+        # (the floor) or in params copied into its memory gets new results
+        X = random_mixture(np.random.default_rng(8), 20, 3, 12)
+        cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
+        small_blocks(monkeypatch, X.shape, 3)
+        params = model.init_params(cfg, X)
+        moved = dataclasses.replace(params, H=2.0 * params.H)
+        twin = optimizer._Twin(X, optimizer.outer_products(X)[0], params)
+        try:
+            got = [model.compute_ytilde(p, floor, twin.cache.y_tilde, twin).copy()
+                   for p, floor in [(params, 1.0), (params, 2.0), (moved, 2.0), (params, 1.0)]]
+        finally:
+            twin.close()
+        for y, (p, floor) in zip(got, [(params, 1.0), (params, 2.0), (moved, 2.0), (params, 1.0)]):
+            assert np.array_equal(y, model.compute_ytilde(p, floor))
+        assert reaped([twin.pid])
+
     def test_twin_ignores_sigint(self, helper):
         X = random_mixture(np.random.default_rng(8), 9, 3, 12)
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
         params = model.init_params(cfg, X)
         S = optimizer.outer_products(X)[0]
-        buffers = optimizer._shared_buffers(X.shape)
-        cache = optimizer.e_step(X, params, cfg.variant, 1e-10, buffers=buffers)
-        twin = optimizer._Twin(S, buffers)
+        twin = optimizer._Twin(X, S, params)
         try:
+            cache = optimizer.e_step(X, params, cfg.variant, 1e-10, buffers=twin.cache)
             os.kill(twin.pid, signal.SIGINT)
             time.sleep(0.05)
             with_twin = optimizer.update_q(params, S, cache, twin)

@@ -814,8 +814,10 @@ RUN_CASE_IDS = VARIANT_IDS + ["gaussian-rank1", "nig-rank1"]
 class TestFusedLoop:
     @pytest.mark.parametrize("variant,rank1", RUN_CASES, ids=RUN_CASE_IDS)
     def test_run_matches_public_step_sequence(self, variant, rank1):
-        # run() reuses the likelihood's cache for the next E-step; the
-        # trace must equal, bit for bit, the loop that recomputes it
+        # run() reuses the likelihood's cache for the next E-step, and its
+        # H and G~ updates form their own y~; the trace and parameters must
+        # equal, bit for bit, the three-refresh loop that recomputes the
+        # E-step every iteration
         cfg = SeparationConfig(n_sources=2, n_bases=3, iterations=6, seed=5,
                                variant=variant, rank1=rank1)
         X = random_mixture(np.random.default_rng(29), 17, 20, 2)
@@ -825,24 +827,13 @@ class TestFusedLoop:
         floor = DEFAULT_FLOOR * power_scale(np.sum(np.abs(X) ** 2), X.size)
         expected = []
         for _ in range(cfg.iterations):
-            cache = e_step(X, expected_params, variant, floor)
-            expected_params = update_w(expected_params, cache)
-            cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, floor))
-            expected_params = update_h(expected_params, cache)
-            cache = dataclasses.replace(
-                cache, y_tilde=compute_ytilde(expected_params, floor))
-            if not rank1:
-                expected_params = update_g(expected_params, cache)
-                cache = dataclasses.replace(
-                    cache, y_tilde=compute_ytilde(expected_params, floor))
-            expected_params = update_q(expected_params, outer_products(X)[0], cache)
-            expected_params = normalize(expected_params)
-            expected.append(
-                log_likelihood(X, expected_params, variant, floor=floor)[0])
+            expected_params, ll, _ = oracles.three_refresh_iteration(
+                X, expected_params, e_step(X, expected_params, variant, floor),
+                variant, floor, rank1)
+            expected.append(ll)
         assert trace == expected
-        np.testing.assert_array_equal(params.Q, expected_params.Q)
-        np.testing.assert_array_equal(params.W, expected_params.W)
+        for name in ("W", "H", "Q", "Gtilde"):
+            assert np.array_equal(getattr(params, name), getattr(expected_params, name)), name
 
     def test_returned_cache_equals_fresh_e_step(self):
         params, X = make_setup(seed=30, f=5, t=7, m=2)
@@ -919,19 +910,11 @@ class TestBufferReuse:
         cache = e_step(X, params, variant, floor)
         assert len(yielded) == cfg.iterations
         for got_params, got_ll in yielded:
-            params = update_w(params, cache)
-            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
-            params = update_h(params, cache)
-            cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
-            if not rank1:
-                params = update_g(params, cache)
-                cache = dataclasses.replace(cache, y_tilde=compute_ytilde(params, floor))
-            params = normalize(update_q(params, outer_products(X)[0], cache))
-            ll, cache = log_likelihood(X, params, variant, floor)
+            params, ll, cache = oracles.three_refresh_iteration(
+                X, params, cache, variant, floor, rank1)
             assert got_ll == ll
             for name in ("W", "H", "Q", "Gtilde"):
-                np.testing.assert_array_equal(getattr(got_params, name),
-                                              getattr(params, name), err_msg=name)
+                assert np.array_equal(getattr(got_params, name), getattr(params, name)), name
 
     def test_run_peak_holds_the_statistics_and_four_model_arrays(self):
         # tracemalloc peak of a second run (the first starts what a process
