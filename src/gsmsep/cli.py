@@ -26,9 +26,9 @@ from .harness import (
     write_csv_summary,
 )
 from .metrics import permutation_si_sdr
-from .model import (NIG, SETTINGS, VARIANTS, SeparationConfig, run_blocks_serially,
-                    variant_from_dict)
+from .model import NIG, SETTINGS, VARIANTS, SeparationConfig, variant_from_dict
 from .stft import StftConfig, stft_forward
+from .workers import run_blocks_serially
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,9 +200,9 @@ def _run_bench_entry(parsed: tuple) -> SeparationReport:
 
 
 def _worker_pool(workers: int):
-    """`bench --workers` processes, spawned; each runs frequency blocks and
-    `update_q` on one thread (`model.run_blocks_serially`), so N do not
-    oversubscribe."""
+    """`bench --workers` processes, spawned; each runs its frequency blocks
+    on one thread, with neither helper nor twin
+    (`workers.run_blocks_serially`), so N do not oversubscribe."""
     import concurrent.futures
     import multiprocessing
 

@@ -15,23 +15,19 @@ GsmVariant value and gives the heavy-tailed members of the family.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import dataclasses
 import functools
 import math
 import numbers
-import os
-import threading
 from typing import Callable, ClassVar, Union, get_args
 
 import numpy as np
 
 from . import linalg
+from .workers import map_blocks
 
-# working-set bound of one frequency block of a per-bin stage (`freq_blocks`),
-# per thread: half of the 2 MiB per-core L2 it was tuned on
-_BLOCK_BYTES = 1 << 20
+# floor on y~, relative to the mixture's power (`ytilde_floor`)
+DEFAULT_FLOOR = 1e-10
 
 # starting G~ weight of a source at the channels it is not assigned to
 GTILDE_INIT_OFF = 1e-2
@@ -199,6 +195,13 @@ def power_scale(total: float, n_values: int) -> float:
     return math.ldexp(round(2.0 * mantissa), exponent - 1)
 
 
+def ytilde_floor(total: float, n_values: int) -> float:
+    """A run's floor on the model variances y~: DEFAULT_FLOOR times the
+    `power_scale` of a mixture whose n_values bins hold `total` power.  The
+    Wiener filter gives the bins it floors the uniform gain."""
+    return DEFAULT_FLOOR * power_scale(total, n_values)
+
+
 @dataclasses.dataclass(frozen=True)
 class SeparationConfig(_Checked):
     n_sources: int
@@ -328,82 +331,6 @@ def normalize(params: ModelParams) -> ModelParams:
     H_NKT *= v_NK[:, :, None]
 
     return ModelParams(W=W_NKF, H=H_NKT, Q=Q_FMM, Gtilde=G_NM)
-
-
-def freq_blocks(n_freq: int, bytes_per_freq: int) -> list[slice]:
-    """Consecutive frequency slices covering range(n_freq) once, in order.
-
-    Each holds _BLOCK_BYTES // bytes_per_freq frequencies (at least one;
-    the last may hold fewer).  A per-bin stage passes the bytes its
-    temporaries take per frequency and works block by block, so they stay
-    in cache; across blocks only its sums over f are coupled.
-    """
-    step = max(1, _BLOCK_BYTES // bytes_per_freq)
-    return [slice(start, min(start + step, n_freq)) for start in range(0, n_freq, step)]
-
-
-def run_blocks_serially() -> None:
-    """Turn the helper thread off: `map_blocks` runs every block on its
-    caller, and `optimizer.iterate` forks no twin process."""
-    global _HELPER
-    _HELPER = None
-
-
-# the one thread that takes `map_blocks`' blocks beside the caller
-_HELPER = None
-if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-    _HELPER = concurrent.futures.ThreadPoolExecutor(1, "gsmsep-blocks")
-    os.register_at_fork(after_in_child=run_blocks_serially)  # threads are not forked
-
-
-def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None, twin=None) -> list:
-    """[body(block) for block in freq_blocks(n_freq, bytes_per_freq)], the
-    blocks taken in turn by the caller and the helper thread (the caller
-    alone without a helper or with one block).  With `fold`,
-    each result goes to fold(result) instead, in block order as soon as all
-    before it have, and the list is empty: a sum over f then holds a few
-    blocks' terms, not all of them, and has the serial loop's bits.  The
-    helper runs in a copy of the caller's context (its `np.errstate`).  After
-    a body or fold raises, no thread takes another block, and the helper
-    has stopped before the error propagates.
-
-    With `twin`, an `optimizer._Twin`, the caller takes the lower blocks on
-    its own thread and the twin process the upper ones (`_Twin.map`); body
-    and fold must then pickle, and write only into the twin's memory."""
-    blocks, results = freq_blocks(n_freq, bytes_per_freq), []
-    if twin is not None:
-        return twin.map(body, blocks, fold)
-    fold = fold or results.append
-    lock, order = threading.Lock(), iter(range(len(blocks)))
-    done, passed = {}, [0]  # results not yet passed on, and how many were
-
-    def work():
-        while True:
-            with lock:  # each block index goes to one thread
-                k = next(order, None)
-            if k is None:
-                return
-            try:
-                result = body(blocks[k])
-                with lock:  # results pass on in block order
-                    done[k] = result
-                    while passed[0] in done:
-                        fold(done.pop(passed[0]))
-                        passed[0] += 1
-            except BaseException:
-                with lock:
-                    list(order)  # drained: no thread takes another block
-                raise
-
-    helper = (None if _HELPER is None or len(blocks) < 2
-              else _HELPER.submit(contextvars.copy_context().run, work))
-    try:
-        work()
-    finally:  # a helper that started stops before anything propagates
-        error = None if helper is None or helper.cancel() else helper.exception()
-    if error is not None:
-        raise error
-    return results
 
 
 def source_psd(params: ModelParams, freqs: slice = slice(None),

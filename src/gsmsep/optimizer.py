@@ -20,91 +20,59 @@ mixture and every per-bin array are channel-major, (F, M, T), so each
 contraction over m or n (G~ against the ratios, G~ transposed against
 lambda, Q_f against x) is a batched matrix product on contiguous rows of t.
 
-Every per-bin stage runs over `map_blocks`, in frequency blocks whose
-temporaries fit the per-thread cache budget; only the H and G~ sums over
-f, the normalization and the likelihood's total couple frequencies.
-Wherever `map_blocks` has its helper thread (Linux, two or more CPUs, not
-a forked or spawned worker), `iterate` forks one `_Twin` process after the
-outer products, and during the iterations the caller and the twin each
-run on one thread: of every stage (y~, the W, H and G~ updates, the
-likelihood's projection, prior statistics and cache) the caller takes the
-lower half of the blocks and the twin the upper, and `update_q` sweeps
-frequencies [0, F // 2) on the caller and the rest in the twin.  Its
-~4,400 short numpy calls per iteration at M = 8 each take the GIL, as do
-the few per block of the other stages, so two threads gained little; two
-processes have a GIL each.  The twin reads X and S through the fork's
-copy-on-write pages; the cache, the bin terms, a copy of the parameters
-and the stages' outputs and sums sit in shared memory allocated before
-the fork.  The caller folds each sum over f in block order, and for H the
-twin continues from the caller's partial with the parts it held, so every
-value keeps the bits of one thread; the caller sums the bin terms.  The
-helper thread keeps the STFTs, `outer_products` and the Wiener stage.  The
-only (F, M, T) arrays a stage holds whole are the cache's y~ and z^, and
-a run allocates them once: `iterate` is a generator, not a step function
-returning its state, so the E-step cache outlives each iteration and its
-arrays are written over instead of allocated anew: the y~ refresh over
-the y~ the W update read, and the likelihood's y~, z~ (scaled into z^)
-and s over the cache the M-step has finished with.  Freeing the cache
-every iteration made the allocator return its pages to the OS and fault
-them back in.  Every update is an exact maximizer or a multiplicative step
-on the same minorizing bound, so the trace is non-decreasing up to
-rounding; violations beyond a 1e-8 relative slack are reported as warnings
-with their iteration index, never swallowed, and a non-finite likelihood
-raises ArithmeticError.
+Every per-bin stage runs over `workers.map_blocks`, in frequency blocks
+whose temporaries fit the per-thread cache budget; only the H and G~ sums
+over f, the normalization and the likelihood's total couple frequencies.
+Where `workers.parallel()`, `iterate` forks one `_Twin` after the outer
+products, which takes the upper blocks of every stage of the iterations
+in the helper thread's place and `update_q`'s frequencies from F // 2 on;
+the arrays it writes (the cache, the bin terms, a copy of the parameters,
+the stages' outputs and sums) are allocated before the fork.  The caller
+sums the bin terms.  The only (F, M, T) arrays a stage holds whole are
+the cache's y~ and z^, and a run allocates them once: `iterate` is a
+generator, not a step function returning its state, so the E-step cache
+outlives each iteration and its arrays are written over instead of
+allocated anew: the y~ refresh over the y~ the W update read, and the
+likelihood's y~, z~ (scaled into z^) and s over the cache the M-step has
+finished with.  Freeing the cache every iteration made the allocator
+return its pages to the OS and fault them back in.  Every update is an
+exact maximizer or a multiplicative step on the same minorizing bound, so
+the trace is non-decreasing up to rounding; violations beyond a 1e-8
+relative slack are reported as warnings with their iteration index, never
+swallowed, and a non-finite likelihood raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import io
-import math
-import mmap
 import operator
-import os
-import pickle
-import signal
-import threading
-import time
-import types
 import warnings
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.array_utils import byte_bounds
 
-from . import linalg, model
+from . import linalg, workers
 from .model import (
     ModelParams,
     SeparationConfig,
     GsmVariant,
     compute_ytilde,
     floored_ytilde,
-    freq_blocks,
     init_params,
-    map_blocks,
     normalize,
-    power_scale,
     source_psd,
     ytilde_bytes,
+    ytilde_floor,
 )
 from .priors import inv_phi_from_s, log_marginal_from_s
+from .workers import freq_blocks, map_blocks
 
 MONOTONE_SLACK = 1e-8
-
-# variance floor on y~; `iterate` scales it by the mixture's power_scale
-DEFAULT_FLOOR = 1e-10
 
 # pure guard against 0/0 in the multiplicative ratios; small enough to
 # never alter a denominator that carries information
 _DEN_TINY = np.finfo(np.float64).tiny
-
-# how long the twin and the caller poll for the other's next message
-# before they block on its pipe
-_POLL_S = 2e-3
-
-# distinct commands each side of the twin's pipe keeps pickled
-_MEMO_SIZE = 64
 
 _RANK_TOL = 1e-10  # channel correlation eigenvalue (and eigenvector weight) taken as 0
 
@@ -175,7 +143,7 @@ def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
            floor: float, cache: EStepCache | None = None,
            buffers: EStepCache | None = None, twin: _Twin | None = None) -> EStepCache:
     """Posterior E[1/phi] and z^ at params, with y~ floored at `floor`
-    (a run's is DEFAULT_FLOOR times the mixture's `power_scale`).
+    (a run's is the mixture's `model.ytilde_floor`).
 
     `cache`, when given, must be the one `log_likelihood` returned for the
     same (X_FMT, params, floor); it is returned as it is.  Otherwise the
@@ -188,11 +156,7 @@ def e_step(X_FMT: np.ndarray, params: ModelParams, variant: GsmVariant,
     if cache is None:
         z_tilde, y_tilde, s = _project(X_FMT, params, floor, buffers, None, twin)
         # E[1/phi] is written over s, and the unused log marginal over zeros
-        if twin is None:
-            zeros = np.zeros(s.shape)
-        else:
-            zeros = twin.bin_terms
-            zeros.fill(0.0)
+        zeros = _zeroed(s.shape, None if twin is None else twin.bin_terms)
         cache = _cache(z_tilde, y_tilde, inv_phi_from_s(
             s, params.n_channels, variant, zeros, twin), twin)
     return cache
@@ -356,10 +320,10 @@ def check_channel_layout(gram_P: np.ndarray, n_bins: int) -> float:
     eigenvalue <= _RANK_TOL; a copy gives 1 - |rho|): either makes every Q_f
     singular.  G is unpacked from gram_P, the sums over the n_bins (f, t)
     that `outer_products` returns, so per-bin degeneracy passes.  Returns
-    the `power_scale` of trace G, which refuses an overflow."""
+    the run's `ytilde_floor` from trace G, which refuses an overflow."""
     gram = _unpack_hermitian(gram_P)
     power = gram.diagonal().real
-    scale = power_scale(power.sum(), n_bins * len(power))
+    floor = ytilde_floor(power.sum(), n_bins * len(power))
     problems = [f"channel {i + 1} is silent" for i in np.nonzero(power == 0)[0]]
     live = np.nonzero(power)[0]
     root = np.sqrt(power[live])  # one root at a time: G_ii G_jj can under/overflow
@@ -369,7 +333,7 @@ def check_channel_layout(gram_P: np.ndarray, n_bins: int) -> float:
         problems.append(f"channels {', '.join(named[:-1])} and {named[-1]} are linearly dependent")
     if problems:
         raise ChannelLayoutError("mixture channel layout: " + "; ".join(problems))
-    return scale
+    return floor
 
 
 def weighted_covariances(S_FPT: np.ndarray, cache: EStepCache) -> np.ndarray:
@@ -469,253 +433,27 @@ def _rows(cache: EStepCache, freqs: slice) -> EStepCache:
     return EStepCache(cache.y_tilde[freqs], cache.inv_phi[freqs], cache.z_hat[freqs])
 
 
-def _shared_empty(shape: tuple, dtype=np.float64) -> np.ndarray:
-    # an array in shared anonymous memory: a process forked after this
-    # sees the caller's writes to it, and the caller the process's
-    size = math.prod(shape)
-    pages = mmap.mmap(-1, max(1, size * np.dtype(dtype).itemsize))
-    return np.frombuffer(pages, dtype, size).reshape(shape)
-
-
-def _poll(counts: np.ndarray, k: int, seen: int) -> bool:
-    # wait up to _POLL_S for counts[k] to pass `seen` before the pipe read
-    # that would block: on a two-vCPU VM a read that slept was woken ~70 us
-    # after the write, which delayed the twin's start of every stage
-    deadline = time.perf_counter() + _POLL_S
-    while counts[k] == seen and time.perf_counter() < deadline:
-        pass
-    return True
-
-
-def _current_cpu(cpus: list) -> int:
-    # the CPU the calling thread runs on (field 39 of its Linux stat), or
-    # else the first of `cpus`
-    try:
-        with open("/proc/thread-self/stat") as stat:
-            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return cpus[0]
-    return cpu if cpu in cpus else cpus[0]
-
-
-def _fingerprint(obj, index: dict):
-    # a hashable key shared by every command that pickles to obj's bytes,
-    # or None: the twin's own objects by index, other arrays by address and
-    # layout, partials, sequences and dataclasses by their items, slices,
-    # scalars, functions and variants by value
-    if (k := index.get(id(obj))) is not None:
-        return k
-    kind = type(obj)
-    if kind in (float, int, str, bool, type(None)):
-        return kind, obj
-    if kind is slice:
-        return kind, obj.start, obj.stop, obj.step
-    if kind in (tuple, list):
-        items = tuple(_fingerprint(item, index) for item in obj)
-        return None if None in items else (kind, items)
-    if kind is functools.partial:
-        args = _fingerprint(obj.args, index)
-        return None if args is None or obj.keywords else (kind, obj.func, args)
-    if kind is np.ndarray:
-        interface = obj.__array_interface__
-        return kind, interface["data"], interface["shape"], interface["strides"], obj.dtype
-    if kind in (EStepCache, ModelParams):
-        fields = _fingerprint(_arrays(obj), index)
-        return None if fields is None else (kind, fields)
-    try:
-        hash(obj)
-    except TypeError:
-        return None
-    return kind, obj
-
-
-def _arrays(instance) -> list:
-    # a dataclass's fields, not copied (as dataclasses.astuple would)
-    return [getattr(instance, field.name) for field in dataclasses.fields(instance)]
-
-
-class _Pickler(pickle.Pickler):
-    # pickles each of the twin's own objects as its index, any other array
-    # in the twin's memory as its address, which is the same in both
-    # processes, and refuses every other array: a copy would take the
-    # twin's writes
-    def __init__(self, file, twin: _Twin):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.twin = twin
-
-    def persistent_id(self, obj):
-        index = self.twin._index.get(id(obj))
-        if index is not None:
-            return index
-        if type(obj) is not np.ndarray or obj.size == 0:
-            return None
-        low, high = byte_bounds(obj)
-        if not any(start <= low and high <= end for start, end in self.twin._bounds):
-            raise pickle.PicklingError(f"a {obj.shape} array outside the twin's memory")
-        interface = obj.__array_interface__
-        return interface["data"], interface["shape"], interface["strides"], interface["typestr"]
-
-
-class _Unpickler(pickle.Unpickler):
-    def __init__(self, file, twin: _Twin):
-        super().__init__(file)
-        self.twin = twin
-
-    def persistent_load(self, pid):
-        if isinstance(pid, int):
-            return self.twin._objects[pid]
-        data, shape, strides, typestr = pid
-        return np.asarray(types.SimpleNamespace(__array_interface__={
-            "data": data, "shape": shape, "strides": strides, "typestr": typestr, "version": 3}))
-
-
-class _Twin:
-    """A forked process that takes the upper share of every per-bin stage
-    of `iterate` while the caller takes the lower one, each on one thread.
-
-    Before the fork it allocates, in shared anonymous memory, the run's
-    E-step cache (`cache`), the (F, T) bin terms, one copy each of W, H, Q
-    and G~ (`share`), the W update's output, the H and G~ sums and
-    `update_q`'s upper rows; it reads X and S through the fork's
-    copy-on-write pages.  Stages hand it work through the pipe "go":
-    `map` gives it the upper half of a stage's `freq_blocks`, `beside`
-    one call, each with the caller's numpy error state.  The twin pickles
-    back through "done" the result and numpy's warnings, which the caller
-    issues, or the exception raised, which the caller re-raises once the
-    twin is idle.  Bodies and folds go by pickle: module-level functions
-    and partials of them, whose arrays lie in the memory above; each
-    distinct command is pickled and unpickled once (`_fingerprint`), and
-    each side polls a shared count of the other's messages for up to
-    _POLL_S before it blocks on the pipe.  The twin
-    ignores SIGINT, never warns or prints, and leaves by os._exit once the
-    caller sends an empty command or closes its pipe; `close` does both and
-    reaps it.  After an exception in a stage the twin is only closed, not
-    used again.  Until `close` the calling thread keeps to the CPU it ran
-    on at the fork and the twin to another of the caller's affinity: woken
-    by a pipe, the twin was placed on its waker's CPU and stayed there, and
-    the two processes ran as one.
-    """
+class _Twin(workers.Twin):
+    """The `workers.Twin` of one run, with the arrays it writes allocated
+    before the fork: the E-step cache (`cache`), the (F, T) bin terms, a
+    copy of W, H, Q and G~ (`share`), the W update's output, the H and G~
+    sums and `update_q`'s rows from q_start = F // 2 on."""
 
     def __init__(self, X_FMT: np.ndarray, S_FPT: np.ndarray, params: ModelParams):
         n_freq, n_chan, n_frames = X_FMT.shape
-        self.cache = EStepCache(_shared_empty(X_FMT.shape), _shared_empty((n_freq, n_frames)),
-                                _shared_empty(X_FMT.shape))
-        self.bin_terms = _shared_empty((n_freq, n_frames))
-        self._slots = ModelParams(*(_shared_empty(array.shape, array.dtype) for array in (
+        empty = workers.shared_empty
+        self.cache = EStepCache(empty(X_FMT.shape), empty((n_freq, n_frames)), empty(X_FMT.shape))
+        self.bin_terms = empty((n_freq, n_frames))
+        self._slots = ModelParams(*(empty(array.shape, array.dtype) for array in (
             params.W, params.H, params.Q, params.Gtilde)))
         self._copied = {}  # slot name -> the array it holds a copy of
-        self.W_out = _shared_empty(params.W.shape)
-        self.h_sums = _shared_empty((2,) + params.H.shape)
-        self.g_sums = _shared_empty((2,) + params.Gtilde.shape)
+        self.W_out = empty(params.W.shape)
+        self.h_sums = empty((2,) + params.H.shape)
+        self.g_sums = empty((2,) + params.Gtilde.shape)
         self.q_start = n_freq // 2
-        self.q_rows = _shared_empty((n_freq - self.q_start, n_chan, n_chan), np.complex128)
-        arrays = [X_FMT, S_FPT, *_arrays(self.cache), self.bin_terms, *_arrays(self._slots),
-                  self.W_out, self.h_sums, self.g_sums, self.q_rows]
-        self._bounds = [byte_bounds(array) for array in arrays]
-        # pickled as their index into this list, which the fork copies
-        self._objects = [*arrays, self.cache, self._slots]
-        self._index = {id(obj): index for index, obj in enumerate(self._objects)}
-        # commands the caller wrote, replies the twin wrote: each polls the
-        # other's count before it blocks on a pipe (`_poll`)
-        self._counts = _shared_empty((2,), np.int64)
-        self._pending, self._received, self._held = 0, 0, []
-        self._payloads = {}  # the caller's pickled commands, by `_fingerprint`
-        self._cpus = sorted(os.sched_getaffinity(0))
-        here = _current_cpu(self._cpus)
-        self._pinned, there = None, [cpu for cpu in self._cpus if cpu != here][:1]
-        # SIGINT stays blocked until the twin ignores it, so a Ctrl-C at the
-        # fork cannot raise KeyboardInterrupt in the twin
-        self.pid, fds = None, []
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns of a fork in a multi-threaded process.
-                # It is safe here: every map_blocks returns only after its
-                # helper thread finished, so the helper is idle and holds no
-                # lock, and the twin runs only numpy, LAPACK and the
-                # priors' scipy functions
-                warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
-                self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        finally:
-            if self.pid != 0:
-                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        go_read, go_write, done_read, done_write = fds
-        if self.pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                self._pin(there)
-                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-                os.close(go_write)
-                os.close(done_read)
-                self._serve(os.fdopen(go_read, "rb"), os.fdopen(done_write, "wb"))
-            finally:
-                os._exit(0)
-        os.close(go_read)
-        os.close(done_write)
-        if self._pin([here]):
-            self._pinned = threading.get_ident()
-        self._go, self._done = os.fdopen(go_write, "wb"), os.fdopen(done_read, "rb")
-
-    def _pin(self, cpus: list) -> bool:
-        # keep the calling thread to `cpus`, when they are one of two or more
-        if len(self._cpus) < 2 or not cpus:
-            return False
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            return False
-        return True
-
-    # -- in the twin --------------------------------------------------------
-
-    def _serve(self, go, done) -> None:
-        # the twin's loop: one command per go, until an empty one or EOF;
-        # a payload seen before is not unpickled again
-        memo = {}
-        while _poll(self._counts, 0, self._received) and (
-                size := int.from_bytes(go.read(4), "little")):
-            payload = go.read(size)
-            self._received += 1
-            if (command := memo.get(payload)) is None:
-                if len(memo) >= _MEMO_SIZE:
-                    memo.clear()
-                command = memo[payload] = _Unpickler(io.BytesIO(payload), self).load()
-            errors, method, args = command
-            try:
-                with np.errstate(**dict(errors)), warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    value = getattr(self, method)(*args)
-                reply = value, [(w.category, str(w.message)) for w in caught]
-            except Exception as error:  # re-raised by the caller
-                reply = error
-            pickle.dump(reply, done, pickle.HIGHEST_PROTOCOL)
-            done.flush()
-            self._counts[1] += 1
-
-    def _call(self, fn, *args):
-        return fn(*args)
-
-    def _blocks(self, body, blocks: list, hold: bool):
-        # body over the twin's blocks; a fold's results are held for `_fold`
-        self._held = []
-        results = [body(block) for block in blocks]
-        if hold:
-            self._held = results
-            return []
-        return results
-
-    def _fold(self, fold) -> None:
-        held, self._held = self._held, []
-        for result in held:
-            fold(result)
-
-    # -- in the caller ------------------------------------------------------
+        self.q_rows = empty((n_freq - self.q_start, n_chan, n_chan), np.complex128)
+        super().__init__([X_FMT, S_FPT, self.cache, self.bin_terms, self._slots, self.W_out,
+                          self.h_sums, self.g_sums, self.q_rows])
 
     def share(self, params: ModelParams) -> ModelParams:
         """params with W, H, Q and G~ in the twin's memory: each array is
@@ -726,109 +464,6 @@ class _Twin:
                 getattr(self._slots, field.name)[...] = array
                 self._copied[field.name] = array
         return self._slots
-
-    def map(self, body, blocks: list, fold=None) -> list:
-        """`map_blocks` over two or more blocks: the caller takes in order
-        the blocks whose middle lies at or below the middle of the range,
-        the twin the rest.  With `fold`, the caller folds its results, then the
-        twin continues from that partial with its own, held in its memory
-        until then: block order, so the serial loop's bits."""
-        cut = sum(block.start + block.stop <= blocks[-1].stop for block in blocks)
-
-        def own() -> list:
-            results = []
-            for block in blocks[:cut]:
-                result = body(block)
-                if fold is None:
-                    results.append(result)
-                else:
-                    fold(result)
-            if fold is not None:
-                self._send("_fold", fold)
-            return results
-
-        results, theirs = self.beside(own, "_blocks", body, blocks[cut:], fold is not None)
-        if fold is not None:
-            self._reply()
-        return results + theirs
-
-    def beside(self, own, fn, *args) -> tuple:
-        """(own(), fn(*args)): fn runs in the twin while own runs here.  A
-        method name of the twin stands for fn itself.  Either error
-        propagates once the twin is idle, own's first."""
-        if isinstance(fn, str):
-            self._send(fn, *args)
-        else:
-            self._send("_call", fn, *args)
-        try:
-            mine = own()
-        except BaseException:
-            self._drain()
-            raise
-        return mine, self._reply()
-
-    def _send(self, method: str, *args) -> None:
-        # the whole command is pickled before any of it is written, so a
-        # refused array leaves the pipe as it was; a stage sends the same
-        # command every iteration, so its payload is kept by fingerprint
-        command = (tuple(np.geterr().items()), method, args)
-        key = _fingerprint(args, self._index)
-        key = None if key is None else (command[0], method, key)
-        if (payload := self._payloads.get(key)) is None:
-            buffer = io.BytesIO()
-            _Pickler(buffer, self).dump(command)
-            payload = buffer.getvalue()
-            if key is not None:
-                if len(self._payloads) >= _MEMO_SIZE:
-                    self._payloads.clear()
-                self._payloads[key] = payload
-        self._go.write(len(payload).to_bytes(4, "little") + payload)
-        self._go.flush()
-        self._counts[0] += 1
-        self._pending += 1
-
-    def _load(self):
-        _poll(self._counts, 1, self._received)
-        try:
-            reply = pickle.load(self._done)
-            self._received += 1
-        except EOFError:
-            self._pending = 0
-            raise ChildProcessError(f"twin process {self.pid} exited") from None
-        self._pending -= 1
-        return reply
-
-    def _reply(self):
-        # the oldest outstanding reply's value, after issuing the twin's
-        # numpy warnings; or what the twin raised, once it is idle
-        reply = self._load()
-        if isinstance(reply, BaseException):
-            self._drain()
-            raise reply
-        value, caught = reply
-        for category, message in caught:
-            warnings.warn(message, category, stacklevel=3)
-        return value
-
-    def _drain(self) -> None:
-        # wait for every outstanding reply and drop it
-        while self._pending:
-            try:
-                self._load()
-            except ChildProcessError:
-                return
-
-    def close(self) -> None:
-        """Stop the twin and wait for it to exit."""
-        try:
-            self._go.write(bytes(4))
-            self._go.close()
-        except BrokenPipeError:  # it has gone already
-            pass
-        self._done.close()
-        os.waitpid(self.pid, 0)
-        if self._pinned == threading.get_ident():
-            os.sched_setaffinity(0, self._cpus)
 
 
 def log_likelihood(X_FMT: np.ndarray, params: ModelParams,
@@ -862,11 +497,10 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
     Yields (params, log-likelihood) after each iteration.  Before the first,
     more than linalg.MAX_DIM channels raise ValueError, and silent or
     linearly dependent channels ChannelLayoutError; zero iterations solve no
-    Q and check nothing.  y~ is floored at DEFAULT_FLOOR times the mixture's
-    `power_scale`.  Under cfg.rank1 the G~ update is skipped.  Where
-    `map_blocks` has its helper thread, every per-bin stage shares its
-    blocks with a `_Twin` process, reaped when the generator ends, raises
-    or is closed.  A non-finite likelihood raises ArithmeticError naming
+    Q and check nothing.  y~ is floored at the mixture's `ytilde_floor`.
+    Under cfg.rank1 the G~ update is skipped.  Where `workers.parallel()`,
+    every per-bin stage shares its blocks with a `_Twin` process, reaped
+    when the generator ends, raises or is closed.  A non-finite likelihood raises ArithmeticError naming
     its iteration; a decrease beyond the monotone slack warns.
     """
     previous = cache = S_FPT = buffers = twin = None
@@ -874,11 +508,10 @@ def iterate(X_FMT: np.ndarray, params: ModelParams,
         linalg.as_square_stack(params.Q)  # the channel cap, before any work
         with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses overflow
             S_FPT, gram_P = outer_products(X_FMT)  # update_q's statistics, the guard's Gram
-            floor = DEFAULT_FLOOR * check_channel_layout(gram_P, X_FMT.shape[0] * X_FMT.shape[2])
-        if model._HELPER is not None and X_FMT.shape[0] >= 2:
-            # where map_blocks has its helper, the iterations share their
-            # blocks with a twin process, forked before the run's private
-            # arrays exist
+            floor = check_channel_layout(gram_P, X_FMT.shape[0] * X_FMT.shape[2])
+        if workers.parallel() and X_FMT.shape[0] >= 2:
+            # the iterations share their blocks with a twin process, forked
+            # before the run's private arrays exist
             try:
                 twin = _Twin(X_FMT, S_FPT, params)
                 buffers = twin.cache

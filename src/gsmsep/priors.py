@@ -43,7 +43,8 @@ import math
 
 import numpy as np
 
-from .model import GH, Gaussian, GsmVariant, LeptokurticGG, StudentT, map_blocks
+from .model import GH, Gaussian, GsmVariant, LeptokurticGG, StudentT
+from .workers import map_blocks
 
 # s is floored here before the (beta - 2)/2 exponentiation of the GG
 # expectation, which diverges at s = 0 for beta < 2.

@@ -8,12 +8,12 @@ stack.  Synthesis is weighted overlap-add with the same window, each
 hop-sample output chunk adding its frames' parts in frame order, divided
 by the summed squared-window envelope.  Both pass blocks (of frames, and
 of output chunks, each transforming only the frames it reads) within the
-per-thread cache budget to the caller and one helper thread
-(`model.map_blocks`), which gives the bits one thread would.  Every
-sample synthesis returns lies under at least n_fft/hop >= 2 frames,
-where that envelope is at least 1/2; it refuses hop == n_fft (the window
-is zero at every frame start) and a length beyond what the frames cover,
-rather than return samples it cannot invert.
+per-thread cache budget to `workers.map_blocks`, which gives the bits one
+thread would.  Every sample synthesis returns lies under at least
+n_fft/hop >= 2 frames, where that envelope is at least 1/2; it refuses
+hop == n_fft (the window is zero at every frame start) and a length
+beyond what the frames cover, rather than return samples it cannot
+invert.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .model import map_blocks
+from .workers import map_blocks
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,18 +7,18 @@ only on the spatial and spectral parameters, never on the tail variant.
 The per-source gains sum to one in every bin by construction, so the
 images partition the mixture exactly.
 
-The filter runs over `map_blocks`, frequency blocks that the caller and
-one helper thread share, each within the per-thread cache budget, on
-channel-major (F, M, T) arrays, so every gain and Q_f product runs along
-contiguous rows of t.  A first pass forms, block by block, the
-source-independent ratio Q_f x_ft / sum_n lambda_nft g~_n (unfloored, so
-the gains sum to exactly one) and the mask of the entries where that
-total vanishes.  Then each source in turn is built block by block and
-back-projected through Q_f^-1; its energy, the mean |x^|^2 over
-(f, m, t) of the whole image, is summed per block in cache and added up
-in block order, and only the channel rows that are written are kept.  At
-most one source's kept rows are alive at a time, and besides them the
-ratio and the mask are the only whole arrays.
+The filter runs over `workers.map_blocks`, frequency blocks within the
+per-thread cache budget, on channel-major (F, M, T) arrays, so every gain
+and Q_f product runs along contiguous rows of t.  A first pass forms,
+block by block, the source-independent ratio Q_f x_ft / sum_n lambda_nft
+g~_n (unfloored, so the gains sum to exactly one) and the mask of the
+entries where that total lies at or below the run's y~ floor.  Then each
+source in turn is built block by block and back-projected through
+Q_f^-1; its energy, the mean |x^|^2 over (f, m, t) of the whole image, is
+summed per block in cache and added up in block order, and only the
+channel rows that are written are kept.  At most one source's kept rows
+are alive at a time, and besides them the ratio and the mask are the
+only whole arrays.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import linalg
-from .model import ModelParams, map_blocks, source_psd
+from .model import ModelParams, source_psd, ytilde_floor
 from .stft import StftConfig, stft_inverse
+from .workers import map_blocks
 
 
 def source_images(X_FMT: np.ndarray, params: ModelParams,
@@ -41,9 +42,9 @@ def source_images(X_FMT: np.ndarray, params: ModelParams,
     holds its rows that are written: all M under `all_channels`, else
     channel 1 alone, (F, 1, T).
     gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Entries
-    where every source variance vanishes get the uniform 1/N gain so the
-    images still partition the mixture.  The shape check runs on the
-    first ``next``.
+    where that total is at or below the mixture's y~ floor
+    (`model.ytilde_floor`, where a run holds y~) get the uniform 1/N gain,
+    so the images still partition the mixture and no ratio overflows.  The shape check runs on the first ``next``.
     """
     X_FMT = np.asarray(X_FMT, dtype=np.complex128)
     expected = (params.n_freq, params.n_channels, params.n_frames)
@@ -61,8 +62,9 @@ def source_images(X_FMT: np.ndarray, params: ModelParams,
     # bytes of one frequency's temporaries in either pass, ~4 complex
     # (M, T) arrays
     per_freq = 64 * params.n_frames * params.n_channels
-    # Q x over the unfloored total; the total is 1 where it vanishes, so the
-    # ratio there is Q x itself
+    # Q x over the unfloored total; the total is 1 where it is at or below
+    # the floor, so the ratio there is Q x itself
+    floor = ytilde_floor(np.vdot(X_FMT, X_FMT).real, X_FMT.size)
     ratio_FMT = np.empty((params.n_freq, params.n_channels, params.n_frames),
                          dtype=np.complex128)
     dead_FMT = np.empty(ratio_FMT.shape, dtype=bool)
@@ -70,7 +72,7 @@ def source_images(X_FMT: np.ndarray, params: ModelParams,
     def ratio_block(block):
         total_BMT = np.matmul(params.Gtilde.T,
                               source_psd(params, block).transpose(1, 0, 2))
-        np.equal(total_BMT, 0.0, out=dead_FMT[block])
+        np.less_equal(total_BMT, floor, out=dead_FMT[block])
         total_BMT[dead_FMT[block]] = 1.0
         np.divide(np.matmul(params.Q[block], X_FMT[block]),
                   total_BMT, out=ratio_FMT[block])
@@ -87,19 +89,20 @@ def _source_image(params: ModelParams, n: int, ratio_FMT, dead_FMT, Qinv_FMM,
                   channels: slice, per_freq: int) -> tuple[float, np.ndarray]:
     # source n's (energy, kept rows), one frequency block at a time:
     # Q^-1 diag(lambda_n g~_n) ratio, with g~_n folded into the columns of
-    # Q^-1 and lambda_nft scaling column t.  Where the total vanishes every
-    # lambda_n g~_nm is 0, so those entries add their 1/N share instead.
+    # Q^-1 and lambda_nft scaling column t.  The entries at the floor take
+    # no part in it and add their 1/N share instead.
     kept_FCT = np.empty_like(ratio_FMT[:, channels])
 
     def image_block(block):
-        image_BMT = np.matmul(Qinv_FMM[block] * params.Gtilde[n], ratio_FMT[block])
+        ratio_BMT, dead_BMT = ratio_FMT[block], dead_FMT[block]
+        dead = dead_BMT.any()
+        image_BMT = np.matmul(Qinv_FMM[block] * params.Gtilde[n],
+                              np.where(dead_BMT, 0.0, ratio_BMT) if dead else ratio_BMT)
         image_BMT *= source_psd(params, block,
                                 slice(n, n + 1)).transpose(1, 0, 2)
-        dead_BMT = dead_FMT[block]
-        if dead_BMT.any():
+        if dead:
             image_BMT += np.matmul(Qinv_FMM[block],
-                                   np.where(dead_BMT, ratio_FMT[block], 0.0)
-                                   ) / params.n_sources
+                                   np.where(dead_BMT, ratio_BMT, 0.0)) / params.n_sources
         kept_FCT[block] = image_BMT[:, channels]
         return np.vdot(image_BMT, image_BMT).real
     power = np.zeros(())

@@ -36,7 +36,8 @@ import numpy as np
 from scipy import integrate, special
 
 from gsmsep import linalg
-from gsmsep.model import GH, GsmVariant, ModelParams, StudentT, compute_ytilde, normalize
+from gsmsep.model import (GH, GsmVariant, ModelParams, StudentT, compute_ytilde, normalize,
+                          ytilde_floor)
 from gsmsep.optimizer import (EStepCache, log_likelihood, outer_products, update_g, update_h,
                               update_q, update_w)
 from gsmsep.priors import inv_phi_from_s, log_marginal_from_s
@@ -311,12 +312,13 @@ def three_refresh_iteration(X_FMT, params: ModelParams, cache: EStepCache,
 def whole_source_images(X_FTM, params: ModelParams) -> list:
     """Every conditional-mean source image, (F, T, M) each, from whole
     arrays: the gain lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm (1/N
-    where the total vanishes) times Q x, back-projected through Q_f^-1."""
+    where the total is at or below the mixture's y~ floor) times Q x,
+    back-projected through Q_f^-1."""
     Qinv_FMM = np.linalg.inv(params.Q)
     Qx_FTM = np.matmul(X_FTM, params.Q.transpose(0, 2, 1))
     lambda_NFT = _whole_psd(params)
     total_FTM = np.tensordot(lambda_NFT, params.Gtilde, axes=([0], [0]))
-    live_FTM = total_FTM > 0
+    live_FTM = total_FTM > ytilde_floor(np.sum(np.abs(X_FTM) ** 2), X_FTM.size)
     safe_total_FTM = np.where(live_FTM, total_FTM, 1.0)
     return [np.matmul(np.where(live_FTM,
                                lambda_NFT[n][:, :, None] * params.Gtilde[n]

@@ -24,9 +24,10 @@ from oracles import BinStatistic, posterior_inv_phi, quadrature_posterior_inv_ph
 from test_model import random_params
 from test_priors import ladder_ratio, log_bessel_k_quadrature, wirtinger_fd_gradient
 
-from gsmsep import linalg, optimizer, wiener
+from gsmsep import cli, linalg, optimizer, wiener
 from gsmsep.harness import run_experiment, synth_scene
 from gsmsep.model import (
+    DEFAULT_FLOOR,
     GH,
     NIG,
     Gaussian,
@@ -322,6 +323,24 @@ def test_criteria_05_to_07_more_sources_than_mics(n_sources, n_mics, vname, vari
     assert partition <= 1e-10
 
 
+def test_criterion_07_more_sources_than_mics_at_the_default_iterations():
+    # `gsmsep separate -N 3` with every other setting at its default, on a 1 s
+    # scene of three sources on two mics: the multiplicative updates drive
+    # some sum_n lambda g~ far below the y~ floor, where the Wiener ratio
+    # overflowed until those entries took the uniform gain
+    scene = synth_scene(3, 2, 1.0, seed=0)
+    X_FMT = stft_forward(scene.mixture.samples, StftConfig())
+    params, _ = optimizer.run(X_FMT, cli._separation_config({"n_sources": 3}))
+    finite = all(np.isfinite(image).all()
+                 for _, image in wiener.source_images(X_FMT, params, all_channels=True))
+    partition = worst_partition_error(X_FMT, params)
+    ok = finite and partition <= 1e-10
+    report_line(7, ok, f"3 on 2 at the default iterations: images finite {finite},"
+                       f" max rel err {partition:.2e} (tol 1e-10)")
+    assert finite
+    assert partition <= 1e-10
+
+
 def test_criterion_08_end_to_end_separation():
     scene = synth_scene(2, 2, 3.0, seed=0)
     details = []
@@ -357,7 +376,7 @@ def test_criterion_09_normalization_invariance():
         params = random_params(rng, n, k, f, t, m)
         X_FMT = random_mixture(rng, f, t, m)
         variant = ALL_VARIANTS[trial % len(ALL_VARIANTS)][1]
-        floor = optimizer.DEFAULT_FLOOR
+        floor = DEFAULT_FLOOR
         before = optimizer.log_likelihood(X_FMT, params, variant, floor)[0]
         after = optimizer.log_likelihood(X_FMT, normalize(params), variant, floor)[0]
         worst = max(worst, abs(after - before) / abs(before))

@@ -1,11 +1,13 @@
-"""Tests for `model.map_blocks`: frequency blocks shared by the calling
-thread and one helper thread, and for the iterations' twin process, which
-runs wherever the helper does and takes the upper blocks of every per-bin
-stage.
+"""Tests for `workers.map_blocks`: frequency blocks shared by the calling
+thread and one worker, the helper thread or the iterations' twin process,
+which runs wherever the helper does and takes the upper blocks of every
+per-bin stage.
 
-Every blocked stage must give the bits the serial loop gives.  An error
-in either thread must reach the caller only after both threads have
-stopped, the helper must see the caller's `np.errstate`, no function that
+Every blocked stage must give the bits the serial loop gives, and both
+workers must take the same blocks: those whose middle lies above the
+middle of the range.  An error on either side must reach the caller only
+after the worker is idle, the helper must take no block after the
+caller's error and must see the caller's `np.errstate`, no function that
 sepbench's tracer wraps may run off the calling thread, and `gsmsep
 bench` worker processes must run their blocks on one thread.  A run with
 the twin must give the serial run's bits and warnings, the twin must take
@@ -15,6 +17,7 @@ ends.
 
 import concurrent.futures
 import dataclasses
+import functools
 import os
 import pickle
 import signal
@@ -28,16 +31,16 @@ import numpy as np
 import pytest
 
 import oracles
-from gsmsep import cli, harness, linalg, model, optimizer, priors, wiener
+from gsmsep import cli, harness, linalg, model, optimizer, priors, wiener, workers
 from gsmsep.harness import synth_scene
-from gsmsep.model import (GH, NIG, Gaussian, LeptokurticGG, SeparationConfig, StudentT,
-                          map_blocks)
+from gsmsep.model import GH, NIG, Gaussian, LeptokurticGG, SeparationConfig, StudentT
 from gsmsep.priors import log_marginal_from_s
 from gsmsep.stft import StftConfig, stft_forward, stft_inverse
+from gsmsep.workers import map_blocks
 
-# every call to map_blocks below passes _BLOCK_BYTES as the bytes per
-# frequency, so each block holds one frequency
-ONE = model._BLOCK_BYTES
+# a map_blocks call below that passes ONE bytes per frequency has blocks of
+# one frequency, and one that passes ONE // k blocks of k
+ONE = workers._BLOCK_BYTES
 
 
 @pytest.fixture
@@ -47,84 +50,143 @@ def helper(monkeypatch):
     Returns the helper's thread id."""
     pool = concurrent.futures.ThreadPoolExecutor(1, "test-blocks")
     ident = pool.submit(threading.get_ident).result()
-    monkeypatch.setattr(model, "_HELPER", pool)
+    monkeypatch.setattr(workers, "_HELPER", pool)
     yield ident
     pool.shutdown()
 
 
-def paired(barrier):
-    """Body wrapper: blocks 0 and 1 meet at `barrier`, so each thread
-    takes one of them (a thread holds one block at a time)."""
-    def wrap(body):
-        def run(block):
-            if block.start < 2:
-                barrier.wait()
-            return body(block)
-        return run
-    return wrap
+def _mark_pid(record, block) -> None:
+    # a twin's block body: the pid of the process that ran the block
+    record[block] = os.getpid()
+
+
+def _error_path_block(state, pid: int, ident: int, cut: int, block) -> None:
+    # a block body for both workers: the caller's first block raises once a
+    # worker's block has begun; a worker's block marks itself begun (1) and,
+    # 20 ms later, done (2), in memory the caller shares with either worker
+    k = block.start
+    if (os.getpid(), threading.get_ident()) == (pid, ident):
+        deadline = time.perf_counter() + 10
+        while not state[cut:].any() and time.perf_counter() < deadline:
+            time.sleep(1e-4)
+        raise ValueError(f"block {k}")
+    state[k] = 1
+    time.sleep(0.02)
+    state[k] = 2
 
 
 class TestMapBlocks:
     def test_results_in_block_order_from_both_threads(self, helper):
         def body(block):
-            time.sleep(0.001)
+            time.sleep(0.002 if block.start < 6 else 0.0)  # the helper finishes first
             return block, threading.get_ident()
 
-        results = map_blocks(paired(threading.Barrier(2, timeout=10))(body), 12, ONE)
+        results = map_blocks(body, 12, ONE)
         assert [block for block, _ in results] == [slice(k, k + 1) for k in range(12)]
-        assert {ident for _, ident in results} == {threading.get_ident(), helper}
+        assert [ident for _, ident in results] == [threading.get_ident()] * 6 + [helper] * 6
 
     def test_fold_takes_results_in_block_order(self, helper):
         def body(block):
-            time.sleep(0.001 * (block.start % 3))  # the threads finish out of turn
+            time.sleep(0.002 if block.start < 6 else 0.0)  # the helper finishes first
             return block.start
 
         folded = []
-        assert map_blocks(paired(threading.Barrier(2, timeout=10))(body), 12, ONE,
-                          fold=folded.append) == []
+        assert map_blocks(body, 12, ONE, fold=folded.append) == []
         assert folded == list(range(12))
 
     def test_fold_error_propagates(self, helper):
-        def fold(result):
-            if result == 3:
-                raise ArithmeticError("fold 3")
+        for failing in (3, 9):  # a result of the caller's, then of the helper's
+            def fold(result):
+                if result == failing:
+                    raise ArithmeticError(f"fold {result}")
 
-        with pytest.raises(ArithmeticError, match="fold 3"):
-            map_blocks(lambda block: block.start, 12, ONE, fold=fold)
+            with pytest.raises(ArithmeticError, match=f"fold {failing}"):
+                map_blocks(lambda block: block.start, 12, ONE, fold=fold)
+
+    @pytest.mark.parametrize("n_freq,per_block,lower", [
+        (12, 1, 6), (13, 1, 7),  # block 6 of 13 has its middle at the range's
+        (13, 2, 3), (33, 5, 3), (2, 1, 1), (1, 1, 1)])
+    def test_the_caller_takes_the_blocks_up_to_the_middle(self, helper, n_freq, per_block,
+                                                          lower):
+        # and the helper the rest (the twin takes the same blocks: below)
+        threads = map_blocks(lambda block: threading.get_ident(), n_freq, ONE // per_block)
+        assert threads == [threading.get_ident()] * lower + [helper] * (len(threads) - lower)
 
     def test_one_block_runs_on_the_caller(self, helper):
         assert map_blocks(lambda block: threading.get_ident(), 3, ONE // 3) == [
             threading.get_ident()]
 
     def test_no_helper_runs_every_block_on_the_caller(self, monkeypatch):
-        monkeypatch.setattr(model, "_HELPER", None)
+        monkeypatch.setattr(workers, "_HELPER", None)
         assert set(map_blocks(lambda block: threading.get_ident(), 6, ONE)) == {
             threading.get_ident()}
 
     @pytest.mark.parametrize("thread", ["caller", "helper"])
     def test_error_stops_both_threads_before_it_propagates(self, helper, thread):
-        n_blocks, first_failure = 24, 5
+        n_blocks, cut = 24, 12  # the caller takes blocks 0..11, the helper 12..23
         written = np.zeros(n_blocks, dtype=bool)
-        failed_at = []
         failing = threading.get_ident() if thread == "caller" else helper
+        begun = threading.Event()  # the helper is inside its share
 
         def body(block):
             k = block.start
-            if k >= first_failure and threading.get_ident() == failing:
-                failed_at.append(k)
+            if threading.get_ident() == helper:
+                begun.set()
+            else:
+                assert begun.wait(timeout=10)
+            if threading.get_ident() == failing:
                 raise ValueError(f"block {k}")
             time.sleep(0.005)
             written[k] = True
 
         before = threading.active_count()
-        with pytest.raises(ValueError, match="block"):
-            map_blocks(paired(threading.Barrier(2, timeout=10))(body), n_blocks, ONE)
+        with pytest.raises(ValueError, match=f"block {0 if thread == 'caller' else cut}$"):
+            map_blocks(body, n_blocks, ONE)
         assert threading.active_count() == before
         snapshot = written.copy()
         time.sleep(0.05)
         np.testing.assert_array_equal(written, snapshot)  # nothing wrote late
-        (k,) = failed_at
-        assert not written[k] and not written[k + 2:].any()  # at most k + 1 in flight
+        assert not written[cut + 2:].any()  # the helper took no block after the error
+
+    @pytest.mark.parametrize("worker", ["helper", "twin"])
+    def test_a_caller_error_propagates_once_the_worker_is_idle(self, helper, worker):
+        # the caller raises in its share while the worker's share runs: the
+        # helper takes no further block (its stop flag), the twin finishes
+        # (`Twin._drain`), and either is idle before the error propagates
+        n_blocks, cut = 16, 8
+        state = workers.shared_empty((n_blocks,), np.int64)
+        state[...] = 0
+        body = functools.partial(_error_path_block, state, os.getpid(), threading.get_ident(),
+                                 cut)
+        twin = workers.Twin([state]) if worker == "twin" else None
+        try:
+            with pytest.raises(ValueError, match="block 0$"):
+                map_blocks(body, n_blocks, ONE, twin=twin)
+            snapshot = state.copy()
+            time.sleep(0.1)
+        finally:
+            if twin is not None:
+                twin.close()
+        np.testing.assert_array_equal(state, snapshot)  # nothing wrote late
+        assert not (state == 1).any()  # no block was left begun
+        assert not state[:cut].any() and state[cut:].any()
+        if worker == "helper":
+            assert np.count_nonzero(state[cut:]) <= 2
+
+    def test_helper_and_twin_take_the_same_blocks(self, helper):
+        # one split for both workers: of 33 frequencies in blocks of 5, the
+        # upper 4 blocks
+        blocks = workers.freq_blocks(33, ONE // 5)
+        threads = map_blocks(lambda block: threading.get_ident(), 33, ONE // 5)
+        record = workers.shared_empty((33,), np.int64)
+        twin = workers.Twin([record])
+        try:
+            map_blocks(functools.partial(_mark_pid, record), 33, ONE // 5, twin=twin)
+        finally:
+            twin.close()
+        by_helper = [block.start for block, ident in zip(blocks, threads) if ident == helper]
+        by_twin = [block.start for block in blocks if record[block.start] == twin.pid]
+        assert by_helper == by_twin == [15, 20, 25, 30]
 
     @pytest.mark.parametrize("thread", ["caller", "helper"])
     def test_helper_sees_the_callers_errstate(self, helper, thread):
@@ -136,13 +198,13 @@ class TestMapBlocks:
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                map_blocks(paired(threading.Barrier(2, timeout=10))(body), 4, ONE)
+                map_blocks(body, 4, ONE)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs sched_setaffinity")
     def test_no_helper_on_one_cpu(self):
         probe = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
-                 " from gsmsep import model; print(model._HELPER is None)")
+                 " from gsmsep import workers; print(workers._HELPER is None)")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, check=True)
         assert result.stdout.strip() == "True"
@@ -158,15 +220,15 @@ class TestBitIdentical:
         # budget 0 makes every block one frequency; 3 M-step frequencies
         # leave an uneven last block at f = 13
         n, f, t = 2, 13, 16
-        monkeypatch.setattr(model, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
         rng = np.random.default_rng(m)
         X = rng.standard_normal((f, t, m)) + 1j * rng.standard_normal((f, t, m))
         X = np.ascontiguousarray(X.transpose(0, 2, 1))  # (F, M, T)
         cfg = SeparationConfig(n_sources=n, n_bases=2, iterations=3,
                                variant=StudentT(nu=4.0), seed=m)
         runs = []
-        for pool in (None, model._HELPER):
-            monkeypatch.setattr(model, "_HELPER", pool)
+        for pool in (None, workers._HELPER):
+            monkeypatch.setattr(workers, "_HELPER", pool)
             params, trace = optimizer.run(X, cfg)
             runs.append((trace, params,
                          list(wiener.source_images(X, params, all_channels=True))))
@@ -184,7 +246,7 @@ class TestBitIdentical:
     def test_stft_forward_matches_one_rfft(self, m, frames, helper, monkeypatch):
         cfg = StftConfig()
         if frames is not None:
-            monkeypatch.setattr(model, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
+            monkeypatch.setattr(workers, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
         rng = np.random.default_rng(m)
         # 303 frames: the last block is short at 5 frames and at the default
         # budget's 128, 64 and 32 frames for M = 1, 2 and 4
@@ -201,9 +263,9 @@ class TestBitIdentical:
                                                  helper, monkeypatch):
         cfg = StftConfig(hop=1024 // overlap)
         if frames is not None:
-            monkeypatch.setattr(model, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
+            monkeypatch.setattr(workers, "_BLOCK_BYTES", frames * 8 * cfg.n_fft * m)
         if threads == "caller":
-            monkeypatch.setattr(model, "_HELPER", None)
+            monkeypatch.setattr(workers, "_HELPER", None)
         rng = np.random.default_rng(10 * m + overlap)
         # 203 frames and 204 - overlap output chunks: the last block of each
         # is short at 6 per block and at the default budget's 128 // m
@@ -221,7 +283,7 @@ class TestBitIdentical:
         # some -0.0 bins make windowed samples -0.0; where every term of a
         # sum is -0.0 only a sum that starts from 0.0 returns +0.0
         cfg = StftConfig(n_fft=4, hop=2)
-        monkeypatch.setattr(model, "_BLOCK_BYTES", 3 * 8 * cfg.n_fft * 2)
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", 3 * 8 * cfg.n_fft * 2)
         spec = np.zeros((cfg.n_freq, 400, 2), dtype=np.complex128)
         if signed:
             rng = np.random.default_rng(0)
@@ -245,8 +307,8 @@ class TestPriorStatistics:
 
     @staticmethod
     def statistics(s, m, variant, monkeypatch, budget, pool):
-        monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
-        monkeypatch.setattr(model, "_HELPER", pool)
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(workers, "_HELPER", pool)
         return log_marginal_from_s(s, m, variant)
 
     @pytest.mark.parametrize("variant", PRIOR_VARIANTS,
@@ -255,10 +317,10 @@ class TestPriorStatistics:
     def test_blocks_match_one_pass(self, variant, shape, helper, monkeypatch):
         rng = np.random.default_rng(len(shape))
         s = rng.exponential(3.0, shape) * rng.choice([0.0, 1e-9, 1.0, 1e6], shape)
-        pool = model._HELPER
+        pool = workers._HELPER
         whole = self.statistics(s, 3, variant, monkeypatch, 1 << 40, None)
         per_row = priors._BYTES_PER_S * (shape or (1,))[-1]
-        for budget in (0, per_row, model._BLOCK_BYTES):  # one value, one row, default
+        for budget in (0, per_row, workers._BLOCK_BYTES):  # one value, one row, default
             for threads in (None, pool):
                 blocked = self.statistics(s, 3, variant, monkeypatch, budget, threads)
                 for got, want in zip(blocked, whole):
@@ -277,7 +339,7 @@ class TestPriorStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             whole = self.statistics(s, 1, variant, monkeypatch, 1 << 40, None)
-            blocked = self.statistics(s, 1, variant, monkeypatch, 0, model._HELPER)
+            blocked = self.statistics(s, 1, variant, monkeypatch, 0, workers._HELPER)
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want, equal_nan=True)
             np.testing.assert_array_equal(np.isfinite(got), [True, True, False, False])
@@ -312,7 +374,7 @@ def test_probed_names_run_on_the_calling_thread(helper, monkeypatch):
     # block of the iterations that this process runs runs on the caller
     monkeypatch.setattr(model, "source_psd", recorded(model.source_psd, "source_psd"))
     monkeypatch.setattr(wiener, "source_psd", recorded(wiener.source_psd, "wiener"))
-    monkeypatch.setattr(model, "_BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(workers, "_BLOCK_BYTES", 1 << 14)
     scene = synth_scene(2, 2, 1.0, seed=0)
     cfg = SeparationConfig(n_sources=2, n_bases=4, iterations=2,
                            variant=StudentT(nu=4.0))
@@ -386,7 +448,7 @@ def small_blocks(monkeypatch, shape, n_sources):
     # a budget of five frequencies per W, H, G~ and y~ block, so that every
     # stage has several blocks, the last of most of them short
     n_freq, n_chan, n_frames = shape
-    monkeypatch.setattr(model, "_BLOCK_BYTES", 5 * 8 * n_frames * (n_sources + n_chan))
+    monkeypatch.setattr(workers, "_BLOCK_BYTES", 5 * 8 * n_frames * (n_sources + n_chan))
 
 
 class TestTwin:
@@ -404,8 +466,8 @@ class TestTwin:
     def both_runs(X, cfg, monkeypatch):
         # (params, trace, warning messages) with the twin, then serially
         runs = []
-        for pool in (model._HELPER, None):
-            monkeypatch.setattr(model, "_HELPER", pool)
+        for pool in (workers._HELPER, None):
+            monkeypatch.setattr(workers, "_HELPER", pool)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 params, trace = optimizer.run(X, cfg)
@@ -431,7 +493,7 @@ class TestTwin:
     def test_twin_takes_blocks_of_every_stage(self, rank1, twins, monkeypatch):
         # the twin counts, in memory the test shares with it, the blocks
         # (for update_q the sweeps) it ran of each stage
-        taken = optimizer._shared_empty((len(TWIN_STAGES),), np.int64)
+        taken = workers.shared_empty((len(TWIN_STAGES),), np.int64)
         real_blocks, real_call = optimizer._Twin._blocks, optimizer._Twin._call
 
         def blocks(self, body, blocks, hold):
@@ -459,7 +521,7 @@ class TestTwin:
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=2, seed=0)
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
             _, trace = pool.submit(optimizer.run, X, cfg).result(timeout=60)
-        monkeypatch.setattr(model, "_HELPER", None)
+        monkeypatch.setattr(workers, "_HELPER", None)
         assert trace == optimizer.run(X, cfg)[1]
         assert len(twins) == 1 and reaped(twins)
 
@@ -604,14 +666,15 @@ class TestTwin:
         monkeypatch.setattr(os, "fork", no_fork)
         _, trace = optimizer.run(X, cfg)
         assert len(os.listdir("/proc/self/fd")) == fds  # no pipe left open
-        monkeypatch.setattr(model, "_HELPER", None)
+        monkeypatch.setattr(workers, "_HELPER", None)
         assert trace == optimizer.run(X, cfg)[1]
 
-    def test_an_array_outside_the_twin_is_refused(self, helper):
+    def test_an_array_outside_the_twin_is_refused(self, helper, monkeypatch):
         # the twin's writes into a copy would be lost: refused before any
         # byte is written, and the twin still serves
         X = random_mixture(np.random.default_rng(8), 9, 3, 12)
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
+        small_blocks(monkeypatch, X.shape, 3)  # one block would stay on the caller
         params = model.init_params(cfg, X)
         twin = optimizer._Twin(X, optimizer.outer_products(X)[0], params)
         try:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsmsep import model
+from gsmsep import workers
 from gsmsep.harness import synth_scene
 from gsmsep.model import (
     GH,
@@ -25,13 +25,13 @@ from gsmsep.model import (
     SeparationConfig,
     StudentT,
     compute_ytilde,
-    freq_blocks,
     init_params,
     normalize,
     power_scale,
     source_psd,
 )
 
+from gsmsep.workers import freq_blocks
 from oracles import gh_from_ab
 
 
@@ -397,7 +397,7 @@ class TestFreqBlocks:
     ])
     def test_every_frequency_once_in_order(self, n_freq, per_freq, budget,
                                            monkeypatch):
-        monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", budget)
         blocks = list(freq_blocks(n_freq, per_freq))
         step = max(1, budget // per_freq)
         covered = np.concatenate([np.arange(n_freq)[block] for block in blocks])

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import oracles
-from gsmsep import linalg, model, optimizer
+from gsmsep import linalg, optimizer, workers
 from gsmsep.harness import synth_scene
 from gsmsep.model import (
+    DEFAULT_FLOOR,
     Gaussian,
     LeptokurticGG,
     ModelParams,
@@ -34,7 +35,6 @@ from gsmsep.model import (
     source_psd,
 )
 from gsmsep.optimizer import (
-    DEFAULT_FLOOR,
     EStepCache,
     MONOTONE_SLACK,
     e_step,
@@ -100,7 +100,7 @@ class TestBlockedStages:
                                         monkeypatch):
         # budget 0 makes every block one frequency; 3 M-step frequencies
         # leave uneven last blocks at f = 13 and 11
-        monkeypatch.setattr(model, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", m_step_freqs * 8 * t * (n + m))
         rng = np.random.default_rng(100 * n + m)
         X = random_mixture(rng, f, t, m)
         cfg = SeparationConfig(n_sources=n, n_bases=2, iterations=1,

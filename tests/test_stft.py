@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsmsep import model
+from gsmsep import workers
 from gsmsep.stft import StftConfig, periodic_hann, stft_forward, stft_inverse
 
 
@@ -227,7 +227,7 @@ class TestInverse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 6 * model._BLOCK_BYTES
+        assert peak - out.nbytes <= 6 * workers._BLOCK_BYTES
 
     def test_refuses_hop_equal_to_n_fft(self):
         # the periodic Hann window is zero at every frame start, and with

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gsmsep import model, wiener
+from gsmsep import wiener, workers
 from gsmsep.model import SeparationConfig, init_params
 from gsmsep.optimizer import run
 from gsmsep.stft import StftConfig, stft_forward, stft_inverse
@@ -191,6 +191,7 @@ class TestBlockedFilter:
         (3, 4, 11, 6, "frame"),
         (3, 3, 13, 9, "channel"),
         (2, 3, 13, 9, "frequency"),
+        (3, 2, 11, 6, "below-floor"),
     ]
 
     @pytest.mark.parametrize("n,m,f,t,dead", CASES)
@@ -200,7 +201,7 @@ class TestBlockedFilter:
                                         monkeypatch):
         # budget 0 makes every block one frequency; 3 frequencies leave
         # uneven last blocks at f = 7, 11 and 13
-        monkeypatch.setattr(model, "_BLOCK_BYTES", freqs * 64 * t * m)
+        monkeypatch.setattr(workers, "_BLOCK_BYTES", freqs * 64 * t * m)
         params, X = random_setup(seed=20 + n + m, n=n, f=f, t=t, m=m)
         params.W *= np.arange(1.0, n + 1.0)[:, None, None] ** 2
         if dead == "frame":
@@ -209,6 +210,8 @@ class TestBlockedFilter:
             params.Gtilde[:, -1] = 0.0
         elif dead == "frequency":  # dead entries in the first block alone
             params.W[:, :, 0] = 0.0
+        elif dead == "below-floor":  # totals above 0 but below the y~ floor
+            params.H[:, :, 2] = 1e-300
         expected = oracles.whole_source_images(X.transpose(0, 2, 1), params)
 
         pairs = list(source_images(X, params, all_channels=True))
