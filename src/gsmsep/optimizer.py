@@ -30,16 +30,15 @@ the arrays it writes (the cache, the bin terms, a copy of the parameters,
 the stages' outputs and sums) are allocated before the fork.  The caller
 sums the bin terms.  The only (F, M, T) arrays a stage holds whole are
 the cache's y~ and z^, and a run allocates them once: `iterate` is a
-generator, not a step function returning its state, so the E-step cache
-outlives each iteration and its arrays are written over instead of
-allocated anew: the y~ refresh over the y~ the W update read, and the
-likelihood's y~, z~ (scaled into z^) and s over the cache the M-step has
-finished with.  Freeing the cache every iteration made the allocator
-return its pages to the OS and fault them back in.  Every update is an
-exact maximizer or a multiplicative step on the same minorizing bound, so
-the trace is non-decreasing up to rounding; violations beyond a 1e-8
-relative slack are reported as warnings with their iteration index, never
-swallowed, and a non-finite likelihood raises ArithmeticError.
+generator, so the E-step cache outlives each iteration and is written
+over (freed, its pages went back to the OS and faulted in again): the y~
+refresh over the y~ the W update read, and the likelihood's y~, z~
+(scaled into z^) and s over the cache the M-step is done with.  Every
+update is an exact maximizer or a multiplicative step on the same
+minorizing bound, so the trace is non-decreasing up to rounding;
+violations beyond a 1e-8 relative slack are reported as warnings with
+their iteration index, never swallowed, and a non-finite likelihood
+raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -412,7 +411,7 @@ def update_q(params: ModelParams, S_FPT: np.ndarray, cache: EStepCache,
         twin.q_rows[...] = Q_FMM[upper]
         kept, twin_kept = twin.beside(
             lambda: _project_rows(Q_FMM[below], S_FPT[below], _rows(cache, below)),
-            _project_rows, twin.q_rows, S_FPT[upper], _rows(cache, upper))
+            "_call", _project_rows, twin.q_rows, S_FPT[upper], _rows(cache, upper))
         Q_FMM[upper] = twin.q_rows
         for kind, rows_f in twin_kept.items():
             kept[kind].extend(f + twin.q_start for f in rows_f)

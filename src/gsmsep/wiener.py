@@ -42,10 +42,11 @@ def source_images(X_FMT: np.ndarray, params: ModelParams,
     holds its rows that are written: all M under `all_channels`, else
     channel 1 alone, (F, 1, T).
     gain_nftm = lambda_nft g~_nm / sum_n' lambda_n'ft g~_n'm.  Entries
-    where that total is at or below the mixture's y~ floor
-    (`model.ytilde_floor`, where a run holds y~) get the uniform 1/N gain,
-    so the images still partition the mixture and no ratio overflows.  The shape check runs on the first ``next``.
-    """
+    where that total is at or below `model.ytilde_floor` of the mixture
+    (a run sums its power in another order, so its floor may be twice or
+    half this one) get the uniform 1/N gain, so the images partition the
+    mixture and no ratio overflows.  The shape check runs on the first
+    ``next``."""
     X_FMT = np.asarray(X_FMT, dtype=np.complex128)
     expected = (params.n_freq, params.n_channels, params.n_frames)
     if X_FMT.shape != expected:

@@ -6,11 +6,11 @@ the upper ones to one worker.  The worker is the helper thread, started
 at import on Linux with two or more CPUs, or a `Twin`, a forked process
 that an optimizer run keeps for its iterations, whose many short numpy
 calls would serialize two threads on the GIL.  Both keep one protocol,
-`beside(own, fn, *args)`: fn runs in the worker while own runs on the
-caller, and an error on either side reaches the caller once the worker
-is idle.  Sums over f are folded in block order, the caller's results
-before the worker's, so every value has the bits of one thread.  This
-module imports no other gsmsep module.
+`beside(own, method, *args)`: the worker's method runs while own runs on
+the caller, and an error on either side reaches the caller once the
+worker is idle.  Sums over f are folded in block order, the caller's
+results before the worker's, so every value has the bits of one thread.
+This module imports no other gsmsep module.
 """
 
 from __future__ import annotations
@@ -64,13 +64,14 @@ def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None, twin=None) -> 
     The caller takes, in order, the blocks whose middle lies at or below
     the middle of the range, the worker the rest; without a worker, or
     with one block, the caller takes them all.  With `fold`, each result
-    goes to fold(result) instead, the caller's and then the worker's, in
-    block order, and the list is empty: a sum over f then has the serial
-    loop's bits.  The helper runs in a copy of the caller's context (its
-    `np.errstate`), the twin under the caller's `np.errstate`.  After a
-    body or fold raises, the helper takes no further block, and the worker
-    is idle before the error propagates.  With `twin`, body and fold must
-    pickle, and write only into the twin's memory.
+    goes to fold(result) instead, the caller's and then (queued behind its
+    blocks) the worker's, in block order, and the list is empty: a sum over
+    f then has the serial loop's bits.  The helper runs in a copy of the
+    caller's context (its `np.errstate`), the twin under that errstate.
+    After an error on the caller or the helper, the other takes no further
+    block; the worker is idle before any error propagates.  With `twin`,
+    body and fold must pickle and write only into the twin's memory, which
+    is checked only when the twin takes a block.
     """
     blocks, results = freq_blocks(n_freq, bytes_per_freq), []
     worker = twin if twin is not None or _HELPER is None else _Helper(_HELPER)
@@ -79,28 +80,43 @@ def map_blocks(body, n_freq: int, bytes_per_freq: int, fold=None, twin=None) -> 
 
     def own() -> None:
         for block in blocks[:cut]:
+            if worker is not None and worker._stopped:
+                return  # the helper raised: `beside` re-raises it
             (fold or results.append)(body(block))
+        if fold is not None and cut < len(blocks):
+            worker._send("_fold", fold)
 
     if cut == len(blocks):
         own()
         return results
     _, theirs = worker.beside(own, "_blocks", body, blocks[cut:], fold is not None)
     if fold is not None:
-        worker.beside(lambda: None, "_fold", fold)
+        worker._reply()
     return results + theirs
 
 
 class _Worker:
-    # a worker's share of `map_blocks`: its blocks, then, with a fold, the
-    # fold of the results it held until the caller had folded its own
-    _stopped = False  # set by the caller on its error: take no further block
+    # `beside`, and a worker's share of `map_blocks`: its blocks, then their fold
+    _stopped = False  # set on the helper by either side's error
+
+    def beside(self, own, method: str, *args) -> tuple:
+        """(own(), the worker's method(*args)), the method run in the worker
+        while own runs here; "_call" calls args[0] with the rest.  Either
+        error propagates once the worker is idle, own's first."""
+        self._send(method, *args)
+        try:
+            mine = own()
+        except BaseException:
+            self._drain()
+            raise
+        return mine, self._reply()
+
+    def _call(self, fn, *args):
+        return fn(*args)
 
     def _blocks(self, body, blocks: list, hold: bool) -> list:
-        results = []
-        for block in blocks:
-            if self._stopped:
-                break
-            results.append(body(block))
+        self._held = []  # set once every block has run
+        results = [body(block) for block in blocks if not self._stopped]
         self._held = results if hold else []
         return [] if hold else results
 
@@ -111,30 +127,33 @@ class _Worker:
 
 
 class _Helper(_Worker):
-    """One `map_blocks` call's share on the helper thread."""
+    """One `map_blocks` call's share on the helper thread, whose commands
+    run in turn, each in a copy of the caller's context."""
 
     def __init__(self, pool: concurrent.futures.Executor):
-        self._pool = pool
+        self._pool, self._futures = pool, []
 
-    def beside(self, own, fn, *args) -> tuple:
-        """(own(), fn(*args)): fn, or the method it names, runs on the helper
-        in a copy of the caller's context while own runs here.  Either
-        error propagates once the helper is idle, own's first."""
-        if isinstance(fn, str):
-            fn = getattr(self, fn)
-        future = self._pool.submit(contextvars.copy_context().run, fn, *args)
-        try:
-            mine = own()
-        except BaseException:
-            self._stopped = True
-            concurrent.futures.wait([future])
-            raise
-        return mine, future.result()
+    def _send(self, method: str, *args) -> None:
+        def stopping():  # an error here stops the caller's share too
+            try:
+                return getattr(self, method)(*args)
+            except BaseException:
+                self._stopped = True
+                raise
+        self._futures.append(self._pool.submit(contextvars.copy_context().run, stopping))
+
+    def _reply(self):
+        # the oldest command's value, or what it raised, once the helper is idle
+        concurrent.futures.wait(self._futures)
+        return self._futures.pop(0).result()
+
+    def _drain(self) -> None:
+        self._stopped = True
+        concurrent.futures.wait(self._futures)
 
 
 def run_blocks_serially() -> None:
-    """Turn the helper thread off: `map_blocks` runs every block on its
-    caller, and a run forks no twin (`parallel`)."""
+    """Run every `map_blocks` block on its caller, and fork no twin (`parallel`)."""
     global _HELPER
     _HELPER = None
 
@@ -182,9 +201,8 @@ def _current_cpu(cpus: list) -> int:
 
 def _arrays(obj) -> list:
     # an array itself, or a dataclass's fields (not copied, as by astuple)
-    if type(obj) is np.ndarray:
-        return [obj]
-    return [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+    return [obj] if type(obj) is np.ndarray else [
+        getattr(obj, field.name) for field in dataclasses.fields(obj)]
 
 
 def _fingerprint(obj, index: dict):
@@ -349,25 +367,7 @@ class Twin(_Worker):
             done.flush()
             self._counts[1] += 1
 
-    def _call(self, fn, *args):
-        return fn(*args)
-
     # -- in the caller ------------------------------------------------------
-
-    def beside(self, own, fn, *args) -> tuple:
-        """(own(), fn(*args)): fn runs in the twin while own runs here.  A
-        method name of the twin stands for fn itself.  Either error
-        propagates once the twin is idle, own's first."""
-        if isinstance(fn, str):
-            self._send(fn, *args)
-        else:
-            self._send("_call", fn, *args)
-        try:
-            mine = own()
-        except BaseException:
-            self._drain()
-            raise
-        return mine, self._reply()
 
     def _send(self, method: str, *args) -> None:
         # the whole command is pickled before any of it is written, so a

@@ -6,13 +6,13 @@ per-bin stage.
 Every blocked stage must give the bits the serial loop gives, and both
 workers must take the same blocks: those whose middle lies above the
 middle of the range.  An error on either side must reach the caller only
-after the worker is idle, the helper must take no block after the
-caller's error and must see the caller's `np.errstate`, no function that
-sepbench's tracer wraps may run off the calling thread, and `gsmsep
-bench` worker processes must run their blocks on one thread.  A run with
-the twin must give the serial run's bits and warnings, the twin must take
-blocks of every stage, and no process may be left behind however the run
-ends.
+after the worker is idle, neither the caller nor the helper may take a
+block after the other's error, the helper must see the caller's
+`np.errstate`, no function that sepbench's tracer wraps may run off the
+calling thread, and `gsmsep bench` worker processes must run their
+blocks on one thread.  A run with the twin must give the serial run's
+bits and warnings, the twin must take blocks of every stage, and no
+process may be left behind however the run ends.
 """
 
 import concurrent.futures
@@ -123,30 +123,35 @@ class TestMapBlocks:
 
     @pytest.mark.parametrize("thread", ["caller", "helper"])
     def test_error_stops_both_threads_before_it_propagates(self, helper, thread):
-        n_blocks, cut = 24, 12  # the caller takes blocks 0..11, the helper 12..23
+        # the caller takes blocks 0..11, the helper 12..23; once both are in
+        # their shares, one fails at its third block, and the other may then
+        # finish the block it holds but take no further one
+        n_blocks, cut = 24, 12
+        failing = 2 if thread == "caller" else cut + 2
         written = np.zeros(n_blocks, dtype=bool)
-        failing = threading.get_ident() if thread == "caller" else helper
-        begun = threading.Event()  # the helper is inside its share
+        at_error = []  # what was written when the failing block raised
+        inside = [threading.Event(), threading.Event()]  # the caller's, the helper's
 
         def body(block):
             k = block.start
-            if threading.get_ident() == helper:
-                begun.set()
-            else:
-                assert begun.wait(timeout=10)
-            if threading.get_ident() == failing:
+            inside[k >= cut].set()
+            assert inside[k < cut].wait(timeout=10)
+            if k == failing:
+                at_error.append(written.copy())
                 raise ValueError(f"block {k}")
             time.sleep(0.005)
             written[k] = True
 
         before = threading.active_count()
-        with pytest.raises(ValueError, match=f"block {0 if thread == 'caller' else cut}$"):
+        with pytest.raises(ValueError, match=f"block {failing}$"):
             map_blocks(body, n_blocks, ONE)
         assert threading.active_count() == before
         snapshot = written.copy()
         time.sleep(0.05)
         np.testing.assert_array_equal(written, snapshot)  # nothing wrote late
-        assert not written[cut + 2:].any()  # the helper took no block after the error
+        other = slice(cut, None) if thread == "caller" else slice(0, cut)
+        assert np.count_nonzero(written[other]) <= np.count_nonzero(at_error[0][other]) + 1
+        assert not written[failing]
 
     @pytest.mark.parametrize("worker", ["helper", "twin"])
     def test_a_caller_error_propagates_once_the_worker_is_idle(self, helper, worker):
@@ -674,10 +679,13 @@ class TestTwin:
         # byte is written, and the twin still serves
         X = random_mixture(np.random.default_rng(8), 9, 3, 12)
         cfg = SeparationConfig(n_sources=3, n_bases=2, iterations=1, seed=0)
-        small_blocks(monkeypatch, X.shape, 3)  # one block would stay on the caller
         params = model.init_params(cfg, X)
         twin = optimizer._Twin(X, optimizer.outer_products(X)[0], params)
         try:
+            # one block stays on the caller, and the twin checks nothing
+            assert np.array_equal(model.compute_ytilde(params, 1e-10, np.empty(X.shape), twin),
+                                  model.compute_ytilde(params, 1e-10))
+            small_blocks(monkeypatch, X.shape, 3)
             with pytest.raises(pickle.PicklingError, match="outside the twin's memory"):
                 model.compute_ytilde(params, 1e-10, np.empty(X.shape), twin)
             y = model.compute_ytilde(params, 1e-10, twin.cache.y_tilde, twin)
